@@ -10,7 +10,7 @@ BENCHGUARD = sh scripts/benchguard.sh
 BENCH_BASELINE ?= BENCH_10.json
 BENCH_PR ?= 10
 
-.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard patch-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-record bench-compare check
+.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-record bench-compare check
 
 build:
 	$(GO) build ./...
@@ -57,9 +57,8 @@ bench-delta:
 	$(BENCHGUARD) $(GO) test -run '^$$' -bench BenchmarkDeltaVsCold -benchtime 3x .
 
 # bench-patch smoke-tests the parallel emit pipeline: the same analysis
-# patched on a 1-worker vs 4-worker pool with the emit caches defeated,
-# asserting byte-identical output and reporting the speedup multiplier
-# (>1x needs more than one CPU).
+# patched on a 1-worker vs 4-worker pool, asserting byte-identical output
+# and reporting the speedup multiplier (>1x needs more than one CPU).
 bench-patch:
 	$(BENCHGUARD) $(GO) test -run '^$$' -bench BenchmarkPatchParallel -benchtime 3x .
 
@@ -73,13 +72,6 @@ obs-guard:
 # dependency-index dependents (see TestDeltaRecomputeBound).
 delta-guard:
 	$(GO) test -run TestDeltaRecomputeBound -v ./internal/core/
-
-# patch-guard asserts — by counters, not timing — that a repeat Patch
-# against an unchanged analysis re-encodes nothing: every function
-# unit's emitted bytes are served from its emit cache (see
-# TestPatchReuseGuard).
-patch-guard:
-	$(GO) test -run TestPatchReuseGuard -v ./internal/core/
 
 # alloc-guard asserts the hot paths stay inside the allocation budgets
 # recorded in the committed trajectory snapshot (TestAllocBudget; skips
@@ -111,7 +103,7 @@ batch-guard:
 # under -race: guided output behaves identically to the original with
 # exact counter semantics and fewer cycles, corrupt/empty profiles
 # degrade to the unguided bytes, and the 3-arch × 3-mode determinism
-# sweep pins serial ≡ parallel ≡ emit-cache ≡ delta for guided plans.
+# sweep pins serial ≡ parallel ≡ repeat ≡ delta for guided plans.
 # Benchguard-wrapped so a renamed test cannot silently turn the guard
 # into a no-op.
 profile-guard:
@@ -140,4 +132,4 @@ bench-record:
 bench-compare:
 	$(GO) run ./cmd/icfg-experiments -bench-compare $(BENCH_BASELINE)
 
-check: fmt-check vet race fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard patch-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-compare
+check: fmt-check vet race fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-compare

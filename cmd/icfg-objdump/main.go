@@ -91,7 +91,7 @@ func printCFG(img *bin.Binary, symSel string) {
 // so the listing doubles as a diagnostic for why a CFI build did (or
 // did not) take the evidence-enabled func-ptr path.
 func printMarks(img *bin.Binary, symSel string) {
-	ev := analysis.ScanEvidence(img)
+	_, ev := analysis.Sweep(img, true)
 	trust := "untrusted"
 	switch {
 	case ev.Trusted:

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
@@ -64,34 +64,36 @@ type Source interface {
 }
 
 // MarkIndex is the set of landing-pad marker addresses found at
-// instruction boundaries of the text section.
+// instruction boundaries of the text section, in ascending order.
 type MarkIndex struct {
-	m map[uint64]bool
+	addrs []uint64
 }
 
 // Marked reports whether addr carries a landing-pad marker. A nil index
 // marks nothing.
-func (x *MarkIndex) Marked(addr uint64) bool { return x != nil && x.m[addr] }
+func (x *MarkIndex) Marked(addr uint64) bool {
+	if x == nil {
+		return false
+	}
+	_, ok := slices.BinarySearch(x.addrs, addr)
+	return ok
+}
 
 // Count returns the number of marker sites.
 func (x *MarkIndex) Count() int {
 	if x == nil {
 		return 0
 	}
-	return len(x.m)
+	return len(x.addrs)
 }
 
-// Addrs returns the marker addresses in ascending order.
+// Addrs returns the marker addresses in ascending order. The slice is
+// shared; callers must not modify it.
 func (x *MarkIndex) Addrs() []uint64 {
 	if x == nil {
 		return nil
 	}
-	out := make([]uint64, 0, len(x.m))
-	for a := range x.m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return x.addrs
 }
 
 // Evidence aggregates what every source contributed for one binary: the
@@ -138,67 +140,55 @@ func Untrusted() *Evidence {
 	return &Evidence{Counts: map[SourceKind]int{}}
 }
 
-// ScanEvidence runs the landing-pad source over the binary and returns
-// the evidence layer seeded with the marker index and trust decision.
-// It runs before CFG construction — the trust bit is part of the
-// analysis identity, so it must be decided before any unit is keyed.
-func ScanEvidence(b *bin.Binary) *Evidence {
-	ev := Untrusted()
-	// The error path is unreachable (the scan cannot fail); kept on the
-	// interface so richer sources can refuse.
-	_ = landingPadSource{}.Collect(b, nil, ev)
-	return ev
-}
-
-// landingPadSource scans the text section for arch.Mark sites and
-// decides whether the marker evidence is trustworthy.
-type landingPadSource struct{}
-
-// Kind implements Source.
-func (landingPadSource) Kind() SourceKind { return SourceLandingPad }
-
-// Collect implements Source: a linear sweep collecting marker addresses
-// and instruction boundaries, then the trust checks. Markers found in a
+// padScan is the landing-pad source: over the linear sweep it collects
+// marker addresses (plus, in a CFI-claiming binary, instruction
+// boundaries), then finish runs the trust checks. Markers found in a
 // binary that does not claim CFI are indexed (icfg-objdump lists them)
 // but never trusted — completeness is the compiler's claim, not
-// something a scan can establish.
-func (landingPadSource) Collect(b *bin.Binary, _ *cfg.Graph, ev *Evidence) error {
-	text := b.Text()
-	if text == nil {
-		return nil
+// something a scan can establish. It runs before CFG construction (see
+// Sweep): the trust bit is part of the analysis identity, so it must be
+// decided before any unit is keyed.
+type padScan struct {
+	marks []uint64
+	// boundaries lists every instruction start, ascending; collected
+	// only when the binary claims CFI, since trust check 2 is its only
+	// reader.
+	boundaries     []uint64
+	keepBoundaries bool
+	// imms are candidate code-immediate values, checked in finish for
+	// mid-instruction markers.
+	imms []uint64
+	prev arch.Instr
+}
+
+func newPadScan(b *bin.Binary) *padScan { return &padScan{keepBoundaries: b.CFI()} }
+
+// visit folds one instruction of the linear sweep into the scan.
+func (s *padScan) visit(ins arch.Instr) {
+	if s.keepBoundaries {
+		s.boundaries = append(s.boundaries, ins.Addr)
 	}
-	enc := arch.ForArch(b.Arch)
-	boundary := make(map[uint64]bool, len(text.Data)/4)
-	marks := map[uint64]bool{}
-	// Candidate code-immediate values seen during the sweep, checked
-	// below for mid-instruction markers.
-	var imms []uint64
-	var prev arch.Instr
-	for addr := text.Addr; addr < text.End(); {
-		boundary[addr] = true
-		ins, err := enc.Decode(text.Data[addr-text.Addr:], addr)
-		if err != nil {
-			break
+	switch ins.Kind {
+	case arch.Mark:
+		s.marks = append(s.marks, ins.Addr)
+	case arch.MovImm:
+		s.imms = append(s.imms, uint64(ins.Imm))
+	case arch.MovK16:
+		if p := s.prev; p.Kind == arch.MovImm16 && p.Shift == 0 && ins.Shift == 1 && ins.Rd == p.Rd {
+			s.imms = append(s.imms, uint64(p.Imm)|uint64(ins.Imm)<<16)
 		}
-		switch ins.Kind {
-		case arch.Mark:
-			marks[addr] = true
-		case arch.MovImm:
-			imms = append(imms, uint64(ins.Imm))
-		case arch.MovK16:
-			if prev.Kind == arch.MovImm16 && prev.Shift == 0 && ins.Shift == 1 && ins.Rd == prev.Rd {
-				imms = append(imms, uint64(prev.Imm)|uint64(ins.Imm)<<16)
-			}
-		}
-		prev = ins
-		addr += uint64(ins.EncLen)
 	}
-	if len(marks) > 0 {
-		ev.Marks = &MarkIndex{m: marks}
+	s.prev = ins
+}
+
+// finish seeds ev with the marker index and runs the trust checks.
+func (s *padScan) finish(b *bin.Binary, ev *Evidence) {
+	if len(s.marks) > 0 {
+		ev.Marks = &MarkIndex{addrs: s.marks}
 	}
-	ev.Counts[SourceLandingPad] = len(marks)
-	if !b.CFI() || len(marks) == 0 {
-		return nil
+	ev.Counts[SourceLandingPad] = len(s.marks)
+	if !b.CFI() || len(s.marks) == 0 {
+		return
 	}
 
 	// Trust check 1: every function entry must be marked — an indirect
@@ -208,9 +198,9 @@ func (landingPadSource) Collect(b *bin.Binary, _ *cfg.Graph, ev *Evidence) error
 		if sym.Size == 0 {
 			continue
 		}
-		if !marks[sym.Addr] {
+		if !ev.Marks.Marked(sym.Addr) {
 			ev.Corrupt = true
-			return nil
+			return
 		}
 	}
 
@@ -218,8 +208,13 @@ func (landingPadSource) Collect(b *bin.Binary, _ *cfg.Graph, ev *Evidence) error
 	// at a non-boundary address — a marker byte pattern embedded
 	// mid-instruction would let the evidence layer "prove" reachability
 	// of an address the program never executes as a landing pad.
+	text := b.Text()
+	enc := arch.ForArch(b.Arch)
 	checkValue := func(v uint64) {
-		if !text.Contains(v) || boundary[v] {
+		if !text.Contains(v) {
+			return
+		}
+		if _, ok := slices.BinarySearch(s.boundaries, v); ok {
 			return
 		}
 		if ins, err := enc.Decode(text.Data[v-text.Addr:], v); err == nil && ins.Kind == arch.Mark {
@@ -236,14 +231,12 @@ func (landingPadSource) Collect(b *bin.Binary, _ *cfg.Graph, ev *Evidence) error
 			checkValue(binary.LittleEndian.Uint64(data.Data[off:]))
 		}
 	}
-	for _, v := range imms {
+	for _, v := range s.imms {
 		checkValue(v)
 	}
-	if ev.Corrupt {
-		return nil
+	if !ev.Corrupt {
+		ev.Trusted = true
 	}
-	ev.Trusted = true
-	return nil
 }
 
 // provablyUnreachable reports whether v cannot be an indirect-transfer

@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 
 	"icfgpatch/internal/arch"
@@ -76,75 +77,93 @@ func (jt *JumpTables) UseMarks(m *MarkIndex) { jt.marks = m }
 // NewJumpTables scans the binary for boundary hints and returns the
 // resolver.
 func NewJumpTables(b *bin.Binary) *JumpTables {
-	jt := &JumpTables{bin: b}
-	jt.scanBoundaries()
+	jt, _ := sweepText(b, false)
 	return jt
 }
 
-// scanBoundaries decodes the text section linearly, collecting every
-// address the code forms PC-relatively or materialises as a constant.
-// Jump tables never extend past such an address ("we identify non-jump
-// table memory accesses and ensure jump tables will not run into other
-// jump tables or known non-jump table data").
-func (jt *JumpTables) scanBoundaries() {
-	text := jt.bin.Text()
+// Sweep runs the one linear sweep of the text section an analysis
+// needs, decoding every instruction once: it feeds the jump-table
+// boundary scan and, when evidence is set, the landing-pad scan. It
+// returns the resolver and the evidence layer (Untrusted when evidence
+// is false).
+func Sweep(b *bin.Binary, evidence bool) (*JumpTables, *Evidence) {
+	jt, lp := sweepText(b, evidence)
+	ev := Untrusted()
+	if lp != nil {
+		lp.finish(b, ev)
+	}
+	return jt, ev
+}
+
+// sweepText walks the text section once with the boundary scan and,
+// when evidence is set, a landing-pad scan, whose trust checks are left
+// to the caller.
+func sweepText(b *bin.Binary, evidence bool) (*JumpTables, *padScan) {
+	jt := &JumpTables{bin: b}
+	text := b.Text()
 	if text == nil {
-		return
+		return jt, nil
 	}
-	seen := map[uint64]bool{}
+	bs := boundaryScan{jt: jt}
+	var lp *padScan
+	if evidence {
+		lp = newPadScan(b)
+	}
+	arch.Walk(b.Arch, text.Data, text.Addr, func(ins arch.Instr) bool {
+		bs.visit(ins)
+		if lp != nil {
+			lp.visit(ins)
+		}
+		return true
+	})
+	slices.Sort(jt.boundaries)
+	jt.boundaries = slices.Compact(jt.boundaries)
+	return jt, lp
+}
+
+// boundaryScan collects every address the code forms PC-relatively or
+// materialises as a constant. Jump tables never extend past such an
+// address ("we identify non-jump table memory accesses and ensure jump
+// tables will not run into other jump tables or known non-jump table
+// data"). page/pending track adrp-style page bases awaiting their add.
+type boundaryScan struct {
+	jt      *JumpTables
+	page    [arch.NumRegs]uint64
+	pending arch.RegSet
+}
+
+// visit folds one instruction of the linear sweep into the scan.
+func (s *boundaryScan) visit(ins arch.Instr) {
 	addBound := func(a uint64) {
-		if !seen[a] {
-			seen[a] = true
-			jt.boundaries = append(jt.boundaries, a)
+		if s.jt.bin.SectionAt(a) != nil {
+			s.jt.boundaries = append(s.jt.boundaries, a)
 		}
 	}
-	inData := func(a uint64) bool {
-		s := jt.bin.SectionAt(a)
-		return s != nil
-	}
-	var pendingPage map[arch.Reg]uint64
-	pendingPage = map[arch.Reg]uint64{}
-	for _, ins := range arch.DecodeAll(jt.bin.Arch, text.Data, text.Addr) {
-		switch ins.Kind {
-		case arch.Lea:
-			if t, _ := ins.Target(); inData(t) {
-				addBound(t)
-			}
-			delete(pendingPage, ins.Rd)
-		case arch.LeaHi:
-			t, _ := ins.Target()
-			pendingPage[ins.Rd] = t
-		case arch.ALUImm, arch.AddImm16:
-			isAdd := ins.Kind == arch.AddImm16 || ins.Op == arch.Add
-			if isAdd && ins.Rd == ins.Rs1 {
-				if page, ok := pendingPage[ins.Rd]; ok && ins.Imm >= 0 && ins.Imm < 4096 {
-					if t := page + uint64(ins.Imm); inData(t) {
-						addBound(t)
-					}
-				}
-			}
-			delete(pendingPage, ins.Rd)
-		case arch.MovImm:
-			if v := uint64(ins.Imm); inData(v) {
-				addBound(v)
-			}
-			delete(pendingPage, ins.Rd)
-		case arch.LoadPC:
-			if t := ins.Addr + uint64(ins.Imm); inData(t) {
-				addBound(t)
-			}
-			delete(pendingPage, ins.Rd)
-		default:
-			if ins.Defs(jt.bin.Arch) != 0 {
-				for r := arch.Reg(0); r < arch.NumRegs; r++ {
-					if ins.Defs(jt.bin.Arch).Has(r) {
-						delete(pendingPage, r)
-					}
-				}
-			}
+	switch ins.Kind {
+	case arch.Lea:
+		t, _ := ins.Target()
+		addBound(t)
+		s.pending = s.pending.Remove(ins.Rd)
+	case arch.LeaHi:
+		if ins.Rd.Valid() {
+			s.page[ins.Rd], _ = ins.Target()
+			s.pending = s.pending.Add(ins.Rd)
 		}
+	case arch.ALUImm, arch.AddImm16:
+		isAdd := ins.Kind == arch.AddImm16 || ins.Op == arch.Add
+		if isAdd && ins.Rd == ins.Rs1 && s.pending.Has(ins.Rd) && ins.Imm >= 0 && ins.Imm < 4096 {
+			addBound(s.page[ins.Rd] + uint64(ins.Imm))
+		}
+		s.pending = s.pending.Remove(ins.Rd)
+	case arch.MovImm:
+		addBound(uint64(ins.Imm))
+		s.pending = s.pending.Remove(ins.Rd)
+	case arch.LoadPC:
+		addBound(ins.Addr + uint64(ins.Imm))
+		s.pending = s.pending.Remove(ins.Rd)
+	default:
+		s.pending = s.pending.Minus(ins.Defs(s.jt.bin.Arch))
 	}
-	sort.Slice(jt.boundaries, func(i, j int) bool { return jt.boundaries[i] < jt.boundaries[j] })
 }
 
 // nextBoundary returns the first boundary strictly greater than addr,

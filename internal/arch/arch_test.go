@@ -75,7 +75,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, a := range All() {
 		enc := ForArch(a)
 		for _, ins := range sampleInstrs(a) {
-			b, err := enc.Encode(ins)
+			b, err := enc.Append(nil, ins)
 			if err != nil {
 				t.Fatalf("%s: encode %q: %v", a, ins, err)
 			}
@@ -100,7 +100,7 @@ func TestFixedWidthAlwaysFourBytes(t *testing.T) {
 	for _, a := range []Arch{PPC, A64} {
 		enc := ForArch(a)
 		for _, ins := range sampleInstrs(a) {
-			b, err := enc.Encode(ins)
+			b, err := enc.Append(nil, ins)
 			if err != nil {
 				t.Fatalf("%s: %v", a, err)
 			}
@@ -146,11 +146,11 @@ func TestBranchRangeLimits(t *testing.T) {
 	for _, tc := range tests {
 		enc := ForArch(tc.arch)
 		ins := Instr{Kind: tc.kind, Cond: NE, Rs1: R1, Imm: tc.in}
-		if _, err := enc.Encode(ins); err != nil {
+		if _, err := enc.Append(nil, ins); err != nil {
 			t.Errorf("%s %s: in-range %d rejected: %v", tc.arch, tc.kind, tc.in, err)
 		}
 		ins.Imm = tc.out
-		if _, err := enc.Encode(ins); err == nil {
+		if _, err := enc.Append(nil, ins); err == nil {
 			t.Errorf("%s %s: out-of-range %d accepted", tc.arch, tc.kind, tc.out)
 		}
 	}
@@ -167,7 +167,7 @@ func TestBranchRangeLimits(t *testing.T) {
 
 func TestUnalignedFixedBranchRejected(t *testing.T) {
 	for _, a := range []Arch{PPC, A64} {
-		if _, err := ForArch(a).Encode(Instr{Kind: Branch, Imm: 6}); err == nil {
+		if _, err := ForArch(a).Append(nil, Instr{Kind: Branch, Imm: 6}); err == nil {
 			t.Errorf("%s: unaligned branch displacement accepted", a)
 		}
 	}
@@ -426,7 +426,7 @@ func TestDecodeAllRecoversStream(t *testing.T) {
 		var stream []byte
 		ins := sampleInstrs(a)
 		for _, i := range ins {
-			b, err := enc.Encode(i)
+			b, err := enc.Append(nil, i)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -533,7 +533,7 @@ func TestEncodeDecodeQuickRandomOperands(t *testing.T) {
 			case LoadIdx:
 				i.Imm = 0
 			}
-			b, err := enc.Encode(i)
+			b, err := enc.Append(nil, i)
 			if err != nil {
 				continue // out-of-range for this ISA; fine
 			}
@@ -547,7 +547,7 @@ func TestEncodeDecodeQuickRandomOperands(t *testing.T) {
 			// Compare canonically: re-encoding the decoded instruction
 			// must reproduce the same bytes (fields the encoding does
 			// not carry, like Cond on a load, are don't-cares).
-			b2, err := enc.Encode(got)
+			b2, err := enc.Append(nil, got)
 			if err != nil {
 				t.Fatalf("%s: re-encode %q: %v", a, got, err)
 			}

@@ -42,7 +42,7 @@ func (e fixedEmitter) ExpandedLen(env EmitEnv, ins Instr, exp Expand) int {
 func (e fixedEmitter) Render(env EmitEnv, it EmitItem) ([]Instr, error) {
 	switch it.Expand {
 	case ExpandNone:
-		return renderForm(it), nil
+		return []Instr{renderForm(it)}, nil
 	case ExpandCondIsland:
 		return renderCondIsland(e.a, it), nil
 	case ExpandLeaPair:

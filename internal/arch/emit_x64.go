@@ -43,7 +43,7 @@ func (x64Emitter) ExpandedLen(env EmitEnv, ins Instr, exp Expand) int {
 func (e x64Emitter) Render(env EmitEnv, it EmitItem) ([]Instr, error) {
 	switch it.Expand {
 	case ExpandNone:
-		return renderForm(it), nil
+		return []Instr{renderForm(it)}, nil
 	case ExpandCondIsland:
 		return renderCondIsland(X64, it), nil
 	case ExpandLeaPair:

@@ -11,8 +11,8 @@ import "fmt"
 // to turn a laid-out item into bytes, so variable-width X64 and the
 // fixed-width ISAs stay behind one interface and emission of one item is
 // a pure function of (item, env, arch): two items with equal fields emit
-// equal bytes, which is what makes parallel and reuse-aware emission
-// byte-identical to a serial pass.
+// equal bytes, which is what makes parallel emission byte-identical to a
+// serial pass.
 
 // PatchForm says where an item's resolved target lands in the
 // instruction.
@@ -105,7 +105,7 @@ type EmitEnv struct {
 // EmitItem is one laid-out relocation item, ready for encoding. Every
 // field the Emitter consumes is right here: emission never looks at the
 // plan, the relocation map, or the binary, so equal items emit equal
-// bytes and cached unit bytes can stand in for re-encoding.
+// bytes.
 type EmitItem struct {
 	// Ins is the instruction to emit (for expansions, the seed the
 	// sequence grows from).
@@ -206,37 +206,56 @@ func EmitterFor(a Arch) Emitter {
 	return fixedEmitter{a: a}
 }
 
-// EmitInto renders and encodes one item into dst (which must be at least
-// it.NewLen bytes) and returns the number of bytes written. A sequence
-// that encodes to a different length than layout assigned is an internal
-// inconsistency between ExpandedLen and Render and is reported as an
-// error rather than corrupting neighbouring items.
+// EmitInto renders and encodes one item into the window dst, which must
+// be exactly it.NewLen bytes, and returns the number of bytes written.
+// Encoding appends into dst[:0:len(dst)]: the capped window can never
+// spill into a neighbouring item, because an over-long sequence makes
+// append reallocate instead. A sequence that encodes to a different
+// length than layout assigned is an internal inconsistency between
+// ExpandedLen and Render and is reported as an error; bytes outside the
+// window are untouched either way. The ExpandNone case — most items —
+// is rendered as a single value without calling Render, so it
+// allocates nothing.
 func EmitInto(e Emitter, env EmitEnv, it EmitItem, dst []byte) (int, error) {
-	seq, err := e.Render(env, it)
+	enc := ForArch(e.Arch())
+	out := dst[:0:len(dst)]
+	var err error
+	if it.Expand == ExpandNone {
+		out, err = appendRendered(enc, out, it, renderForm(it))
+	} else {
+		var seq []Instr
+		if seq, err = e.Render(env, it); err != nil {
+			return 0, err
+		}
+		for _, ins := range seq {
+			if out, err = appendRendered(enc, out, it, ins); err != nil {
+				break
+			}
+		}
+	}
 	if err != nil {
 		return 0, err
 	}
-	enc := ForArch(e.Arch())
-	total := 0
-	for _, ins := range seq {
-		bs, err := enc.Encode(ins)
-		if err != nil {
-			return 0, fmt.Errorf("arch: %s: encoding relocated %s (expand %s, at %#x -> %#x, orig %#x): %w",
-				e.Arch(), ins, it.Expand, it.NewAddr, it.Target, it.OrigAddr, err)
-		}
-		copy(dst[total:], bs)
-		total += len(bs)
-	}
-	if total != it.NewLen {
+	if len(out) != it.NewLen || len(out) != len(dst) {
 		return 0, fmt.Errorf("arch: %s: item at %#x -> %#x (expand %s, orig %#x) emitted %d bytes, laid out %d",
-			e.Arch(), it.NewAddr, it.Target, it.Expand, it.OrigAddr, total, it.NewLen)
+			e.Arch(), it.NewAddr, it.Target, it.Expand, it.OrigAddr, len(out), it.NewLen)
 	}
-	return total, nil
+	return len(out), nil
+}
+
+// appendRendered encodes one instruction of the item's rendered sequence.
+func appendRendered(enc Encoding, dst []byte, it EmitItem, ins Instr) ([]byte, error) {
+	out, err := enc.Append(dst, ins)
+	if err != nil {
+		return dst, fmt.Errorf("arch: %s: encoding relocated %s (expand %s, at %#x -> %#x, orig %#x): %w",
+			enc.Arch(), ins, it.Expand, it.NewAddr, it.Target, it.OrigAddr, err)
+	}
+	return out, nil
 }
 
 // renderForm applies the item's patch form to a single instruction — the
 // ExpandNone case shared by every emitter.
-func renderForm(it EmitItem) []Instr {
+func renderForm(it EmitItem) Instr {
 	ins := it.Ins
 	ins.Addr = it.NewAddr
 	switch {
@@ -250,7 +269,7 @@ func renderForm(it EmitItem) []Instr {
 	case it.Form == FormImmHi16:
 		ins.Imm = int64((it.Target >> (16 * ins.Shift)) & 0xFFFF)
 	}
-	return []Instr{ins}
+	return ins
 }
 
 // renderCondIsland renders bcond.neg over a full-range branch.

@@ -114,8 +114,8 @@ func wordDisp(i Instr, disp int64, bits uint) (uint32, error) {
 	return uint32(w), nil
 }
 
-// Encode implements Encoding.
-func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
+// Append implements Encoding.
+func (e fixedEncoding) Append(dst []byte, i Instr) ([]byte, error) {
 	w := bitWriter{pos: 26}
 	var op uint32
 	switch i.Kind {
@@ -133,13 +133,13 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 		op = fopMark
 	case Syscall:
 		if i.Imm < 0 || i.Imm > 255 {
-			return nil, rangeError(i, "syscall number", i.Imm)
+			return dst, rangeError(i, "syscall number", i.Imm)
 		}
 		op = fopSyscall
 		w.put(uint32(i.Imm), 8)
 	case MovImm16:
 		if i.Imm < 0 || i.Imm > 0xFFFF || i.Shift > 3 {
-			return nil, rangeError(i, "movz immediate", i.Imm)
+			return dst, rangeError(i, "movz immediate", i.Imm)
 		}
 		op = fopMovImm16
 		w.put(uint32(i.Rd), 5)
@@ -147,7 +147,7 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 		w.put(uint32(i.Imm), 16)
 	case MovK16:
 		if i.Imm < 0 || i.Imm > 0xFFFF || i.Shift > 3 {
-			return nil, rangeError(i, "movk immediate", i.Imm)
+			return dst, rangeError(i, "movk immediate", i.Imm)
 		}
 		op = fopMovK16
 		w.put(uint32(i.Rd), 5)
@@ -157,7 +157,7 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 		// Single-instruction 64-bit immediates do not exist on the
 		// fixed-width ISAs; the assembler must synthesise them.
 		if i.Imm < 0 || i.Imm > 0xFFFF {
-			return nil, rangeError(i, "movimm immediate (use movz/movk pairs)", i.Imm)
+			return dst, rangeError(i, "movimm immediate (use movz/movk pairs)", i.Imm)
 		}
 		op = fopMovImm16
 		w.put(uint32(i.Rd), 5)
@@ -175,7 +175,7 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 		w.put(uint32(i.Rs2), 5)
 	case ALUImm:
 		if !fitsSigned(i.Imm, 12) {
-			return nil, rangeError(i, "immediate", i.Imm)
+			return dst, rangeError(i, "immediate", i.Imm)
 		}
 		op = fopALUImm
 		w.put(uint32(i.Op), 4)
@@ -184,7 +184,7 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 		w.put(uint32(i.Imm), 12)
 	case AddIS:
 		if !fitsSigned(i.Imm, 16) {
-			return nil, rangeError(i, "addis immediate", i.Imm)
+			return dst, rangeError(i, "addis immediate", i.Imm)
 		}
 		op = fopAddIS
 		w.put(uint32(i.Rd), 5)
@@ -192,7 +192,7 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 		w.put(uint32(i.Imm), 16)
 	case AddImm16:
 		if !fitsSigned(i.Imm, 16) {
-			return nil, rangeError(i, "addi immediate", i.Imm)
+			return dst, rangeError(i, "addi immediate", i.Imm)
 		}
 		op = fopAddImm16
 		w.put(uint32(i.Rd), 5)
@@ -200,7 +200,7 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 		w.put(uint32(i.Imm), 16)
 	case Load, Store:
 		if !fitsSigned(i.Imm, 12) {
-			return nil, rangeError(i, "displacement", i.Imm)
+			return dst, rangeError(i, "displacement", i.Imm)
 		}
 		r := i.Rd
 		if i.Kind == Store {
@@ -217,7 +217,7 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 		w.put(uint32(i.Imm), 12)
 	case LoadIdx:
 		if i.Imm != 0 {
-			return nil, rangeError(i, "loadidx displacement (must be 0)", i.Imm)
+			return dst, rangeError(i, "loadidx displacement (must be 0)", i.Imm)
 		}
 		op = fopLoadIdx
 		if i.Signed {
@@ -230,25 +230,25 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 		w.put(uint32(sizeCode(i.Scale)), 2)
 	case Lea:
 		if !fitsSigned(i.Imm, 21) {
-			return nil, rangeError(i, "adr offset", i.Imm)
+			return dst, rangeError(i, "adr offset", i.Imm)
 		}
 		op = fopLea
 		w.put(uint32(i.Rd), 5)
 		w.put(uint32(i.Imm), 21)
 	case LeaHi:
 		if i.Imm&0xFFF != 0 {
-			return nil, rangeError(i, "adrp offset (must be page aligned)", i.Imm)
+			return dst, rangeError(i, "adrp offset (must be page aligned)", i.Imm)
 		}
 		pages := i.Imm >> 12
 		if !fitsSigned(pages, 21) {
-			return nil, rangeError(i, "adrp offset", i.Imm)
+			return dst, rangeError(i, "adrp offset", i.Imm)
 		}
 		op = fopLeaHi
 		w.put(uint32(i.Rd), 5)
 		w.put(uint32(pages), 21)
 	case LoadPC:
 		if !fitsSigned(i.Imm, 19) {
-			return nil, rangeError(i, "pc-relative offset", i.Imm)
+			return dst, rangeError(i, "pc-relative offset", i.Imm)
 		}
 		op = fopLoadPC
 		if i.Signed {
@@ -260,7 +260,7 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 	case Branch, Call:
 		d, err := wordDisp(i, i.Imm, e.branchBits())
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		op = fopBranch
 		if i.Kind == Call {
@@ -270,7 +270,7 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 	case BranchCond:
 		d, err := wordDisp(i, i.Imm, e.condBits())
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		op = fopBranchCond
 		w.put(uint32(i.Cond), 3)
@@ -281,7 +281,7 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 		w.put(uint32(i.Rs1), 5)
 	case CallIndMem:
 		if !fitsSigned(i.Imm, 12) {
-			return nil, rangeError(i, "displacement", i.Imm)
+			return dst, rangeError(i, "displacement", i.Imm)
 		}
 		op = fopCallIndMem
 		w.put(uint32(i.Rs1), 5)
@@ -290,13 +290,11 @@ func (e fixedEncoding) Encode(i Instr) ([]byte, error) {
 		op = fopJumpInd
 		w.put(uint32(i.Rs1), 5)
 	case Illegal:
-		return []byte{0xFF, 0xFF, 0xFF, 0xFF}, nil
+		return append(dst, 0xFF, 0xFF, 0xFF, 0xFF), nil
 	default:
-		return nil, rangeError(i, "unsupported kind on fixed-width ISA", int64(i.Kind))
+		return dst, rangeError(i, "unsupported kind on fixed-width ISA", int64(i.Kind))
 	}
-	out := make([]byte, 4)
-	binary.LittleEndian.PutUint32(out, op<<26|w.v)
-	return out, nil
+	return binary.LittleEndian.AppendUint32(dst, op<<26|w.v), nil
 }
 
 // sizeCode maps an access size in bytes to its 2-bit encoding.

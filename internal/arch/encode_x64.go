@@ -54,143 +54,110 @@ func (x64Encoding) MinLen() int { return 1 }
 // MaxLen implements Encoding.
 func (x64Encoding) MaxLen() int { return 10 }
 
-func put32(b []byte, v int64) { binary.LittleEndian.PutUint32(b, uint32(v)) }
+func le32(dst []byte, v int64) []byte { return binary.LittleEndian.AppendUint32(dst, uint32(v)) }
 
-// Encode implements Encoding.
-func (e x64Encoding) Encode(i Instr) ([]byte, error) {
+// Append implements Encoding.
+func (e x64Encoding) Append(dst []byte, i Instr) ([]byte, error) {
 	switch i.Kind {
 	case Nop:
-		return []byte{xopNop}, nil
+		return append(dst, xopNop), nil
 	case Ret:
-		return []byte{xopRet}, nil
+		return append(dst, xopRet), nil
 	case Trap:
-		return []byte{xopTrap}, nil
+		return append(dst, xopTrap), nil
 	case Halt:
-		return []byte{xopHalt}, nil
+		return append(dst, xopHalt), nil
 	case Throw:
-		return []byte{xopThrow}, nil
+		return append(dst, xopThrow), nil
 	case Mark:
-		return []byte{xopMark}, nil
+		return append(dst, xopMark), nil
 	case Syscall:
 		if i.Imm < 0 || i.Imm > 255 {
-			return nil, rangeError(i, "syscall number", i.Imm)
+			return dst, rangeError(i, "syscall number", i.Imm)
 		}
-		return []byte{xopSyscall, byte(i.Imm)}, nil
+		return append(dst, xopSyscall, byte(i.Imm)), nil
 	case MovImm:
-		b := make([]byte, 10)
-		b[0], b[1] = xopMovImm, byte(i.Rd)
-		binary.LittleEndian.PutUint64(b[2:], uint64(i.Imm))
-		return b, nil
+		return binary.LittleEndian.AppendUint64(append(dst, xopMovImm, byte(i.Rd)), uint64(i.Imm)), nil
 	case MovReg:
-		return []byte{xopMovReg, byte(i.Rd), byte(i.Rs1)}, nil
+		return append(dst, xopMovReg, byte(i.Rd), byte(i.Rs1)), nil
 	case ALU:
-		return []byte{xopALU, byte(i.Op), byte(i.Rd), byte(i.Rs1), byte(i.Rs2)}, nil
+		return append(dst, xopALU, byte(i.Op), byte(i.Rd), byte(i.Rs1), byte(i.Rs2)), nil
 	case ALUImm:
 		if !fitsSigned(i.Imm, 32) {
-			return nil, rangeError(i, "immediate", i.Imm)
+			return dst, rangeError(i, "immediate", i.Imm)
 		}
-		b := make([]byte, 8)
-		b[0], b[1], b[2], b[3] = xopALUImm, byte(i.Op), byte(i.Rd), byte(i.Rs1)
-		put32(b[4:], i.Imm)
-		return b, nil
+		return le32(append(dst, xopALUImm, byte(i.Op), byte(i.Rd), byte(i.Rs1)), i.Imm), nil
 	case Load:
 		if !fitsSigned(i.Imm, 32) {
-			return nil, rangeError(i, "displacement", i.Imm)
+			return dst, rangeError(i, "displacement", i.Imm)
 		}
-		b := make([]byte, 8)
 		op := byte(xopLoad)
 		if i.Signed {
 			op = xopLoadS
 		}
-		b[0], b[1], b[2], b[3] = op, byte(i.Rd), byte(i.Rs1), i.Size
-		put32(b[4:], i.Imm)
-		return b, nil
+		return le32(append(dst, op, byte(i.Rd), byte(i.Rs1), i.Size), i.Imm), nil
 	case Store:
 		if !fitsSigned(i.Imm, 32) {
-			return nil, rangeError(i, "displacement", i.Imm)
+			return dst, rangeError(i, "displacement", i.Imm)
 		}
-		b := make([]byte, 8)
-		b[0], b[1], b[2], b[3] = xopStore, byte(i.Rs2), byte(i.Rs1), i.Size
-		put32(b[4:], i.Imm)
-		return b, nil
+		return le32(append(dst, xopStore, byte(i.Rs2), byte(i.Rs1), i.Size), i.Imm), nil
 	case LoadIdx:
 		if !fitsSigned(i.Imm, 32) {
-			return nil, rangeError(i, "displacement", i.Imm)
+			return dst, rangeError(i, "displacement", i.Imm)
 		}
-		b := make([]byte, 10)
 		op := byte(xopLoadIdx)
 		if i.Signed {
 			op = xopLoadIdxS
 		}
-		b[0], b[1], b[2], b[3], b[4], b[5] = op, byte(i.Rd), byte(i.Rs1), byte(i.Rs2), i.Size, i.Scale
-		put32(b[6:], i.Imm)
-		return b, nil
+		return le32(append(dst, op, byte(i.Rd), byte(i.Rs1), byte(i.Rs2), i.Size, i.Scale), i.Imm), nil
 	case Lea:
 		if !fitsSigned(i.Imm, 32) {
-			return nil, rangeError(i, "pc-relative offset", i.Imm)
+			return dst, rangeError(i, "pc-relative offset", i.Imm)
 		}
-		b := make([]byte, 6)
-		b[0], b[1] = xopLea, byte(i.Rd)
-		put32(b[2:], i.Imm)
-		return b, nil
+		return le32(append(dst, xopLea, byte(i.Rd)), i.Imm), nil
 	case LoadPC:
 		if !fitsSigned(i.Imm, 32) {
-			return nil, rangeError(i, "pc-relative offset", i.Imm)
+			return dst, rangeError(i, "pc-relative offset", i.Imm)
 		}
-		b := make([]byte, 7)
 		op := byte(xopLoadPC)
 		if i.Signed {
 			op = xopLoadPCS
 		}
-		b[0], b[1], b[2] = op, byte(i.Rd), i.Size
-		put32(b[3:], i.Imm)
-		return b, nil
+		return le32(append(dst, op, byte(i.Rd), i.Size), i.Imm), nil
 	case Branch:
 		if i.Short {
 			if !fitsSigned(i.Imm, 8) {
-				return nil, rangeError(i, "short branch offset", i.Imm)
+				return dst, rangeError(i, "short branch offset", i.Imm)
 			}
-			return []byte{xopBranchShrt, byte(int8(i.Imm))}, nil
+			return append(dst, xopBranchShrt, byte(int8(i.Imm))), nil
 		}
 		if !fitsSigned(i.Imm, 32) {
-			return nil, rangeError(i, "branch offset", i.Imm)
+			return dst, rangeError(i, "branch offset", i.Imm)
 		}
-		b := make([]byte, 5)
-		b[0] = xopBranchNear
-		put32(b[1:], i.Imm)
-		return b, nil
+		return le32(append(dst, xopBranchNear), i.Imm), nil
 	case BranchCond:
 		if !fitsSigned(i.Imm, 32) {
-			return nil, rangeError(i, "branch offset", i.Imm)
+			return dst, rangeError(i, "branch offset", i.Imm)
 		}
-		b := make([]byte, 7)
-		b[0], b[1], b[2] = xopBranchCond, byte(i.Cond), byte(i.Rs1)
-		put32(b[3:], i.Imm)
-		return b, nil
+		return le32(append(dst, xopBranchCond, byte(i.Cond), byte(i.Rs1)), i.Imm), nil
 	case Call:
 		if !fitsSigned(i.Imm, 32) {
-			return nil, rangeError(i, "call offset", i.Imm)
+			return dst, rangeError(i, "call offset", i.Imm)
 		}
-		b := make([]byte, 5)
-		b[0] = xopCall
-		put32(b[1:], i.Imm)
-		return b, nil
+		return le32(append(dst, xopCall), i.Imm), nil
 	case CallInd:
-		return []byte{xopCallInd, byte(i.Rs1)}, nil
+		return append(dst, xopCallInd, byte(i.Rs1)), nil
 	case JumpInd:
-		return []byte{xopJumpInd, byte(i.Rs1)}, nil
+		return append(dst, xopJumpInd, byte(i.Rs1)), nil
 	case CallIndMem:
 		if !fitsSigned(i.Imm, 32) {
-			return nil, rangeError(i, "displacement", i.Imm)
+			return dst, rangeError(i, "displacement", i.Imm)
 		}
-		b := make([]byte, 6)
-		b[0], b[1] = xopCallIndMem, byte(i.Rs1)
-		put32(b[2:], i.Imm)
-		return b, nil
+		return le32(append(dst, xopCallIndMem, byte(i.Rs1)), i.Imm), nil
 	case Illegal:
-		return []byte{0xFF}, nil
+		return append(dst, 0xFF), nil
 	default:
-		return nil, rangeError(i, "unsupported kind on x64", int64(i.Kind))
+		return dst, rangeError(i, "unsupported kind on x64", int64(i.Kind))
 	}
 }
 

@@ -10,11 +10,13 @@ import (
 type Encoding interface {
 	// Arch identifies the architecture this encoding serves.
 	Arch() Arch
-	// Encode returns the machine bytes of the instruction. It fails if
-	// the instruction kind does not exist on the architecture, if an
-	// immediate or displacement does not fit its field, or if a
-	// PC-relative offset is out of branch range.
-	Encode(i Instr) ([]byte, error)
+	// Append appends the machine bytes of the instruction to dst and
+	// returns the extended slice; it allocates only when dst lacks the
+	// capacity. It fails, returning dst unchanged, if the instruction
+	// kind does not exist on the architecture, if an immediate or
+	// displacement does not fit its field, or if a PC-relative offset
+	// is out of branch range.
+	Append(dst []byte, i Instr) ([]byte, error)
 	// Decode decodes the instruction at the start of b, which is located
 	// at address addr. Undecodable bytes yield an Illegal instruction of
 	// minimal length rather than an error; an error is returned only when
@@ -112,11 +114,27 @@ func fitsSigned(v int64, bits uint) bool {
 	return v >= -lim && v < lim
 }
 
+// Walk linearly decodes the byte slice b, assumed to start at address
+// addr, handing each instruction to visit by value until the bytes are
+// exhausted or visit returns false. Undecodable bytes appear as Illegal
+// instructions. It is the streaming form of DecodeAll: nothing is
+// materialised, so a sweep over a whole text section allocates nothing.
+func Walk(a Arch, b []byte, addr uint64, visit func(Instr) bool) {
+	enc := ForArch(a)
+	for off := 0; off < len(b); {
+		ins, err := enc.Decode(b[off:], addr+uint64(off))
+		if err != nil || !visit(ins) {
+			return
+		}
+		off += ins.EncLen
+	}
+}
+
 // DecodeAll decodes the byte slice b, assumed to start at address addr,
 // into consecutive instructions until the bytes are exhausted. Undecodable
-// bytes appear as Illegal instructions. It is a convenience for tests and
-// the objdump tool; the CFG builder performs control-flow traversal
-// instead of this linear sweep.
+// bytes appear as Illegal instructions. It is a convenience for tests, the
+// objdump tool and the workload mutator; library sweeps stream through
+// Walk, and the CFG builder performs control-flow traversal instead.
 func DecodeAll(a Arch, b []byte, addr uint64) []Instr {
 	enc := ForArch(a)
 	var out []Instr

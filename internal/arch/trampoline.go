@@ -253,13 +253,12 @@ func finishSeq(a Arch, class TrampolineClass, from, to uint64, scratch Reg, ins 
 // Encode serialises the trampoline's instruction sequence.
 func (t Trampoline) Encode(a Arch) ([]byte, error) {
 	enc := ForArch(a)
-	var out []byte
+	out := make([]byte, 0, t.Len)
 	for _, ins := range t.Instrs {
-		b, err := enc.Encode(ins)
-		if err != nil {
+		var err error
+		if out, err = enc.Append(out, ins); err != nil {
 			return nil, fmt.Errorf("arch: %s: encoding %s trampoline at %#x -> %#x: %w", a, t.Class, t.From, t.To, err)
 		}
-		out = append(out, b...)
 	}
 	if len(out) != t.Len {
 		return nil, fmt.Errorf("arch: %s: %s trampoline at %#x -> %#x length mismatch: declared %d, encoded %d",

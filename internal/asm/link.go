@@ -153,7 +153,7 @@ func (b *Builder) Link() (*bin.Binary, *DebugInfo, error) {
 				}
 				patchRef(&s.ins, s.ref.mode, target)
 			}
-			bs, err := enc.Encode(s.ins)
+			bs, err := enc.Append(nil, s.ins)
 			if err != nil {
 				return nil, nil, fmt.Errorf("asm: %s at %#x in %s: %w", s.ins, s.ins.Addr, f.name, err)
 			}

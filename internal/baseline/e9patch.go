@@ -74,7 +74,7 @@ func InstrPatch(b *bin.Binary, points []uint64) (*InstrPatchResult, error) {
 		case ins.EncLen >= 5:
 			br := arch.Instr{Kind: arch.Branch, Addr: p}
 			br.SetTarget(stubAddr)
-			bs, err := enc.Encode(br)
+			bs, err := enc.Append(nil, br)
 			if err != nil {
 				return nil, err
 			}
@@ -89,14 +89,14 @@ func InstrPatch(b *bin.Binary, points []uint64) (*InstrPatchResult, error) {
 			}
 			short := arch.Instr{Kind: arch.Branch, Short: true, Addr: p}
 			short.SetTarget(hop)
-			sb, err := enc.Encode(short)
+			sb, err := enc.Append(nil, short)
 			if err != nil {
 				return nil, err
 			}
 			writeSite(text, p, ins.EncLen, sb)
 			long := arch.Instr{Kind: arch.Branch, Addr: hop}
 			long.SetTarget(stubAddr)
-			lb, err := enc.Encode(long)
+			lb, err := enc.Append(nil, long)
 			if err != nil {
 				return nil, err
 			}
@@ -143,18 +143,16 @@ func buildStub(ins arch.Instr, stubAddr uint64) ([]byte, error) {
 		displaced.SetTarget(t) // keep the original absolute target
 	}
 	displaced.Short = false
-	out, err := enc.Encode(displaced)
+	out, err := enc.Append(nil, displaced)
 	if err != nil {
 		return nil, fmt.Errorf("e9patch: re-encoding %s: %w", ins, err)
 	}
 	if displaced.FallsThrough() {
 		back := arch.Instr{Kind: arch.Branch, Addr: stubAddr + uint64(len(out))}
 		back.SetTarget(ins.Addr + uint64(ins.EncLen))
-		bb, err := enc.Encode(back)
-		if err != nil {
+		if out, err = enc.Append(out, back); err != nil {
 			return nil, err
 		}
-		out = append(out, bb...)
 	}
 	return out, nil
 }

@@ -570,13 +570,12 @@ func (f *Func) computeGaps(a arch.Arch, text *bin.Section) {
 	// heuristic for indirect tail calls).
 	f.GapsNopOnly = true
 	for _, gap := range f.Gaps {
-		off := gap[0] - text.Addr
-		data := text.Data[off : off+(gap[1]-gap[0])]
-		for _, ins := range arch.DecodeAll(a, data, gap[0]) {
-			if ins.Kind != arch.Nop {
-				f.GapsNopOnly = false
-				return
-			}
+		arch.Walk(a, text.Data[gap[0]-text.Addr:gap[1]-text.Addr], gap[0], func(ins arch.Instr) bool {
+			f.GapsNopOnly = ins.Kind == arch.Nop
+			return f.GapsNopOnly
+		})
+		if !f.GapsNopOnly {
+			return
 		}
 	}
 }

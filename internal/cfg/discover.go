@@ -42,13 +42,14 @@ func DiscoverFunctions(b *bin.Binary) ([]bin.Symbol, error) {
 		}
 	}
 	// Direct call targets from a linear sweep.
-	for _, ins := range arch.DecodeAll(b.Arch, text.Data, text.Addr) {
+	arch.Walk(b.Arch, text.Data, text.Addr, func(ins arch.Instr) bool {
 		if ins.Kind == arch.Call {
 			if t, ok := ins.Target(); ok {
 				add(t)
 			}
 		}
-	}
+		return true
+	})
 	// Function pointers via relocations.
 	for _, rl := range b.Relocs {
 		if rl.Kind == bin.RelocRelative {
@@ -98,14 +99,13 @@ func DiscoverFunctions(b *bin.Binary) ([]bin.Symbol, error) {
 
 // trimNops shrinks [start,end) past any trailing nop run.
 func trimNops(a arch.Arch, text *bin.Section, start, end uint64) uint64 {
-	data := text.Data[start-text.Addr : end-text.Addr]
-	ins := arch.DecodeAll(a, data, start)
 	last := start
-	for _, i := range ins {
+	arch.Walk(a, text.Data[start-text.Addr:end-text.Addr], start, func(i arch.Instr) bool {
 		if i.Kind != arch.Nop {
 			last = i.Addr + uint64(i.EncLen)
 		}
-	}
+		return true
+	})
 	return last
 }
 

@@ -142,16 +142,13 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: CFG construction: %w", err)
 	}
-	resolver := analysis.NewJumpTables(b)
+	// One linear sweep of .text yields the jump-table boundary hints and
+	// the evidence scan. The evidence must be settled before any unit is
+	// keyed, because the trust decision changes CFG construction
+	// (mark-bounded jump tables) and so must be part of every unit's
+	// identity.
+	resolver, ev := analysis.Sweep(b, !cfgc.NoEvidence)
 	resolver.Strict = cfgc.Variant.StrictJumpTableBounds
-
-	// Evidence scan: before any unit is keyed, because the trust decision
-	// changes CFG construction (mark-bounded jump tables) and so must be
-	// part of every unit's identity.
-	ev := analysis.Untrusted()
-	if !cfgc.NoEvidence {
-		ev = analysis.ScanEvidence(b)
-	}
 
 	// Pass 2: per-function identities. The full name→ID map must exist
 	// before any unit is validated or built: reuse validation compares

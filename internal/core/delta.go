@@ -79,11 +79,6 @@ type FuncUnit struct {
 	// liveness, superblocks) across every Patch of every Analysis the
 	// unit is assembled into.
 	place funcPlacement
-	// emit memoises the unit's last emitted byte window keyed by a
-	// signature over every emit-stage input (see emit.go): a Patch of an
-	// unchanged function whose layout window did not move copies the
-	// cached bytes instead of re-encoding.
-	emit unitEmitCache
 }
 
 // validFor reports whether the unit may stand in for a fresh analysis

@@ -295,7 +295,7 @@ func TestDeltaJumpTableNeighbourInvalidation(t *testing.T) {
 	v2 := v1.Clone()
 	edited := site
 	edited.Imm -= 8
-	raw, err := arch.ForArch(v1.Arch).Encode(edited)
+	raw, err := arch.ForArch(v1.Arch).Append(nil, edited)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
@@ -15,113 +14,13 @@ import (
 // assigned addresses, expansion states — is captured in the unit's
 // items, so units encode on a bounded worker pool into disjoint windows
 // of one output buffer and the merge is deterministic whatever the
-// worker count. The same property powers patch-level reuse: a unit
-// whose fully resolved item stream hashes to the signature of its last
-// emission gets its cached bytes copied in, skipping re-encoding — the
-// delta path's analog for the patch phase.
+// worker count. Every Patch encodes every unit: encoding straight into
+// the window allocates nothing, which is cheaper than the signature
+// hash a reuse check would need.
 
-// unitEmitCache memoises one function unit's last emitted window. It
-// lives on the FuncUnit, so it survives across Patch calls on the same
-// Analysis and — through the unit store — across binary versions: an
-// unchanged function whose layout window did not move re-emits for
-// free. The signature covers every emitter input, so a hit is
-// byte-identical to re-encoding by construction.
-type unitEmitCache struct {
-	mu    sync.Mutex
-	ok    bool
-	sig   uint64
-	bytes []byte
-	ra    []bin.AddrPair
-}
-
-// fnv1a64 seeds the unit signature hash.
-const fnv1a64 = 14695981039346656037
-
-// fnvU64 folds one 64-bit value into an FNV-1a hash, byte by byte.
-func fnvU64(h, v uint64) uint64 {
-	for i := 0; i < 64; i += 8 {
-		h ^= (v >> i) & 0xFF
-		h *= 1099511628211
-	}
-	return h
-}
-
-// unitSig hashes everything the emit stage consumes for one unit: the
-// laid-out addresses and lengths, expansion states, patch forms,
-// resolved targets, return-address contributions, and every instruction
-// field, plus the emission environment. Two equal signatures therefore
-// emit equal bytes and equal RA pairs.
-func (p *PatchPlan) unitSig(u *planUnit) uint64 {
-	h := uint64(fnv1a64)
-	if p.env.PIE {
-		h = fnvU64(h, 1)
-	} else {
-		h = fnvU64(h, 0)
-	}
-	h = fnvU64(h, p.env.TOCValue)
-	h = fnvU64(h, uint64(len(u.items)))
-	for i := range u.items {
-		it := &u.items[i]
-		h = fnvU64(h, it.newAddr)
-		h = fnvU64(h, uint64(it.newLen))
-		h = fnvU64(h, it.origAddr)
-		h = fnvU64(h, uint64(it.origLen))
-		h = fnvU64(h, uint64(it.tk))
-		h = fnvU64(h, uint64(it.pf))
-		h = fnvU64(h, uint64(it.ra))
-		h = fnvU64(h, uint64(it.expand))
-		h = fnvU64(h, it.vmap)
-		h = fnvU64(h, p.resolveTarget(it))
-		ins := &it.ins
-		h = fnvU64(h, uint64(ins.Kind))
-		h = fnvU64(h, uint64(ins.Op))
-		h = fnvU64(h, uint64(ins.Cond))
-		h = fnvU64(h, uint64(ins.Rd))
-		h = fnvU64(h, uint64(ins.Rs1))
-		h = fnvU64(h, uint64(ins.Rs2))
-		h = fnvU64(h, uint64(ins.Imm))
-		h = fnvU64(h, uint64(ins.Size))
-		h = fnvU64(h, uint64(ins.Scale))
-		h = fnvU64(h, uint64(ins.Shift))
-		var flags uint64
-		if ins.Short {
-			flags |= 1
-		}
-		if ins.Signed {
-			flags |= 2
-		}
-		h = fnvU64(h, flags)
-		h = fnvU64(h, ins.Addr)
-		h = fnvU64(h, uint64(ins.EncLen))
-	}
-	return h
-}
-
-// emitUnit encodes one unit into its window of out, or copies the
-// window from the unit's emit cache when the signature matches. It
-// returns the unit's return-address pairs in item order.
-func (p *PatchPlan) emitUnit(u *planUnit, out []byte) (ra []bin.AddrPair, reused bool, err error) {
-	if len(u.items) == 0 {
-		return nil, false, nil
-	}
-	start := u.items[0].newAddr
-	last := &u.items[len(u.items)-1]
-	end := last.newAddr + uint64(last.newLen)
-	sig := p.unitSig(u)
-	var cache *unitEmitCache
-	if u.fu != nil {
-		cache = &u.fu.emit
-	}
-	if cache != nil {
-		cache.mu.Lock()
-		if cache.ok && cache.sig == sig && uint64(len(cache.bytes)) == end-start {
-			copy(out[start-p.instrBase:], cache.bytes)
-			ra = cache.ra
-			cache.mu.Unlock()
-			return ra, true, nil
-		}
-		cache.mu.Unlock()
-	}
+// emitUnit encodes one unit into its window of out and returns the
+// unit's return-address pairs in item order.
+func (p *PatchPlan) emitUnit(u *planUnit, out []byte) (ra []bin.AddrPair, err error) {
 	for i := range u.items {
 		it := &u.items[i]
 		eit := arch.EmitItem{
@@ -137,7 +36,7 @@ func (p *PatchPlan) emitUnit(u *planUnit, out []byte) (ra []bin.AddrPair, reused
 		}
 		off := it.newAddr - p.instrBase
 		if _, err := arch.EmitInto(p.emitter, p.env, eit, out[off:off+uint64(it.newLen)]); err != nil {
-			return nil, false, fmt.Errorf("core: emitting %s: %w", u.fn.Name, err)
+			return nil, fmt.Errorf("core: emitting %s: %w", u.fn.Name, err)
 		}
 		switch it.ra {
 		case raCallRet:
@@ -149,20 +48,14 @@ func (p *PatchPlan) emitUnit(u *planUnit, out []byte) (ra []bin.AddrPair, reused
 			ra = append(ra, bin.AddrPair{From: it.newAddr, To: it.origAddr})
 		}
 	}
-	if cache != nil {
-		bs := append([]byte(nil), out[start-p.instrBase:end-p.instrBase]...)
-		cache.mu.Lock()
-		cache.ok, cache.sig, cache.bytes, cache.ra = true, sig, bs, ra
-		cache.mu.Unlock()
-	}
-	return ra, false, nil
+	return ra, nil
 }
 
 // emit produces the .instr bytes, the return-address map, and the clone
 // section contents. Units emit into disjoint windows on up to jobs
 // workers; the RA pairs and any error are merged in unit order, so the
 // result is byte-for-byte independent of the worker count.
-func (p *PatchPlan) emit(jobs int) (out, cloneData []byte, raPairs []bin.AddrPair, reusedN, reencodedN int, err error) {
+func (p *PatchPlan) emit(jobs int) (out, cloneData []byte, raPairs []bin.AddrPair, encodedN int, err error) {
 	a := p.an.Binary.Arch
 	// The output buffer comes from the emit pool (see pool.go); it is
 	// fully overwritten here — illegal-instruction fill end to end, then
@@ -170,26 +63,20 @@ func (p *PatchPlan) emit(jobs int) (out, cloneData []byte, raPairs []bin.AddrPai
 	out = getEmitBuf(int(p.instrEnd - p.instrBase))
 	arch.FillIllegal(a, out) // unreachable alignment padding must not execute silently
 	unitRA := make([][]bin.AddrPair, len(p.units))
-	unitReused := make([]bool, len(p.units))
 	errs := make([]error, len(p.units))
 	runIndexed(len(p.units), jobs, func(i int) {
-		unitRA[i], unitReused[i], errs[i] = p.emitUnit(p.units[i], out)
+		unitRA[i], errs[i] = p.emitUnit(p.units[i], out)
 	})
 	for _, e := range errs {
 		if e != nil {
 			putEmitBuf(out)
-			return nil, nil, nil, 0, 0, e
+			return nil, nil, nil, 0, e
 		}
 	}
 	for i, u := range p.units {
 		raPairs = append(raPairs, unitRA[i]...)
-		if len(u.items) == 0 {
-			continue
-		}
-		if unitReused[i] {
-			reusedN++
-		} else {
-			reencodedN++
+		if len(u.items) > 0 {
+			encodedN++
 		}
 	}
 
@@ -209,7 +96,7 @@ func (p *PatchPlan) emit(jobs int) (out, cloneData []byte, raPairs []bin.AddrPai
 				if !ok {
 					putEmitBuf(out)
 					putEmitBuf(cloneData)
-					return nil, nil, nil, 0, 0, fmt.Errorf("core: clone target %#x has no relocation", origTarget)
+					return nil, nil, nil, 0, fmt.Errorf("core: clone target %#x has no relocation", origTarget)
 				}
 				var x uint64
 				switch c.tbl.Kind {
@@ -222,7 +109,7 @@ func (p *PatchPlan) emit(jobs int) (out, cloneData []byte, raPairs []bin.AddrPai
 					if !ok {
 						putEmitBuf(out)
 						putEmitBuf(cloneData)
-						return nil, nil, nil, 0, 0, fmt.Errorf("core: clone owner %s has no relocated unit", c.owner.Name)
+						return nil, nil, nil, 0, fmt.Errorf("core: clone owner %s has no relocated unit", c.owner.Name)
 					}
 					x = (nt - nf) / 4
 				}
@@ -233,5 +120,5 @@ func (p *PatchPlan) emit(jobs int) (out, cloneData []byte, raPairs []bin.AddrPai
 			}
 		}
 	}
-	return out, cloneData, raPairs, reusedN, reencodedN, nil
+	return out, cloneData, raPairs, encodedN, nil
 }

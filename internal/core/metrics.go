@@ -57,9 +57,10 @@ type Metrics struct {
 	// recomputes everything.
 	FuncsReused     int
 	FuncsRecomputed int
-	// PatchFuncsReused / PatchFuncsReencoded report the emit stage's work
-	// split: how many function units were copied from their emit cache
-	// versus rendered and encoded. A first Patch re-encodes everything.
+	// PatchFuncsReencoded counts the function units the emit stage
+	// rendered and encoded: every unit with items, on every Patch.
+	// PatchFuncsReused is always 0 — emission keeps no cache — and
+	// stays only for callers that still read it.
 	PatchFuncsReused    int
 	PatchFuncsReencoded int
 }
@@ -136,9 +137,9 @@ func (m Metrics) Render() string {
 		fmt.Fprintf(&b, " %s=%s", s.Name, s.Wall.Round(time.Microsecond))
 	}
 	fmt.Fprintf(&b, " total=%s\n", m.TotalWall().Round(time.Microsecond))
-	fmt.Fprintf(&b, "counters: cfl-blocks=%d scratch-blocks=%d scratch-bytes=%d (free %d) trampolines=%d tables-cloned=%d analysis-failures=%d funcs-reused=%d funcs-recomputed=%d patch-reused=%d patch-reencoded=%d",
+	fmt.Fprintf(&b, "counters: cfl-blocks=%d scratch-blocks=%d scratch-bytes=%d (free %d) trampolines=%d tables-cloned=%d analysis-failures=%d funcs-reused=%d funcs-recomputed=%d patch-reencoded=%d",
 		m.CFLBlocks, m.ScratchBlocks, m.ScratchBytesHarvested, m.ScratchBytesFree,
 		m.TrampolineTotal(), m.ClonedTables, m.AnalysisFailures, m.FuncsReused, m.FuncsRecomputed,
-		m.PatchFuncsReused, m.PatchFuncsReencoded)
+		m.PatchFuncsReencoded)
 	return b.String()
 }

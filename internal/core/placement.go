@@ -181,13 +181,14 @@ func paddingRanges(b *bin.Binary) [][2]uint64 {
 		if end <= start {
 			return
 		}
-		data := text.Data[start-text.Addr : end-text.Addr]
-		for _, ins := range arch.DecodeAll(b.Arch, data, start) {
-			if ins.Kind != arch.Nop {
-				return // not padding; leave it alone
-			}
+		nops := true
+		arch.Walk(b.Arch, text.Data[start-text.Addr:end-text.Addr], start, func(ins arch.Instr) bool {
+			nops = ins.Kind == arch.Nop
+			return nops
+		})
+		if nops { // otherwise not padding; leave it alone
+			out = append(out, [2]uint64{start, end})
 		}
-		out = append(out, [2]uint64{start, end})
 	}
 	for _, s := range syms {
 		if s.Addr > pos {

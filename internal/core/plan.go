@@ -67,15 +67,12 @@ type planItem struct {
 	vmap uint64
 }
 
-// planUnit is one relocated function's plan. fu is the function's
-// analysis unit, which carries the emit-reuse cache across Patch calls
-// and binary versions. items is a value slab — one allocation per unit
+// planUnit is one relocated function's plan. items is a value slab — one allocation per unit
 // instead of one per instruction, recycled across Patch calls through
 // itemSlabPool (pool.go) — so stages address items by index, never by
 // retained pointer.
 type planUnit struct {
 	fn    *cfg.Func
-	fu    *FuncUnit
 	items []planItem
 	// Variant planning (profile-guided functions only): variants counts
 	// alternate bodies (0 or 1), fastStart indexes the first fast-body
@@ -339,7 +336,7 @@ func (p *PatchPlan) countPoints(f *cfg.Func) int {
 // (sharing the full body's cell) and resolves intra-function control
 // flow through fastReloc so hot loops never leave the sparse copy.
 func (p *PatchPlan) buildUnit(g *cfg.Graph, f *cfg.Func, cell uint64, varSlot int, selCell uint64) (*planUnit, map[uint64]uint64) {
-	u := &planUnit{fn: f, fu: p.an.unitOf[f], varSlot: -1}
+	u := &planUnit{fn: f, varSlot: -1}
 	// Size the item slab up front: one item per instruction plus room
 	// for inserted snippets and fall-through branches. Underestimates
 	// just regrow the slab (the grown one is what gets recycled).

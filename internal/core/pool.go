@@ -10,7 +10,7 @@ import "sync"
 // iteration. The pools below recycle exactly the allocations whose
 // lifetime ends with the Patch call (or, for emit buffers, with the
 // caller's explicit Result.Recycle) — never anything retained by the
-// emit caches or the returned Result.
+// returned Result.
 //
 // Safety rules, enforced by the differential fuzzer's byte-equivalence
 // checks (FuzzDifferentialRewrite):

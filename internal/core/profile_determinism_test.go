@@ -34,7 +34,7 @@ func skewedProfile(an *core.Analysis) *profile.Profile {
 // byte-equivalence contract to guided rewrites: for every arch × mode
 // cell, the same binary plus the same profile must produce
 // byte-identical output on all four execution paths — serial cold
-// Rewrite, parallel emit, repeat patch served from the emit caches, and
+// Rewrite, parallel emit, repeat patch of the same analysis, and
 // the version-2 delta patch through a warmed unit store.
 func TestProfileGuidedDeterminism(t *testing.T) {
 	for _, a := range []arch.Arch{arch.X64, arch.PPC, arch.A64} {
@@ -111,10 +111,6 @@ func TestProfileGuidedDeterminism(t *testing.T) {
 				if !bytes.Equal(want, repeat.Binary.Marshal()) {
 					t.Fatal("guided repeat patch differs from guided serial rewrite")
 				}
-				if repeat.Metrics.PatchFuncsReencoded != 0 {
-					t.Fatalf("guided repeat patch re-encoded %d funcs, want all from emit cache",
-						repeat.Metrics.PatchFuncsReencoded)
-				}
 
 				// Delta: v2 through the warmed unit store, same profile
 				// (advisory, applies by function name), must equal a cold
@@ -133,9 +129,6 @@ func TestProfileGuidedDeterminism(t *testing.T) {
 				}
 				if !bytes.Equal(cold2.Binary.Marshal(), delta.Binary.Marshal()) {
 					t.Fatal("guided v2 delta patch differs from guided v2 serial rewrite")
-				}
-				if delta.Metrics.PatchFuncsReused == 0 {
-					t.Fatal("guided delta patch reused nothing")
 				}
 			})
 		}

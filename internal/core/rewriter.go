@@ -119,14 +119,14 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	stats.ClonedTables = len(p.clones)
 	sp.Record(StageLayout, mx.lap(StageLayout, &clock))
 
-	// Stage 3: emit — parallel, reuse-aware per-unit encoding.
-	instrData, cloneData, raPairs, reused, reencoded, err := p.emit(opts.PatchJobs)
+	// Stage 3: emit — parallel per-unit encoding.
+	instrData, cloneData, raPairs, encoded, err := p.emit(opts.PatchJobs)
 	if err != nil {
 		return nil, err
 	}
-	mx.PatchFuncsReused, mx.PatchFuncsReencoded = reused, reencoded
+	mx.PatchFuncsReencoded = encoded
 	// Nothing after the emit stage reads plan items; recycle the slabs
-	// for the next Patch (the emit caches hold their own byte copies).
+	// for the next Patch.
 	p.release()
 	sp.Record(StageEmit, mx.lap(StageEmit, &clock))
 
@@ -356,7 +356,6 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 		sp.SetInt("tables-cloned", int64(mx.ClonedTables))
 		sp.SetInt("analysis-failures", int64(mx.AnalysisFailures))
 		sp.SetInt("patch-jobs", int64(opts.PatchJobs))
-		sp.SetInt("patch-funcs-reused", int64(mx.PatchFuncsReused))
 		sp.SetInt("patch-funcs-reencoded", int64(mx.PatchFuncsReencoded))
 	}
 	res := &Result{Binary: nb, Stats: stats, Metrics: mx, RelocMap: p.relocMap, TrapSites: trapSites}

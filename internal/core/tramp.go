@@ -34,7 +34,7 @@ func preserveMark(nb *bin.Binary, sb superblock) (superblock, error) {
 	if sb.Space-markLen < arch.TrapTrampolineLen(a) {
 		return sb, nil
 	}
-	bs, err := arch.ForArch(a).Encode(arch.Instr{Kind: arch.Mark})
+	bs, err := arch.ForArch(a).Append(nil, arch.Instr{Kind: arch.Mark})
 	if err != nil {
 		return sb, err
 	}

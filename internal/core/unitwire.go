@@ -7,9 +7,9 @@
 // receiver re-validates every unit against its own copy of the binary
 // (FuncUnit.validFor — dependency hashes and read-set replay), so a
 // stale or mismatched peer answer degrades to a recompute, never to a
-// wrong reuse; the lazily memoised placement and emit caches are
-// deliberately not shipped, because they are derived state the receiver
-// rebuilds on first use without affecting emitted bytes.
+// wrong reuse; the lazily memoised placement inputs are deliberately
+// not shipped, because they are derived state the receiver rebuilds on
+// first use without affecting emitted bytes.
 //
 // Error values are the one non-gob-able ingredient: Func.Err and
 // IndirectJump.Err are interfaces holding arbitrary concrete types.

@@ -13,7 +13,7 @@ func rawBinary(t *testing.T, a arch.Arch, pie bool, instrs []arch.Instr) *bin.Bi
 	enc := arch.ForArch(a)
 	var text []byte
 	for _, ins := range instrs {
-		bts, err := enc.Encode(ins)
+		bts, err := enc.Append(nil, ins)
 		if err != nil {
 			t.Fatalf("encode %s: %v", ins, err)
 		}

@@ -156,7 +156,7 @@ func TestSemanticsCallIndMem(t *testing.T) {
 	text := b.Text()
 	off := uint64(0x30)
 	for _, ins := range callee {
-		bs, _ := enc.Encode(ins)
+		bs, _ := enc.Append(nil, ins)
 		for len(text.Data) < int(off)+len(bs) {
 			text.Data = append(text.Data, 0x90)
 		}

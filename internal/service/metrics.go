@@ -48,10 +48,9 @@ type metrics struct {
 	// analyses did no function-level work and contribute nothing).
 	funcsReused     *obs.Counter
 	funcsRecomputed *obs.Counter
-	// patchReused / patchReencoded accumulate the emit stage's work split
-	// over every patch this server ran (result-cache replays ran no patch
-	// and contribute nothing).
-	patchReused    *obs.Counter
+	// patchReencoded accumulates the function units encoded by every
+	// patch this server ran (result-cache replays ran no patch and
+	// contribute nothing).
 	patchReencoded *obs.Counter
 }
 
@@ -69,8 +68,6 @@ func newMetrics(s *Server) *metrics {
 			"function analysis units reused from the unit store"),
 		funcsRecomputed: reg.Counter("icfg_analysis_funcs_recomputed_total",
 			"function analysis units recomputed"),
-		patchReused: reg.Counter("icfg_patch_funcs_reused_total",
-			"function units whose emitted bytes were copied from the emit cache"),
 		patchReencoded: reg.Counter("icfg_patch_funcs_reencoded_total",
 			"function units rendered and encoded by the emit stage"),
 	}
@@ -143,8 +140,7 @@ func (m *metrics) observeServed(resp *Response) {
 		m.funcsRecomputed.Add(uint64(resp.Metrics.FuncsRecomputed))
 	}
 	// The patch stage ran for this request whether or not the analysis
-	// was cached, so its emit split is always this request's work.
-	m.patchReused.Add(uint64(resp.Metrics.PatchFuncsReused))
+	// was cached, so its encoded units are always this request's work.
 	m.patchReencoded.Add(uint64(resp.Metrics.PatchFuncsReencoded))
 	for _, st := range resp.Metrics.Stages {
 		m.stage.With(st.Name).Observe(st.Wall.Seconds())

@@ -48,7 +48,7 @@ func MutateVersion(b *bin.Binary, k int, seed int64) (*bin.Binary, []string, err
 		}
 		ins := site
 		ins.Imm ^= 1
-		raw, err := enc.Encode(ins)
+		raw, err := enc.Append(nil, ins)
 		if err != nil {
 			return nil, nil, fmt.Errorf("workload: mutate %s at %#x: %w", sym.Name, site.Addr, err)
 		}
