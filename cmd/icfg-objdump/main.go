@@ -204,8 +204,9 @@ func printFuncHashes(img *bin.Binary) {
 		}
 	}
 	fmt.Printf("\n%d functions:\n", len(syms))
-	for _, sym := range syms {
-		fmt.Printf("  %#10x %8d  %s  %s\n", sym.Addr, sym.Size, img.FuncContentHash(sym), sym.Name)
+	hashes := img.FuncContentHashes(syms)
+	for k, sym := range syms {
+		fmt.Printf("  %#10x %8d  %s  %s\n", sym.Addr, sym.Size, hashes[k], sym.Name)
 	}
 }
 

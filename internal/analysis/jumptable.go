@@ -233,11 +233,6 @@ type Recording struct {
 	Bounds []BoundQuery
 }
 
-// Empty reports whether the recording constrains nothing.
-func (r *Recording) Empty() bool {
-	return r == nil || (len(r.Reads) == 0 && len(r.Fails) == 0 && len(r.Bounds) == 0)
-}
-
 // ValidFor replays the recording against a new binary and its resolver:
 // every successful read must observe identical bytes, every failed read
 // must still fail, and every boundary query must produce the same

@@ -116,16 +116,6 @@ func TrapTrampolineLen(a Arch) int {
 	return 4
 }
 
-// LongTrampolineRange returns the one-sided reach of the long form:
-// ±2GB on X64 (PC-relative) and PPC (TOC-relative), ±4GB on A64
-// (page-relative adrp).
-func LongTrampolineRange(a Arch) int64 {
-	if a == A64 {
-		return 1 << 32
-	}
-	return 1<<31 - 1
-}
-
 // NewShortTrampoline builds the short-form trampoline from from to to, or
 // reports ok=false if the displacement exceeds the short form's range.
 func NewShortTrampoline(a Arch, from, to uint64) (Trampoline, bool) {

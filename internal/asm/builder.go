@@ -68,9 +68,6 @@ func (b *Builder) SetSharedLib() { b.shared = true }
 // equivalent of linking with -Wl,-q that BOLT requires.
 func (b *Builder) KeepLinkRelocs() { b.keepLinkRelocs = true }
 
-// SetTextBase overrides the .text load address.
-func (b *Builder) SetTextBase(addr uint64) { b.textBase = addr }
-
 // SetCFI marks the program as compiled with hardware-CFI landing pads:
 // the linker prepends an arch.Mark to every function prologue (the
 // compiler's -fcf-protection behaviour), and the "cfi=1" note is

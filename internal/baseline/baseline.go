@@ -17,17 +17,17 @@ package baseline
 import "icfgpatch/internal/bin"
 
 // retargetSymbols rewrites function symbol addresses through the
-// relocation map after the regenerated code replaced the original text
+// rewrite's relocation lookup (core.Result.Relocated) after the regenerated code replaced the original text
 // (symbols whose code was dropped entirely are removed). Both the
 // IR-lowering and BOLT-like baselines regenerate their symbol tables.
-func retargetSymbols(nb *bin.Binary, relocMap map[uint64]uint64) {
+func retargetSymbols(nb *bin.Binary, relocated func(uint64) (uint64, bool)) {
 	kept := nb.Symbols[:0]
 	for _, sym := range nb.Symbols {
 		if sym.Kind != bin.SymFunc {
 			kept = append(kept, sym)
 			continue
 		}
-		if na, ok := relocMap[sym.Addr]; ok {
+		if na, ok := relocated(sym.Addr); ok {
 			sym.Addr = na
 			kept = append(kept, sym)
 		}
@@ -35,7 +35,7 @@ func retargetSymbols(nb *bin.Binary, relocMap map[uint64]uint64) {
 	nb.Symbols = kept
 	dyn := nb.DynSymbols[:0]
 	for _, sym := range nb.DynSymbols {
-		if na, ok := relocMap[sym.Addr]; ok || sym.Kind != bin.SymFunc {
+		if na, ok := relocated(sym.Addr); ok || sym.Kind != bin.SymFunc {
 			if ok {
 				sym.Addr = na
 			}

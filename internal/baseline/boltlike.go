@@ -72,7 +72,7 @@ func boltRewrite(b *bin.Binary, v core.Variant) (*core.Result, error) {
 	}
 	if v.NoTrampolines {
 		nb := res.Binary
-		newEntry, ok := res.RelocMap[b.Entry]
+		newEntry, ok := res.Relocated(b.Entry)
 		if !ok && !b.SharedLib {
 			return nil, fmt.Errorf("bolt: entry not relocated")
 		}
@@ -83,7 +83,7 @@ func boltRewrite(b *bin.Binary, v core.Variant) (*core.Result, error) {
 		if !b.SharedLib {
 			nb.Entry = newEntry
 		}
-		retargetSymbols(nb, res.RelocMap)
+		retargetSymbols(nb, res.Relocated)
 		res.Stats.NewLoadedSize = nb.LoadedSize()
 		if err := nb.Validate(); err != nil {
 			return nil, fmt.Errorf("bolt: %w", err)

@@ -78,7 +78,7 @@ func IRLower(b *bin.Binary, opts IRLowerOptions) (*core.Result, error) {
 	// The relocated code becomes the program: drop the original text,
 	// promote .instr, and enter at the relocated entry point.
 	nb := res.Binary
-	newEntry, ok := res.RelocMap[b.Entry]
+	newEntry, ok := res.Relocated(b.Entry)
 	if !ok && !b.SharedLib {
 		return nil, fmt.Errorf("%w: entry point was not relocated", ErrIncomplete)
 	}
@@ -92,7 +92,7 @@ func IRLower(b *bin.Binary, opts IRLowerOptions) (*core.Result, error) {
 	if !b.SharedLib {
 		nb.Entry = newEntry
 	}
-	retargetSymbols(nb, res.RelocMap)
+	retargetSymbols(nb, res.Relocated)
 	res.Stats.NewLoadedSize = nb.LoadedSize()
 	if err := nb.Validate(); err != nil {
 		return nil, fmt.Errorf("irlower: regenerated binary invalid: %w", err)

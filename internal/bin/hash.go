@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"io"
+	"sort"
 
 	"icfgpatch/internal/arch"
 )
@@ -25,6 +26,13 @@ const funcHashVersion = "icfg-func-v1"
 // instruction may read past a truncated function, so those bytes are
 // part of what analysis can observe.
 func (b *Binary) FuncContentHash(sym Symbol) string {
+	return b.FuncContentHashes([]Symbol{sym})[0]
+}
+
+// FuncContentHashes returns FuncContentHash for every symbol, sorting
+// each relocation list by offset once for the batch: n functions over
+// r relocations cost O((n + r) log r), not O(n·r).
+func (b *Binary) FuncContentHashes(syms []Symbol) []string {
 	h := sha256.New()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -35,8 +43,6 @@ func (b *Binary) FuncContentHash(sym Symbol) string {
 		io.WriteString(h, s)
 		h.Write([]byte{0})
 	}
-	str(funcHashVersion)
-	str(sym.Name)
 	var flags uint64
 	if b.PIE {
 		flags |= 1
@@ -44,34 +50,49 @@ func (b *Binary) FuncContentHash(sym Symbol) string {
 	if b.SharedLib {
 		flags |= 2
 	}
-	put(uint64(b.Arch)<<8 | flags)
-	put(sym.Addr)
-	put(sym.Size)
-
-	if s := b.SectionAt(sym.Addr); s != nil {
-		end := sym.Addr + sym.Size + uint64(arch.ForArch(b.Arch).MaxLen()-1)
-		if end > s.End() {
-			end = s.End()
+	byOff := func(rs []Reloc) []int {
+		order := make([]int, len(rs))
+		for i := range order {
+			order[i] = i
 		}
-		if sym.Addr < end {
-			h.Write(s.Data[sym.Addr-s.Addr : end-s.Addr])
-		}
+		sort.Slice(order, func(x, y int) bool { return rs[order[x]].Off < rs[order[y]].Off })
+		return order
 	}
-
-	inRange := func(off uint64) bool { return off >= sym.Addr && off < sym.Addr+sym.Size }
-	hashRelocs := func(tag string, relocs []Reloc) {
+	relocOrder, linkOrder := byOff(b.Relocs), byOff(b.LinkRelocs)
+	var in []int
+	// hashRelocs hashes the relocations in [lo, hi) in slice order,
+	// which the hash input keeps whether or not the slice is sorted.
+	hashRelocs := func(tag string, rs []Reloc, order []int, lo, hi uint64) {
 		str(tag)
-		for _, r := range relocs {
-			if !inRange(r.Off) {
-				continue
-			}
-			put(uint64(r.Kind))
-			put(r.Off)
-			put(uint64(r.Addend))
-			str(r.Sym)
+		in = in[:0]
+		for k := sort.Search(len(order), func(k int) bool { return rs[order[k]].Off >= lo }); k < len(order) && rs[order[k]].Off < hi; k++ {
+			in = append(in, order[k])
+		}
+		sort.Ints(in)
+		for _, i := range in {
+			put(uint64(rs[i].Kind))
+			put(rs[i].Off)
+			put(uint64(rs[i].Addend))
+			str(rs[i].Sym)
 		}
 	}
-	hashRelocs("relocs", b.Relocs)
-	hashRelocs("link", b.LinkRelocs)
-	return hex.EncodeToString(h.Sum(nil))
+	out := make([]string, len(syms))
+	for k, sym := range syms {
+		h.Reset()
+		str(funcHashVersion)
+		str(sym.Name)
+		put(uint64(b.Arch)<<8 | flags)
+		put(sym.Addr)
+		put(sym.Size)
+		if s := b.SectionAt(sym.Addr); s != nil {
+			end := min(sym.Addr+sym.Size+uint64(arch.ForArch(b.Arch).MaxLen()-1), s.End())
+			if sym.Addr < end {
+				h.Write(s.Data[sym.Addr-s.Addr : end-s.Addr])
+			}
+		}
+		hashRelocs("relocs", b.Relocs, relocOrder, sym.Addr, sym.Addr+sym.Size)
+		hashRelocs("link", b.LinkRelocs, linkOrder, sym.Addr, sym.Addr+sym.Size)
+		out[k] = hex.EncodeToString(h.Sum(nil))
+	}
+	return out
 }

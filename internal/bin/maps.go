@@ -76,6 +76,3 @@ func (m *AddrMap) Lookup(addr uint64) (uint64, bool) {
 
 // Len returns the number of entries.
 func (m *AddrMap) Len() int { return len(m.pairs) }
-
-// Pairs returns the sorted entries (shared; callers must not mutate).
-func (m *AddrMap) Pairs() []AddrPair { return m.pairs }

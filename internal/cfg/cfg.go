@@ -217,11 +217,19 @@ func (g *Graph) FuncByName(name string) (*Func, bool) {
 
 // FuncContaining returns the function covering addr.
 func (g *Graph) FuncContaining(addr uint64) (*Func, bool) {
-	i := sort.Search(len(g.Funcs), func(i int) bool { return g.Funcs[i].Entry > addr })
-	if i > 0 && addr < g.Funcs[i-1].End {
-		return g.Funcs[i-1], true
+	if i, ok := g.FuncIndex(addr); ok {
+		return g.Funcs[i], true
 	}
 	return nil, false
+}
+
+// FuncIndex returns the position in g.Funcs of the function covering addr.
+func (g *Graph) FuncIndex(addr uint64) (int, bool) {
+	i := sort.Search(len(g.Funcs), func(i int) bool { return g.Funcs[i].Entry > addr })
+	if i > 0 && addr < g.Funcs[i-1].End {
+		return i - 1, true
+	}
+	return -1, false
 }
 
 // IsFuncEntry reports whether addr is a function entry point.

@@ -169,11 +169,12 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 	}
 	var table []fent
 	idByName := make(map[string]string, len(syms))
-	for _, sym := range syms {
+	hashes := b.FuncContentHashes(syms)
+	for k, sym := range syms {
 		if sym.Size == 0 {
 			continue
 		}
-		id := unitID(b, sym, cfg.CatchPads(pads, sym), env)
+		id := unitID(hashes[k], cfg.CatchPads(pads, sym), env)
 		table = append(table, fent{sym, id})
 		idByName[sym.Name] = id
 	}

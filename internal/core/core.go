@@ -225,10 +225,6 @@ type Result struct {
 	// CounterCells maps the original address of each instrumented point
 	// to its counter cell (PayloadCounter only).
 	CounterCells map[uint64]uint64
-	// RelocMap maps every relocated original instruction address to its
-	// new address (exposed for the IR-lowering baseline, which replaces
-	// the text outright, and for tests).
-	RelocMap map[uint64]uint64
 	// TrapSites lists the original addresses where trap trampolines had
 	// to be installed (experiments correlate them with function kinds,
 	// e.g. library destructors).
@@ -237,7 +233,12 @@ type Result struct {
 	// pooled holds the emit-stage buffers backing the result's .instr
 	// and clone sections, returnable to the emit pool via Recycle.
 	pooled [][]byte
+	reloc  relocTable
 }
+
+// Relocated returns the new address of a relocated original
+// instruction address.
+func (r *Result) Relocated(addr uint64) (uint64, bool) { return r.reloc.get(addr) }
 
 // Recycle returns the result's pooled emit buffers for reuse by later
 // Patch calls. The rewritten Binary (and any slice derived from its

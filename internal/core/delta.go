@@ -176,11 +176,11 @@ func deltaEnv(b *bin.Binary) string {
 		b.Arch, b.PIE, b.SharedLib, b.UsesExceptions(), tAddr, tEnd, b.TOCValue)
 }
 
-// unitID computes a function's identity hash: content hash × catch pads
-// × delta environment.
-func unitID(b *bin.Binary, sym bin.Symbol, catchPads []uint64, env string) string {
+// unitID computes a function's identity hash: content hash
+// (bin.FuncContentHash) × catch pads × delta environment.
+func unitID(contentHash string, catchPads []uint64, env string) string {
 	h := sha256.New()
-	io.WriteString(h, b.FuncContentHash(sym))
+	io.WriteString(h, contentHash)
 	io.WriteString(h, env)
 	for _, p := range catchPads {
 		fmt.Fprintf(h, "|%x", p)

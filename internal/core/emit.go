@@ -5,7 +5,6 @@ import (
 
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
-	"icfgpatch/internal/cfg"
 )
 
 // This file is the EMIT stage of the staged patch pipeline. Each
@@ -30,9 +29,9 @@ func (p *PatchPlan) emitUnit(u *planUnit, out []byte) (ra []bin.AddrPair, err er
 			Target:    p.resolveTarget(it),
 			Expand:    it.expand,
 			NewAddr:   it.newAddr,
-			NewLen:    it.newLen,
-			OrigAddr:  it.origAddr,
-			OrigLen:   it.origLen,
+			NewLen:    int(it.newLen),
+			OrigAddr:  it.ins.Addr,
+			OrigLen:   it.ins.EncLen,
 		}
 		off := it.newAddr - p.instrBase
 		if _, err := arch.EmitInto(p.emitter, p.env, eit, out[off:off+uint64(it.newLen)]); err != nil {
@@ -42,10 +41,10 @@ func (p *PatchPlan) emitUnit(u *planUnit, out []byte) (ra []bin.AddrPair, err er
 		case raCallRet:
 			ra = append(ra, bin.AddrPair{
 				From: it.newAddr + uint64(it.newLen),
-				To:   it.origAddr + uint64(it.origLen),
+				To:   it.ins.Addr + uint64(it.ins.EncLen),
 			})
 		case raSelf:
-			ra = append(ra, bin.AddrPair{From: it.newAddr, To: it.origAddr})
+			ra = append(ra, bin.AddrPair{From: it.newAddr, To: it.ins.Addr})
 		}
 	}
 	return ra, nil
@@ -91,28 +90,18 @@ func (p *PatchPlan) emit(jobs int) (out, cloneData []byte, raPairs []bin.AddrPai
 		cloneData = getEmitBuf(int(end - base))
 		clear(cloneData)
 		for _, c := range p.clones {
+			// The clone's entries are relative to the clone itself and to
+			// the owner's relocated start.
+			tbl := *c.tbl
+			tbl.TableAddr, tbl.FuncStart = c.addr, c.unit.start
 			for k, origTarget := range c.tbl.Targets {
-				nt, ok := p.relocMap[origTarget]
+				nt, ok := p.reloc.get(origTarget)
 				if !ok {
 					putEmitBuf(out)
 					putEmitBuf(cloneData)
 					return nil, nil, nil, 0, fmt.Errorf("core: clone target %#x has no relocation", origTarget)
 				}
-				var x uint64
-				switch c.tbl.Kind {
-				case cfg.TarAbs:
-					x = nt
-				case cfg.TarTableRel:
-					x = nt - c.addr
-				case cfg.TarFuncRel4:
-					nf, ok := p.unitStart[c.owner.Name]
-					if !ok {
-						putEmitBuf(out)
-						putEmitBuf(cloneData)
-						return nil, nil, nil, 0, fmt.Errorf("core: clone owner %s has no relocated unit", c.owner.Name)
-					}
-					x = (nt - nf) / 4
-				}
+				x := tbl.EncodeEntry(nt)
 				off := c.addr - base + uint64(k*c.newEntry)
 				for i := 0; i < c.newEntry; i++ {
 					cloneData[off+uint64(i)] = byte(x >> (8 * i))

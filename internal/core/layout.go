@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
@@ -15,7 +16,7 @@ import (
 // islands, adrp pairs, and veneers through the emitter's ExpandedLen,
 // never through actual encoding. After layout, every item has a final
 // (newAddr, newLen) and every resolved target is a pure function of the
-// plan, which is what emit-stage parallelism and reuse rely on.
+// plan, which is what emit-stage parallelism relies on.
 
 // sectionMove relocates one dynamic-linking section, retiring the
 // original range as trampoline scratch space (Section 3).
@@ -93,34 +94,63 @@ func (p *PatchPlan) placeClones(base uint64) {
 	}
 }
 
+// relocTable maps original .text addresses to relocated ones without
+// hashing. It is indexed by the address's offset into .text and stores
+// the relocated address's offset into .instr plus one, so a zero slot
+// means "not relocated".
+type relocTable struct {
+	text, instr uint64 // .text and .instr start addresses
+	slot        []uint32
+}
+
+// claim maps addr to newAddr unless an earlier item already claimed
+// addr: the first claim wins, which is how a dispatch stub or hoisted
+// landing-pad marker owns its address ahead of the body's own copy.
+func (t *relocTable) claim(addr, newAddr uint64) error {
+	off, rel := addr-t.text, newAddr-t.instr+1
+	if off >= uint64(len(t.slot)) || rel > math.MaxUint32 {
+		return fmt.Errorf("core: relocation %#x -> %#x falls outside .text or .instr", addr, newAddr)
+	}
+	if t.slot[off] == 0 {
+		t.slot[off] = uint32(rel)
+	}
+	return nil
+}
+
+// get returns addr's relocated address. Addresses outside .text, even
+// those below it whose offset wraps around, are never relocated.
+func (t *relocTable) get(addr uint64) (uint64, bool) {
+	if off := addr - t.text; off < uint64(len(t.slot)) && t.slot[off] != 0 {
+		return t.instr + uint64(t.slot[off]) - 1, true
+	}
+	return 0, false
+}
+
 // resolveTarget returns the item's concrete target address under the
-// current relocMap.
+// current relocation tables.
 func (p *PatchPlan) resolveTarget(it *planItem) uint64 {
 	switch it.tk {
 	case tkAbs:
 		return it.target
+	case tkLocal:
+		// Fast-body control flow prefers the fast-body copy; targets the
+		// fast body does not carry (none today — every block is copied)
+		// fall back to the full body, then the original.
+		if na, ok := p.fastReloc.get(it.target); ok {
+			return na
+		}
+		fallthrough
 	case tkMapped:
-		if na, ok := p.relocMap[it.target]; ok {
+		if na, ok := p.reloc.get(it.target); ok {
 			return na
 		}
 		return it.target // not relocated: keep the original address
 	case tkClone:
 		return p.clones[it.target].addr
 	case tkFuncBase:
-		return p.unitStart[p.clones[it.target].owner.Name]
+		return p.clones[it.target].unit.start
 	case tkVarEntry:
 		return p.varAddr[it.target]
-	case tkLocal:
-		// Fast-body control flow prefers the fast-body copy; targets the
-		// fast body does not carry (none today — every block is copied)
-		// fall back to the full body, then the original.
-		if na, ok := p.fastReloc[it.target]; ok {
-			return na
-		}
-		if na, ok := p.relocMap[it.target]; ok {
-			return na
-		}
-		return it.target
 	default:
 		return 0
 	}
@@ -128,52 +158,40 @@ func (p *PatchPlan) resolveTarget(it *planItem) uint64 {
 
 // layout iterates address assignment and range checking to a fixpoint,
 // growing items into islands/pairs/veneers as needed. The relocation
-// and unit-start maps are allocated once, presized from the plan, and
-// cleared between iterations — the fixpoint typically runs two or three
-// times, and rebuilding a many-thousand-entry map each round was a
-// measurable share of the warm Patch path's allocations.
+// tables are allocated once and cleared between iterations (typically
+// two or three); unit starts live on the units, so nothing is hashed.
 func (p *PatchPlan) layout(instrBase uint64) error {
 	p.instrBase = instrBase
 	a := p.an.Binary.Arch
-	mapped, fastMapped := 0, 0
-	for _, u := range p.units {
-		for i := range u.items {
-			if u.items[i].mapAddr != 0 {
-				mapped++
-			}
-			if u.items[i].vmap != 0 {
-				fastMapped++
-			}
-		}
+	text := p.an.Binary.Text()
+	p.reloc = relocTable{text: text.Addr, instr: instrBase, slot: make([]uint32, text.Size())}
+	if len(p.varAddr) > 0 {
+		p.fastReloc = p.reloc
+		p.fastReloc.slot = make([]uint32, len(p.reloc.slot))
 	}
-	p.relocMap = make(map[uint64]uint64, mapped)
-	p.fastReloc = make(map[uint64]uint64, fastMapped)
-	p.unitStart = make(map[string]uint64, len(p.units))
 	for iter := 0; iter < 24; iter++ {
 		addr := instrBase
-		clear(p.relocMap)
-		clear(p.fastReloc)
-		clear(p.unitStart)
+		clear(p.reloc.slot)
+		clear(p.fastReloc.slot)
 		for _, u := range p.units {
 			addr = alignUp(addr, instrAlign)
-			p.unitStart[u.fn.Name] = addr
+			u.start = addr
+			claims := &p.reloc
 			for i := range u.items {
+				if i == u.fastStart {
+					claims = &p.fastReloc
+				}
 				it := &u.items[i]
 				it.newAddr = addr
-				it.newLen = p.emitter.ExpandedLen(p.env, it.ins, it.expand)
-				if it.mapAddr != 0 {
-					if _, dup := p.relocMap[it.mapAddr]; !dup {
-						p.relocMap[it.mapAddr] = addr
-					}
-				}
-				if it.vmap != 0 {
-					if _, dup := p.fastReloc[it.vmap]; !dup {
-						p.fastReloc[it.vmap] = addr
+				it.newLen = int32(p.emitter.ExpandedLen(p.env, it.ins, it.expand))
+				if it.claim != 0 {
+					if err := claims.claim(it.claim, addr); err != nil {
+						return err
 					}
 				}
 				addr += uint64(it.newLen)
 			}
-			if u.variants > 0 {
+			if u.varSlot >= 0 {
 				// The alternate variant enters at its restore item; the
 				// stub's tkVarEntry branch resolves through this slot.
 				p.varAddr[u.varSlot] = u.items[u.fastStart].newAddr

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"icfgpatch/internal/arch"
+	"icfgpatch/internal/bin"
 	"icfgpatch/internal/cfg"
 	"icfgpatch/internal/instrument"
 	"icfgpatch/internal/profile"
@@ -25,7 +27,7 @@ type targetKind uint8
 const (
 	tkNone     targetKind = iota
 	tkAbs                 // fixed absolute address (original data, counter cells)
-	tkMapped              // original code address, re-resolved through relocMap
+	tkMapped              // original code address, re-resolved through the relocation table
 	tkClone               // cloned jump table (index into clones)
 	tkFuncBase            // relocated start of a clone's owner function
 	tkVarEntry            // alternate-variant entry (index into varAddr)
@@ -48,23 +50,21 @@ const (
 // planItem is one instruction (or inserted snippet instruction) in the
 // relocated code stream. The symbolic half (tk/target/expand) is owned
 // by plan+layout; the emit stage sees only the resolved arch.EmitItem.
+// A relocated item's original address and length are ins.Addr and
+// ins.EncLen; inserted instructions carry zero in both.
 type planItem struct {
-	ins      arch.Instr
-	origAddr uint64 // 0 for inserted instructions
-	origLen  int
-	mapAddr  uint64 // original address this item stands for in relocMap
-	tk       targetKind
-	pf       arch.PatchForm
-	target   uint64 // tkAbs address / tkMapped original address / tkClone index
-	ra       raKind
-	expand   arch.Expand
-	newAddr  uint64
-	newLen   int
-	// vmap is the original address this item stands for in the fast-body
-	// relocation map (fastReloc): intra-function control flow inside a
-	// fast variant resolves through it so hot loops never leave the
-	// sparsely instrumented copy. Zero for full-body and stub items.
-	vmap uint64
+	ins arch.Instr
+	// claim is the original address this item stands for in the
+	// relocation table — the fast-body table from the unit's fastStart
+	// on — or 0.
+	claim   uint64
+	target  uint64 // tkAbs address / tkMapped original address / tkClone index
+	newAddr uint64
+	newLen  int32
+	tk      targetKind
+	pf      arch.PatchForm
+	ra      raKind
+	expand  arch.Expand
 }
 
 // planUnit is one relocated function's plan. items is a value slab — one allocation per unit
@@ -74,21 +74,39 @@ type planItem struct {
 type planUnit struct {
 	fn    *cfg.Func
 	items []planItem
-	// Variant planning (profile-guided functions only): variants counts
-	// alternate bodies (0 or 1), fastStart indexes the first fast-body
-	// item, varSlot indexes the plan-level varAddr table the dispatch
-	// stub's branch resolves through.
-	variants  int
-	fastStart int
+	cells []bin.AddrPair // instrumentation point -> counter cell, in insertion order
+	cell  uint64         // the unit's first counter cell
+	start uint64         // relocated unit start, assigned by layout
+	// Variant planning: varSlot indexes the plan-level varAddr table
+	// the dispatch stub's branch resolves through (-1 without a fast
+	// variant), selCell is its selector cell, and fastStart indexes the
+	// first fast-body item (len(items) without one).
 	varSlot   int
+	selCell   uint64
+	fastStart int
 }
 
 // cloneInfo is one jump table selected for cloning.
 type cloneInfo struct {
 	tbl      *cfg.ResolvedTable
-	owner    *cfg.Func
-	newEntry int // entry size in the clone (sub-word entries widen to 4)
+	unit     *planUnit // the owner function's unit
+	newEntry int       // entry size in the clone (sub-word entries widen to 4)
 	addr     uint64
+}
+
+// Roles a jump-table or pointer site plays in classification.
+const (
+	siteBase     = iota // materialises a cloned table's base
+	siteFuncBase        // materialises a compressed table's function base
+	siteWiden           // loads a table entry (sub-word entries widen)
+	sitePtr             // materialises a code pointer (func-ptr mode)
+)
+
+// site is one role of one instruction: v is a clone index, or the
+// pointer value for sitePtr.
+type site struct {
+	addr, v uint64
+	role    int
 }
 
 // trampJob is one planned trampoline: the superblock to patch and the
@@ -111,7 +129,7 @@ type funcTramp struct {
 // the patch will do, independent of byte encodings. A plan is built by
 // the plan stage, has addresses assigned by the layout stage, and is
 // consumed read-only by the emit stage — so emission can run on a worker
-// pool and unchanged units can skip re-encoding entirely.
+// pool.
 type PatchPlan struct {
 	an      *Analysis
 	mode    Mode
@@ -124,24 +142,23 @@ type PatchPlan struct {
 	clones []*cloneInfo
 	tramps []funcTramp
 
-	baseSite     map[uint64]int // instr addr -> clone index (table base)
-	funcSite     map[uint64]int // instr addr -> clone index (func start base)
-	widenLoad    map[uint64]int
-	codePtrImm   map[uint64]uint64 // instr addr -> original pointer value (func-ptr mode)
-	instrumented map[string]bool
+	// Classification inputs: instrumented is indexed like Graph.Funcs;
+	// sites is stably sorted by address and siteBits marks their .text
+	// offsets, so an ordinary instruction is classified without a search.
+	instrumented []bool
+	textAddr     uint64
+	siteBits     []uint64
+	sites        []site
 
-	counterCells map[uint64]uint64
-	counterBase  uint64
-	nextCell     uint64
+	counterBase uint64
+	nextCell    uint64
 
 	// Profile guidance. prof is the (non-trivial) profile steering the
-	// rewrite; profCount its per-function heat; hot the instrumented
-	// functions that receive a fast variant; selCells their selector
-	// cells ([selBase, selEnd), directly above the counter region).
+	// rewrite and profCount its per-function heat; the hot functions'
+	// selector cells are [selBase, selEnd), directly above the counter
+	// region.
 	prof      *profile.Profile
 	profCount map[string]uint64
-	hot       map[string]bool
-	selCells  map[string]uint64
 	selBase   uint64
 	selEnd    uint64
 
@@ -149,10 +166,9 @@ type PatchPlan struct {
 	sections  sectionPlan
 	instrBase uint64
 	instrEnd  uint64
-	unitStart map[string]uint64 // function name -> relocated unit start
-	relocMap  map[uint64]uint64
-	fastReloc map[uint64]uint64 // original addr -> fast-body copy's addr
-	varAddr   []uint64          // variant slot -> fast-body entry addr
+	reloc     relocTable // original addr -> relocated addr
+	fastReloc relocTable // original addr -> fast-body copy's addr
+	varAddr   []uint64   // variant slot -> fast-body entry addr
 }
 
 // newPatchPlan builds the plan for every instrumented function. Unit
@@ -162,6 +178,7 @@ type PatchPlan struct {
 // identical whatever the worker count.
 func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 	b, g := an.Binary, an.Graph
+	text := b.Text()
 	p := &PatchPlan{
 		an:           an,
 		mode:         opts.Mode,
@@ -169,71 +186,57 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 		variant:      opts.Variant,
 		emitter:      arch.EmitterFor(b.Arch),
 		env:          arch.EmitEnv{PIE: b.PIE, TOCValue: b.TOCValue},
-		baseSite:     map[uint64]int{},
-		funcSite:     map[uint64]int{},
-		widenLoad:    map[uint64]int{},
-		codePtrImm:   map[uint64]uint64{},
-		instrumented: make(map[string]bool, len(g.Funcs)),
-		counterCells: map[uint64]uint64{},
+		instrumented: make([]bool, len(g.Funcs)),
+		textAddr:     text.Addr,
+		siteBits:     make([]uint64, (text.Size()+63)/64),
 		counterBase:  counterBase,
 		nextCell:     counterBase,
 	}
-	for _, f := range g.Funcs {
+	for i, f := range g.Funcs {
 		if f.Instrumentable() && p.req.Wants(f.Name) && len(f.Blocks) > 0 {
-			p.instrumented[f.Name] = true
+			p.instrumented[i] = true
+			p.units = append(p.units, &planUnit{fn: f, varSlot: -1})
 		}
 	}
 	// Collect jump table clones (jt and func-ptr modes).
 	if p.mode >= ModeJT {
-		for _, f := range g.Funcs {
-			if !p.instrumented[f.Name] {
-				continue
-			}
-			for i := range f.IndirectJumps {
-				tbl := f.IndirectJumps[i].Table
+		for _, u := range p.units {
+			for i := range u.fn.IndirectJumps {
+				tbl := u.fn.IndirectJumps[i].Table
 				if tbl == nil {
 					continue
 				}
-				ci := &cloneInfo{tbl: tbl, owner: f, newEntry: tbl.EntrySize}
+				ci := &cloneInfo{tbl: tbl, unit: u, newEntry: tbl.EntrySize}
 				if tbl.EntrySize < 4 {
 					ci.newEntry = 4 // widen compressed entries (Section 5.1)
 				}
-				idx := len(p.clones)
+				idx := uint64(len(p.clones))
 				p.clones = append(p.clones, ci)
 				for _, a := range tbl.BaseInstrs {
-					p.baseSite[a] = idx
+					p.addSite(a, siteBase, idx)
 				}
 				for _, a := range tbl.FuncStartInstrs {
-					p.funcSite[a] = idx
+					p.addSite(a, siteFuncBase, idx)
 				}
-				p.widenLoad[tbl.LoadAddr] = idx
+				p.addSite(tbl.LoadAddr, siteWiden, idx)
 			}
 		}
 	}
 	// Code-immediate pointer sites (func-ptr mode) are known before any
 	// unit is built, so classification sees them on the first pass.
-	for _, site := range an.PtrSites {
-		for _, ia := range site.Instrs {
-			p.codePtrImm[ia] = site.Value
+	for _, ps := range an.PtrSites {
+		for _, ia := range ps.Instrs {
+			p.addSite(ia, sitePtr, ps.Value)
 		}
 	}
-
-	var fns []*cfg.Func
-	for _, f := range g.Funcs {
-		if p.instrumented[f.Name] {
-			fns = append(fns, f)
-		}
-	}
+	sort.SliceStable(p.sites, func(i, j int) bool { return p.sites[i].addr < p.sites[j].addr })
 	// Pre-assign counter cells per function in symbol-table order: the
 	// cell sequence must not depend on which worker builds which unit.
-	cellBase := make([]uint64, len(fns))
 	if p.req.Payload == instrument.PayloadCounter {
-		next := counterBase
-		for i, f := range fns {
-			cellBase[i] = next
-			next += 8 * uint64(p.countPoints(f))
+		for _, u := range p.units {
+			u.cell = p.nextCell
+			p.nextCell += 8 * uint64(p.countPoints(u.fn))
 		}
-		p.nextCell = next
 	}
 
 	// Profile guidance. The profile is advisory: trivial (or absent)
@@ -246,42 +249,27 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 		p.prof = opts.Profile
 		p.profCount = opts.Profile.CountByName()
 	}
-	varSlot := make([]int, len(fns))
-	selCell := make([]uint64, len(fns))
 	p.selBase, p.selEnd = p.nextCell, p.nextCell
-	for i := range varSlot {
-		varSlot[i] = -1
-	}
 	if p.prof != nil && p.variant == (Variant{}) &&
 		p.req.Where == instrument.BlockEntry && p.req.Payload == instrument.PayloadCounter {
-		hotAll := p.prof.HotFuncs()
-		p.hot = map[string]bool{}
-		p.selCells = map[string]uint64{}
+		hot := p.prof.HotFuncs()
 		// Selector cells directly follow the counter region, assigned in
 		// the same symbol-table order for worker-count independence.
-		slot := 0
-		for i, f := range fns {
-			if !hotAll[f.Name] {
-				continue
+		for _, u := range p.units {
+			if hot[u.fn.Name] {
+				u.varSlot, u.selCell = len(p.varAddr), p.selEnd
+				p.varAddr = append(p.varAddr, 0)
+				p.selEnd += 8
 			}
-			p.hot[f.Name] = true
-			selCell[i] = p.selEnd
-			p.selCells[f.Name] = p.selEnd
-			p.selEnd += 8
-			varSlot[i] = slot
-			slot++
 		}
-		p.varAddr = make([]uint64, slot)
 	}
 
-	p.units = make([]*planUnit, len(fns))
-	cellMaps := make([]map[uint64]uint64, len(fns))
 	if !p.variant.NoTrampolines {
-		p.tramps = make([]funcTramp, len(fns))
+		p.tramps = make([]funcTramp, len(p.units))
 	}
 	build := func(i int) {
-		f := fns[i]
-		p.units[i], cellMaps[i] = p.buildUnit(g, f, cellBase[i], varSlot[i], selCell[i])
+		f := p.units[i].fn
+		p.buildUnit(g, p.units[i])
 		if !p.variant.NoTrampolines {
 			pl := an.placement(f)
 			ft := funcTramp{fn: f, cflBlocks: len(pl.cfl), scratchBlocks: len(f.Blocks) - len(pl.cfl)}
@@ -291,13 +279,41 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 			p.tramps[i] = ft
 		}
 	}
-	runIndexed(len(fns), opts.PatchJobs, build)
-	for i := range cellMaps {
-		for a, c := range cellMaps[i] {
-			p.counterCells[a] = c
+	runIndexed(len(p.units), opts.PatchJobs, build)
+	return p
+}
+
+// addSite records one role of a jump-table or pointer site.
+func (p *PatchPlan) addSite(a uint64, role int, v uint64) {
+	if off := a - p.textAddr; off < uint64(len(p.siteBits))*64 {
+		p.siteBits[off/64] |= 1 << (off % 64)
+	}
+	p.sites = append(p.sites, site{addr: a, v: v, role: role})
+}
+
+// siteAt folds the roles recorded for the instruction at a: per role,
+// the last value recorded plus one, so zero means "no such role".
+// Unmarked .text offsets return at once; only sites pay for the search.
+func (p *PatchPlan) siteAt(a uint64) (sf [sitePtr + 1]uint64) {
+	if off := a - p.textAddr; off < uint64(len(p.siteBits))*64 && p.siteBits[off/64]&(1<<(off%64)) == 0 {
+		return sf
+	}
+	for i := sort.Search(len(p.sites), func(i int) bool { return p.sites[i].addr >= a }); i < len(p.sites) && p.sites[i].addr == a; i++ {
+		sf[p.sites[i].role] = p.sites[i].v + 1
+	}
+	return sf
+}
+
+// counterCells maps every instrumentation point to its counter cell,
+// merging units in symbol-table order (call it before reverseUnits).
+func (p *PatchPlan) counterCells() map[uint64]uint64 {
+	m := map[uint64]uint64{}
+	for _, u := range p.units {
+		for _, c := range u.cells {
+			m[c.From] = c.To
 		}
 	}
-	return p
+	return m
 }
 
 // countPoints counts the instrumentation points buildUnit will insert a
@@ -318,25 +334,26 @@ func (p *PatchPlan) countPoints(f *cfg.Func) int {
 	return n
 }
 
-// buildUnit converts one function's blocks into relocation items,
-// inserting payload snippets. cell is the function's pre-assigned
-// counter-cell cursor; the returned map records origAddr -> cell for the
-// plan's counterCells (merged sequentially to stay deterministic).
+// buildUnit converts one function's blocks into relocation items in u,
+// inserting payload snippets. Counter cells are handed out from the
+// unit's pre-assigned u.cell on and recorded in u.cells for the
+// result's CounterCells.
 //
-// For a profile-hot function (varSlot >= 0) the unit is a concatenation
-// of three streams behind one item slab, so layout, emission, the unit
-// signature, and the slab pool are untouched by multi-versioning:
+// For a profile-hot function (u.varSlot >= 0) the unit is a concatenation
+// of three streams behind one item slab, so layout, emission, and the
+// slab pool are untouched by multi-versioning:
 //
 //	[dispatch stub][restore + full body][restore + fast body]
 //
 // The stub (arch.Emitter.DispatchStub) owns the function entry in the
-// relocation map — calls, pointers, and the entry trampoline all
+// relocation table — calls, pointers, and the entry trampoline all
 // dispatch — and branches to the fast body when the selector cell at
-// selCell is non-zero. The fast body carries only the entry counter
+// u.selCell is non-zero. The fast body carries only the entry counter
 // (sharing the full body's cell) and resolves intra-function control
-// flow through fastReloc so hot loops never leave the sparse copy.
-func (p *PatchPlan) buildUnit(g *cfg.Graph, f *cfg.Func, cell uint64, varSlot int, selCell uint64) (*planUnit, map[uint64]uint64) {
-	u := &planUnit{fn: f, varSlot: -1}
+// flow through the fast-body table so hot loops never leave the sparse
+// copy.
+func (p *PatchPlan) buildUnit(g *cfg.Graph, u *planUnit) {
+	f, cell := u.fn, u.cell
 	// Size the item slab up front: one item per instruction plus room
 	// for inserted snippets and fall-through branches. Underestimates
 	// just regrow the slab (the grown one is what gets recycled).
@@ -347,61 +364,75 @@ func (p *PatchPlan) buildUnit(g *cfg.Graph, f *cfg.Func, cell uint64, varSlot in
 	if p.req.Payload == instrument.PayloadCounter {
 		est += 4 * p.countPoints(f)
 	}
-	if varSlot >= 0 {
+	if u.varSlot >= 0 {
 		est = 2*est + 16 // stub, two restores, the fast body
 	}
 	u.items = getItemSlab(est)
-	cells := map[uint64]uint64{}
 
-	if varSlot >= 0 {
+	if u.varSlot >= 0 {
 		// Dispatch stub. The first instruction claims the function entry
-		// in the relocation map (its items precede the full body's, and
+		// in the relocation table (its items precede the full body's, and
 		// layout's first claim wins). Target kinds are assigned by
 		// instruction kind exactly as for counter snippets, plus the
 		// trailing conditional branch resolving through varAddr.
 		//
 		// A CFI function's entry marker must precede the stub: indirect
-		// calls dispatch through the entry's relocMap claim, so the claim
-		// has to decode as a marker under CET enforcement. The marker item
-		// takes the claim (first claim wins); the full body's own copy of
-		// the marker is then redundant but harmless (markers are no-ops).
+		// calls dispatch through the entry's claim, so the claim has to
+		// decode as a marker under CET enforcement. The marker item takes
+		// the claim (first claim wins); the full body's own copy of the
+		// marker is then redundant but harmless (markers are no-ops).
 		if eb, ok := f.BlockAt(f.Entry); ok && len(eb.Instrs) > 0 && eb.Instrs[0].Kind == arch.Mark {
-			u.items = append(u.items, planItem{ins: arch.Instr{Kind: arch.Mark}, mapAddr: f.Entry})
+			u.add(arch.Instr{Kind: arch.Mark}).claim = f.Entry
 		}
-		for k, ins := range p.emitter.DispatchStub(p.env, selCell) {
-			it := planItem{ins: ins}
+		for k, ins := range p.emitter.DispatchStub(p.env, u.selCell) {
+			it := u.add(ins)
 			if k == 0 {
-				it.mapAddr = f.Entry
+				it.claim = f.Entry
 			}
 			switch ins.Kind {
 			case arch.Lea, arch.LeaHi:
-				it.tk, it.pf, it.target = tkAbs, arch.FormPCRel, selCell
+				it.tk, it.pf, it.target = tkAbs, arch.FormPCRel, u.selCell
 				it.ins.Imm = 0
 			case arch.BranchCond:
-				it.tk, it.pf, it.target = tkVarEntry, arch.FormPCRel, uint64(varSlot)
+				it.tk, it.pf, it.target = tkVarEntry, arch.FormPCRel, uint64(u.varSlot)
 			}
-			u.items = append(u.items, it)
 		}
 		// Fall-through into the full body, which must first recover the
 		// register the stub spilled.
-		u.items = append(u.items, planItem{ins: arch.VariantRestore()})
+		u.add(arch.VariantRestore())
 	}
 
-	p.appendFullBody(u, g, f, &cell, cells)
+	p.appendFullBody(u, g, &cell)
 
-	if varSlot >= 0 {
-		u.variants, u.varSlot = 1, varSlot
-		u.fastStart = len(u.items)
-		u.items = append(u.items, planItem{ins: arch.VariantRestore()})
-		p.appendFastBody(u, g, f, cells)
+	u.fastStart = len(u.items)
+	if u.varSlot >= 0 {
+		u.add(arch.VariantRestore())
+		p.appendFastBody(u, g)
 	}
-	return u, cells
+}
+
+// add appends a zero item carrying ins and returns it to fill in place.
+func (u *planUnit) add(ins arch.Instr) *planItem {
+	u.items = append(u.items, planItem{})
+	it := &u.items[len(u.items)-1]
+	it.ins = ins
+	return it
+}
+
+// addRelocated appends the relocated copy of an original instruction,
+// claiming its address, and classifies its operand.
+func (p *PatchPlan) addRelocated(u *planUnit, g *cfg.Graph, ins *arch.Instr) *planItem {
+	it := u.add(*ins)
+	it.ins.Short = false // relocated branches use the long form
+	it.claim = ins.Addr
+	p.classify(g, it)
+	return it
 }
 
 // appendFullBody appends the function's fully instrumented body — the
 // exact item stream an unguided plan consists of.
-func (p *PatchPlan) appendFullBody(u *planUnit, g *cfg.Graph, f *cfg.Func, cell *uint64, cells map[uint64]uint64) {
-	add := func(it planItem) { u.items = append(u.items, it) }
+func (p *PatchPlan) appendFullBody(u *planUnit, g *cfg.Graph, cell *uint64) {
+	f := u.fn
 	blocks := f.Blocks
 	if p.variant.ReverseBlocks {
 		blocks = make([]*cfg.Block, len(f.Blocks))
@@ -413,42 +444,36 @@ func (p *PatchPlan) appendFullBody(u *planUnit, g *cfg.Graph, f *cfg.Func, cell 
 		instrs := blk.Instrs
 		// A landing-pad marker opening a block must stay the relocated
 		// block's first instruction: indirect transfers resolve through
-		// the block's relocMap claim, and CET enforcement requires the
-		// landing address to decode as a marker before any inserted
-		// snippet runs. Hoist it above the snippet; marker-less blocks
-		// take the historical item order byte-for-byte.
+		// the block's claim, and CET enforcement requires the landing
+		// address to decode as a marker before any inserted snippet runs.
+		// Hoist it above the snippet; marker-less blocks take the
+		// historical item order byte-for-byte.
 		var markAddr uint64
 		if len(instrs) > 0 && instrs[0].Kind == arch.Mark {
-			ins := instrs[0]
-			it := planItem{ins: ins, origAddr: ins.Addr, origLen: ins.EncLen, mapAddr: ins.Addr}
-			it.ins.Short = false
-			p.classify(g, f, &it)
-			add(it)
-			markAddr = ins.Addr
+			p.addRelocated(u, g, &instrs[0])
+			markAddr = instrs[0].Addr
 			instrs = instrs[1:]
 		}
 		if p.req.Where == instrument.BlockEntry ||
 			(p.req.Where == instrument.FuncEntry && blk.Start == f.Entry) {
-			p.addSnippet(u, blk.Start, cell, cells)
+			p.addSnippet(u, blk.Start, cell)
 		}
 		if markAddr != 0 && p.req.WantsAddr(markAddr) {
-			p.addSnippet(u, markAddr, cell, cells)
+			p.addSnippet(u, markAddr, cell)
 		}
-		for _, ins := range instrs {
-			if p.req.WantsAddr(ins.Addr) {
-				p.addSnippet(u, ins.Addr, cell, cells)
+		for i := range instrs {
+			if p.req.WantsAddr(instrs[i].Addr) {
+				p.addSnippet(u, instrs[i].Addr, cell)
 			}
-			it := planItem{ins: ins, origAddr: ins.Addr, origLen: ins.EncLen, mapAddr: ins.Addr}
-			it.ins.Short = false // relocated branches use the long form
-			p.classify(g, f, &it)
-			add(it)
+			p.addRelocated(u, g, &instrs[i])
 		}
 		// Reordered blocks whose successor was reached by falling
 		// through need an explicit branch to it.
 		if last := blk.Last(); last.FallsThrough() && blk.End < f.End {
 			needBranch := p.variant.ReverseBlocks && (bi+1 >= len(blocks) || blocks[bi+1].Start != blk.End)
 			if needBranch {
-				add(planItem{ins: arch.Instr{Kind: arch.Branch}, tk: tkMapped, pf: arch.FormPCRel, target: blk.End})
+				it := u.add(arch.Instr{Kind: arch.Branch})
+				it.tk, it.pf, it.target = tkMapped, arch.FormPCRel, blk.End
 			}
 		}
 	}
@@ -457,46 +482,37 @@ func (p *PatchPlan) appendFullBody(u *planUnit, g *cfg.Graph, f *cfg.Func, cell 
 // appendFastBody appends the sparsely instrumented variant: the entry
 // block keeps its counter snippet — sharing the full body's cell, so
 // either variant feeds the same counter — and every other block is
-// relocated without payload. Items register in fastReloc (vmap), never
-// in relocMap, and intra-function control transfers become tkLocal so
-// they resolve into this copy first.
-func (p *PatchPlan) appendFastBody(u *planUnit, g *cfg.Graph, f *cfg.Func, cells map[uint64]uint64) {
-	b := p.an.Binary
+// relocated without payload. Its items claim in the fast-body table,
+// and intra-function control transfers become tkLocal so they resolve
+// into this copy first.
+func (p *PatchPlan) appendFastBody(u *planUnit, g *cfg.Graph) {
+	f := u.fn
 	for _, blk := range f.Blocks {
 		if blk.Start == f.Entry {
-			c := cells[f.Entry]
-			for k, ins := range instrument.CounterSnippet(b.Arch, b.PIE, c) {
-				it := planItem{ins: ins}
-				if k == 0 {
-					// Entry loops land on the snippet, after the restore:
-					// the restore must only run on arrival from the stub.
-					it.vmap = f.Entry
+			var c uint64 // the full body's entry cell
+			for _, pc := range u.cells {
+				if pc.From == f.Entry {
+					c = pc.To
 				}
-				if ins.Kind == arch.Lea || ins.Kind == arch.LeaHi {
-					it.tk, it.pf, it.target = tkAbs, arch.FormPCRel, c
-					it.ins.Imm = 0
-				}
-				u.items = append(u.items, it)
 			}
+			// Entry loops land on the snippet, after the restore: the
+			// restore must only run on arrival from the stub.
+			p.addCounter(u, c, f.Entry)
 		}
-		for _, ins := range blk.Instrs {
-			it := planItem{ins: ins, origAddr: ins.Addr, origLen: ins.EncLen}
-			it.ins.Short = false
-			p.classify(g, f, &it)
+		for i := range blk.Instrs {
+			it := p.addRelocated(u, g, &blk.Instrs[i])
 			if it.tk == tkMapped && it.pf == arch.FormPCRel && it.target >= f.Entry && it.target < f.End {
-				switch ins.Kind {
+				switch it.ins.Kind {
 				case arch.Branch, arch.BranchCond, arch.Call:
 					it.tk = tkLocal
 				}
 			}
-			it.vmap = ins.Addr
-			u.items = append(u.items, it)
 		}
 	}
 }
 
 // addSnippet appends the payload instructions for the point at origAddr.
-func (p *PatchPlan) addSnippet(u *planUnit, origAddr uint64, cell *uint64, cells map[uint64]uint64) {
+func (p *PatchPlan) addSnippet(u *planUnit, origAddr uint64, cell *uint64) {
 	if p.req.Payload != instrument.PayloadCounter {
 		// Empty instrumentation still owns the mapping for the point
 		// (the relocated block starts here); no instructions.
@@ -504,28 +520,32 @@ func (p *PatchPlan) addSnippet(u *planUnit, origAddr uint64, cell *uint64, cells
 	}
 	c := *cell
 	*cell += 8
-	cells[origAddr] = c
+	u.cells = append(u.cells, bin.AddrPair{From: origAddr, To: c})
+	p.addCounter(u, c, origAddr)
+}
+
+// addCounter appends a counter snippet for cell c whose first item
+// claims addr.
+func (p *PatchPlan) addCounter(u *planUnit, c, addr uint64) {
 	b := p.an.Binary
-	seq := instrument.CounterSnippet(b.Arch, b.PIE, c)
-	for k, ins := range seq {
-		it := planItem{ins: ins}
+	for k, ins := range instrument.CounterSnippet(b.Arch, b.PIE, c) {
+		it := u.add(ins)
 		if k == 0 {
-			it.mapAddr = origAddr
+			it.claim = addr
 		}
 		if ins.Kind == arch.Lea || ins.Kind == arch.LeaHi {
 			it.tk, it.pf, it.target = tkAbs, arch.FormPCRel, c
 			it.ins.Imm = 0
 		}
-		u.items = append(u.items, it)
 	}
 }
 
 // classify decides how the item's operand is re-resolved.
-func (p *PatchPlan) classify(g *cfg.Graph, f *cfg.Func, it *planItem) {
-	ins := it.ins
-	a := ins.Addr
-	if ci, ok := p.baseSite[a]; ok {
-		it.tk, it.target = tkClone, uint64(ci)
+func (p *PatchPlan) classify(g *cfg.Graph, it *planItem) {
+	ins := &it.ins
+	sf := p.siteAt(ins.Addr)
+	if sf[siteBase] != 0 {
+		it.tk, it.target = tkClone, sf[siteBase]-1
 		switch ins.Kind {
 		case arch.Lea, arch.LeaHi:
 			it.pf = arch.FormPCRel
@@ -538,14 +558,14 @@ func (p *PatchPlan) classify(g *cfg.Graph, f *cfg.Func, it *planItem) {
 		}
 		return
 	}
-	if ci, ok := p.funcSite[a]; ok {
+	if sf[siteFuncBase] != 0 {
 		// The compressed-table base must be the relocated unit start:
 		// under block reordering the entry block may not come first.
-		it.tk, it.pf, it.target = tkFuncBase, arch.FormPCRel, uint64(ci)
+		it.tk, it.pf, it.target = tkFuncBase, arch.FormPCRel, sf[siteFuncBase]-1
 		return
 	}
-	if ci, ok := p.widenLoad[a]; ok && p.clones[ci].tbl.EntrySize < 4 {
-		it.ins.Size, it.ins.Scale = 4, 4
+	if sf[siteWiden] != 0 && p.clones[sf[siteWiden]-1].tbl.EntrySize < 4 {
+		ins.Size, ins.Scale = 4, 4
 	}
 	switch ins.Kind {
 	case arch.Branch, arch.BranchCond, arch.Call:
@@ -580,12 +600,12 @@ func (p *PatchPlan) classify(g *cfg.Graph, f *cfg.Func, it *planItem) {
 		t, _ := ins.Target()
 		it.tk, it.pf, it.target = tkAbs, arch.FormPCRel, t
 	case arch.MovImm:
-		if v, ok := p.codePtrImm[a]; ok && p.mode == ModeFuncPtr {
-			it.tk, it.pf, it.target = tkMapped, arch.FormImmAbs, v
+		if sf[sitePtr] != 0 && p.mode == ModeFuncPtr {
+			it.tk, it.pf, it.target = tkMapped, arch.FormImmAbs, sf[sitePtr]-1
 		}
 	case arch.MovImm16, arch.MovK16:
-		if v, ok := p.codePtrImm[a]; ok && p.mode == ModeFuncPtr {
-			it.tk, it.pf, it.target = tkMapped, arch.FormImmHi16, v
+		if sf[sitePtr] != 0 && p.mode == ModeFuncPtr {
+			it.tk, it.pf, it.target = tkMapped, arch.FormImmHi16, sf[sitePtr]-1
 		}
 	case arch.Throw, arch.Syscall:
 		it.ra = raSelf
@@ -595,8 +615,8 @@ func (p *PatchPlan) classify(g *cfg.Graph, f *cfg.Func, it *planItem) {
 // mapsTo reports whether an original code address belongs to a function
 // being relocated (so control flow to it must be retargeted).
 func (p *PatchPlan) mapsTo(g *cfg.Graph, addr uint64) bool {
-	f, ok := g.FuncContaining(addr)
-	return ok && p.instrumented[f.Name]
+	i, ok := g.FuncIndex(addr)
+	return ok && p.instrumented[i]
 }
 
 // runIndexed runs body(0..n-1) on up to jobs workers (serially when jobs

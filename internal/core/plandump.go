@@ -46,7 +46,7 @@ func (p *PatchPlan) Dump(w io.Writer) {
 		fmt.Fprintf(w, "  counters      [%#x,%#x)\n", p.counterBase, p.nextCell)
 	}
 	if p.prof != nil {
-		fmt.Fprintf(w, "  profile       hash=%s hot=%d variants=%d\n", p.prof.Hash()[:12], len(p.hot), len(p.varAddr))
+		fmt.Fprintf(w, "  profile       hash=%s hot=%d variants=%d\n", p.prof.Hash()[:12], len(p.varAddr), len(p.varAddr))
 	}
 	if p.selEnd > p.selBase {
 		fmt.Fprintf(w, "  selectors     [%#x,%#x)\n", p.selBase, p.selEnd)
@@ -59,22 +59,22 @@ func (p *PatchPlan) Dump(w io.Writer) {
 		fmt.Fprintf(w, "  clones        base %#x (%d bytes)\n", p.sections.cloneBase, p.cloneBytes())
 		for i, c := range p.clones {
 			fmt.Fprintf(w, "    clone %d owner=%s addr=%#x entries=%d entry-size=%d\n",
-				i, c.owner.Name, c.addr, c.tbl.Count, c.newEntry)
+				i, c.unit.fn.Name, c.addr, c.tbl.Count, c.newEntry)
 		}
 	}
 	fmt.Fprintf(w, "  instr         [%#x,%#x)\n", p.instrBase, p.instrEnd)
 	for _, u := range p.units {
-		fmt.Fprintf(w, "unit %s: start %#x, %d items%s\n", u.fn.Name, p.unitStart[u.fn.Name], len(u.items), p.unitTier(u))
+		fmt.Fprintf(w, "unit %s: start %#x, %d items%s\n", u.fn.Name, u.start, len(u.items), p.unitTier(u))
 		for i := range u.items {
 			it := &u.items[i]
 			fmt.Fprintf(w, "  %#x len=%-2d %s", it.newAddr, it.newLen, it.ins.Kind)
-			if it.origAddr != 0 {
-				fmt.Fprintf(w, " orig=%#x", it.origAddr)
+			if it.ins.Addr != 0 {
+				fmt.Fprintf(w, " orig=%#x", it.ins.Addr)
 			} else {
 				fmt.Fprintf(w, " inserted")
 			}
 			if it.tk != tkNone {
-				fmt.Fprintf(w, " %s -> %#x (%s)", it.pf, p.resolveTarget(it), targetKindName(it.tk))
+				fmt.Fprintf(w, " %s -> %#x (%s)", it.pf, p.resolveTarget(it), targetKindNames[it.tk])
 			}
 			if it.expand != 0 {
 				fmt.Fprintf(w, " expand=%s", it.expand)
@@ -91,7 +91,7 @@ func (p *PatchPlan) Dump(w io.Writer) {
 		}
 		fmt.Fprintf(w, "trampolines %s: cfl=%d scratch-blocks=%d\n", ft.fn.Name, ft.cflBlocks, ft.scratchBlocks)
 		for _, job := range ft.jobs {
-			to := p.relocMap[job.sb.Start]
+			to, _ := p.reloc.get(job.sb.Start)
 			fmt.Fprintf(w, "  superblock %#x space=%d scratch=%s -> %#x\n",
 				job.sb.Start, job.sb.Space, job.scratch, to)
 		}
@@ -105,29 +105,13 @@ func (p *PatchPlan) unitTier(u *planUnit) string {
 	if p.prof == nil {
 		return ""
 	}
-	if u.variants > 0 {
+	if u.varSlot >= 0 {
 		return fmt.Sprintf(" [tier=hot variants=2 sel=%#x fast=%#x heat=%d]",
-			p.selCells[u.fn.Name], p.varAddr[u.varSlot], p.profCount[u.fn.Name])
+			u.selCell, p.varAddr[u.varSlot], p.profCount[u.fn.Name])
 	}
 	return fmt.Sprintf(" [tier=cold variants=1 heat=%d]", p.profCount[u.fn.Name])
 }
 
-// targetKindName names a targetKind for plan dumps.
-func targetKindName(tk targetKind) string {
-	switch tk {
-	case tkAbs:
-		return "abs"
-	case tkMapped:
-		return "mapped"
-	case tkClone:
-		return "clone"
-	case tkFuncBase:
-		return "func-base"
-	case tkVarEntry:
-		return "var-entry"
-	case tkLocal:
-		return "local"
-	default:
-		return "none"
-	}
-}
+// targetKindNames names each targetKind for plan dumps.
+var targetKindNames = [...]string{tkNone: "none", tkAbs: "abs", tkMapped: "mapped", tkClone: "clone",
+	tkFuncBase: "func-base", tkVarEntry: "var-entry", tkLocal: "local"}

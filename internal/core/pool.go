@@ -4,21 +4,17 @@ import "sync"
 
 // This file is the hot-path allocation discipline for the staged patch
 // pipeline (DESIGN.md §11). The warm service loop runs Patch thousands
-// of times against one cached Analysis; before pooling, every call paid
-// one allocation per relocated instruction (plan items), one fresh
-// multi-megabyte emit buffer, and a rebuilt relocation map per layout
-// iteration. The pools below recycle exactly the allocations whose
-// lifetime ends with the Patch call (or, for emit buffers, with the
-// caller's explicit Result.Recycle) — never anything retained by the
-// returned Result.
+// of times against one cached Analysis. The pools recycle plan item
+// slabs, which die with the Patch call, and emit buffers, which die at
+// the caller's explicit Result.Recycle. The relocation table is not
+// pooled: the Result keeps it to answer Relocated.
 //
 // Safety rules, enforced by the differential fuzzer's byte-equivalence
 // checks (FuzzDifferentialRewrite):
 //
 //   - planItem is pointer-free (arch.Instr holds only scalars), so a
 //     recycled slab cannot keep dead objects alive, and every item is
-//     fully overwritten before use (slabs are truncated to length 0 and
-//     appended to).
+//     appended zeroed and filled in place.
 //   - pooled emit buffers are fully overwritten before use: the .instr
 //     buffer is pre-filled with illegal instructions end to end, and the
 //     clone buffer is cleared (its alignment gaps must read as zero).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -96,17 +97,19 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	// plan allocates cells and builds every unit's relocation items.
 	counterBase := alignUp(b.MaxLoadedAddr(), sectionGap) + sectionGap
 	p := newPatchPlan(an, opts, counterBase)
-	for _, f := range g.Funcs {
-		if p.instrumented[f.Name] {
+	var cells map[uint64]uint64
+	if opts.Request.Payload == instrument.PayloadCounter {
+		cells = p.counterCells()
+	}
+	for i, f := range g.Funcs {
+		if p.instrumented[i] {
 			stats.InstrumentedFuncs++
 		} else if f.Err != nil {
 			stats.SkippedFuncs = append(stats.SkippedFuncs, f.Name)
 		}
 	}
-	stats.HotFuncs = len(p.hot)
-	for _, u := range p.units {
-		stats.VariantFuncs += u.variants
-	}
+	// Every hot function receives exactly one fast variant.
+	stats.HotFuncs, stats.VariantFuncs = len(p.varAddr), len(p.varAddr)
 	if opts.Variant.ReverseFuncs {
 		p.reverseUnits()
 	}
@@ -157,11 +160,8 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	// Patch the original text: verification fill, then trampolines.
 	text := nb.Text()
 	if opts.Verify {
-		for _, f := range g.Funcs {
-			if !p.instrumented[f.Name] {
-				continue
-			}
-			fillTextIllegal(b.Arch, text, f)
+		for _, u := range p.units {
+			fillTextIllegal(b.Arch, text, u.fn)
 		}
 	}
 	for _, pr := range an.paddingRanges() {
@@ -180,7 +180,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 		stats.CFLBlocks += ft.cflBlocks
 		stats.ScratchBlocks += ft.scratchBlocks
 		for _, job := range ft.jobs {
-			to, ok := p.relocMap[job.sb.Start]
+			to, ok := p.reloc.get(job.sb.Start)
 			if !ok {
 				return nil, fmt.Errorf("core: CFL block %#x in %s has no relocated address", job.sb.Start, ft.fn.Name)
 			}
@@ -193,7 +193,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 				deferred = append(deferred, hopJob{sb: sb, to: to, scratch: job.scratch, heat: p.profCount[ft.fn.Name]})
 				continue
 			}
-			if err := installTrampoline(nb, text, tr, pool, sb, &stats); err != nil {
+			if err := installTrampoline(nb, tr, pool, sb, &stats); err != nil {
 				return nil, err
 			}
 		}
@@ -211,7 +211,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 		tr, hop, ok := multiHop(b, job.sb, job.to, job.scratch, pool)
 		if ok {
 			tr.Class = arch.TrampMulti
-			if err := installTrampoline(nb, text, tr, pool, job.sb, &stats); err != nil {
+			if err := installTrampoline(nb, tr, pool, job.sb, &stats); err != nil {
 				return nil, err
 			}
 			if err := writeTrampoline(nb, hop); err != nil {
@@ -220,7 +220,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 			continue
 		}
 		trap := arch.NewTrapTrampoline(b.Arch, job.sb.Start, job.to)
-		if err := installTrampoline(nb, text, trap, pool, job.sb, &stats); err != nil {
+		if err := installTrampoline(nb, trap, pool, job.sb, &stats); err != nil {
 			return nil, err
 		}
 		trapPairs = append(trapPairs, bin.AddrPair{From: trap.From, To: trap.To})
@@ -233,7 +233,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 
 	// Function pointer rewriting (data slots and relocations).
 	for _, site := range ptrSites {
-		newVal, ok := p.relocMap[site.Value]
+		newVal, ok := p.reloc.get(site.Value)
 		if !ok {
 			continue // target not relocated; pointer stays valid
 		}
@@ -342,10 +342,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	mx.ScratchBlocks = stats.ScratchBlocks
 	mx.ScratchBytesHarvested = pool.harvested
 	mx.ScratchBytesFree = pool.total()
-	mx.Trampolines = map[arch.TrampolineClass]int{}
-	for c, n := range stats.Trampolines {
-		mx.Trampolines[c] = n
-	}
+	mx.Trampolines = maps.Clone(stats.Trampolines)
 	mx.ClonedTables = stats.ClonedTables
 	mx.AnalysisFailures = len(stats.SkippedFuncs)
 	if sp != nil {
@@ -358,13 +355,10 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 		sp.SetInt("patch-jobs", int64(opts.PatchJobs))
 		sp.SetInt("patch-funcs-reencoded", int64(mx.PatchFuncsReencoded))
 	}
-	res := &Result{Binary: nb, Stats: stats, Metrics: mx, RelocMap: p.relocMap, TrapSites: trapSites}
+	res := &Result{Binary: nb, Stats: stats, Metrics: mx, CounterCells: cells, TrapSites: trapSites, reloc: p.reloc}
 	res.pooled = append(res.pooled, instrData)
 	if len(cloneData) > 0 {
 		res.pooled = append(res.pooled, cloneData)
-	}
-	if opts.Request.Payload == instrument.PayloadCounter {
-		res.CounterCells = p.counterCells
 	}
 	return res, nil
 }

@@ -100,7 +100,7 @@ func multiHop(b *bin.Binary, sb superblock, to uint64, scratch arch.Reg, pool *s
 
 // installTrampoline writes the trampoline into the text section and
 // donates the superblock's remaining space to the scratch pool.
-func installTrampoline(nb *bin.Binary, text *bin.Section, tr arch.Trampoline, pool *scratchPool, sb superblock, stats *Stats) error {
+func installTrampoline(nb *bin.Binary, tr arch.Trampoline, pool *scratchPool, sb superblock, stats *Stats) error {
 	if err := writeTrampoline(nb, tr); err != nil {
 		return err
 	}
@@ -110,7 +110,6 @@ func installTrampoline(nb *bin.Binary, text *bin.Section, tr arch.Trampoline, po
 	if end > leftover {
 		pool.add(leftover, end)
 	}
-	_ = text
 	return nil
 }
 

@@ -132,14 +132,3 @@ func CounterSnippet(a arch.Arch, pie bool, cellAddr uint64) []arch.Instr {
 	)
 	return seq
 }
-
-// PCRelSnippetIndexes returns the indexes within CounterSnippet output
-// whose operands are PC-relative references to cellAddr and must be
-// re-resolved at the snippet's final address: the Lea (X64 PIE) or the
-// LeaHi (fixed-width PIE). Absolute forms return nothing.
-func PCRelSnippetIndexes(a arch.Arch, pie bool) []int {
-	if !pie {
-		return nil
-	}
-	return []int{2} // the address-forming instruction follows the two spills
-}

@@ -88,7 +88,7 @@ func TestSoundFuncPtrWithLandingPads(t *testing.T) {
 // plan/layout/emit and trampoline stages in every mode: a CFI build of
 // the jump-table-heavy suite, rewritten in dir/jt/func-ptr modes, runs
 // clean under CET enforcement — relocated landing pads stay first at
-// their relocMap claims, and trampolines installed over marked blocks
+// their relocation-table claims, and trampolines installed over marked blocks
 // keep the marker live ([marker][trampoline]).
 func TestRewrittenCFIBinaryPassesCET(t *testing.T) {
 	progFor := func(a arch.Arch) (*workload.Program, error) {
