@@ -5,12 +5,7 @@ GO ?= go
 # `go test -bench X` exits 0 on both).
 BENCHGUARD = sh scripts/benchguard.sh
 
-# BENCH_BASELINE is the committed performance-trajectory snapshot
-# bench-compare gates against; bench-record overwrites it.
-BENCH_BASELINE ?= BENCH_10.json
-BENCH_PR ?= 10
-
-.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-record bench-compare check
+.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch obs-guard alloc-guard check
 
 build:
 	$(GO) build ./...
@@ -24,8 +19,11 @@ short:
 race:
 	$(GO) test -race ./...
 
+# vet also covers the benchmark harness: icfgbench/ is a nested module,
+# so the root `./...` pattern never compiles it.
 vet:
 	$(GO) vet ./...
+	$(GO) -C icfgbench vet ./...
 
 fmt:
 	gofmt -w .
@@ -40,7 +38,8 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # fuzz-seed replays every fuzz target's seed corpus as regular tests
-# (no fuzzing engine — fast and deterministic).
+# (no fuzzing engine — fast and deterministic). Not part of check:
+# `go test -race ./...` already replays every seed corpus.
 fuzz-seed:
 	$(GO) test -run Fuzz ./...
 
@@ -67,69 +66,13 @@ bench-patch:
 obs-guard:
 	$(GO) test -run TestObsOverheadGuard .
 
-# delta-guard asserts — by counters, not timing — that a K-function
-# mutation recomputes at most the changed functions plus their
-# dependency-index dependents (see TestDeltaRecomputeBound).
-delta-guard:
-	$(GO) test -run TestDeltaRecomputeBound -v ./internal/core/
-
-# alloc-guard asserts the hot paths stay inside the allocation budgets
-# recorded in the committed trajectory snapshot (TestAllocBudget; skips
-# itself when no BENCH_*.json exists yet).
+# alloc-guard asserts the hot paths stay inside their allocation
+# budgets (TestAllocBudget). It runs outside `race` because allocation
+# counts are not meaningful under the race detector.
 alloc-guard:
 	$(GO) test -run TestAllocBudget -v .
 
-# cluster-guard spins up the in-process 3-node cluster under -race and
-# asserts byte-identical output from every node and the gateway across
-# all arches and modes, including with the owning peer killed
-# mid-workload, plus the peer warm path and cluster metrics. Wrapped in
-# benchguard with GUARD_MATCH so a renamed test cannot silently turn
-# this into a no-op.
-cluster-guard:
-	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -race -run 'TestCluster' -v ./internal/cluster/
-
-# batch-guard runs the fleet-rewriting acceptance tests under -race:
-# dedupe (10 items over 3 binaries → exactly 3 analyses), mid-job
-# restart resume with byte-identical outputs, the SSE event contract
-# (order, replay, client disconnect), the 413 body caps on every door,
-# the batch-lane scheduling invariants, and the full
-# batch-through-gateway path. Benchguard-wrapped so a renamed test
-# cannot silently turn the guard into a no-op.
-batch-guard:
-	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -race -run 'TestBatch' -v ./internal/service/batch/ ./internal/service/sched/
-	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -race -run 'TestClusterBatch' -v ./internal/cluster/
-
-# profile-guard runs the profile-guided rewriting acceptance tests
-# under -race: guided output behaves identically to the original with
-# exact counter semantics and fewer cycles, corrupt/empty profiles
-# degrade to the unguided bytes, and the 3-arch × 3-mode determinism
-# sweep pins serial ≡ parallel ≡ repeat ≡ delta for guided plans.
-# Benchguard-wrapped so a renamed test cannot silently turn the guard
-# into a no-op.
-profile-guard:
-	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -race -run 'TestProfileGuided' -v ./internal/core/
-
-# landing-guard runs the landing-pad evidence acceptance tests under
-# -race: sound func-ptr acceptance on CFI builds across all three ISAs
-# (with the rewritten binaries re-run under CET enforcement), the
-# degradation contract (marker-less byte-identity, corrupt markers take
-# the conservative path), and the wire-level feature-bit contract at
-# every cluster door. Benchguard-wrapped so a renamed test cannot
-# silently turn the guard into a no-op.
-landing-guard:
-	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -race -run 'TestSoundFuncPtrWithLandingPads|TestRewrittenCFIBinaryPassesCET|TestMarkerlessByteIdentity|TestCorruptMarkersDegrade' -v .
-	GUARD_MATCH='^=== RUN' $(BENCHGUARD) $(GO) test -race -run 'TestUnknownFeatureBitsRejectedAtEveryDoor|TestNoEvidenceFeatureEndToEnd' -v ./internal/cluster/
-
-# bench-record measures the current build's performance trajectory and
-# writes the snapshot this PR commits. Run it once per perf-relevant PR
-# on an idle machine; `make check` then gates against the result.
-bench-record:
-	$(GO) run ./cmd/icfg-experiments -bench-record $(BENCH_BASELINE) -bench-pr $(BENCH_PR)
-
-# bench-compare re-measures the current build and gates it against the
-# committed snapshot, failing on latency or allocs/op regressions
-# beyond the default tolerances.
-bench-compare:
-	$(GO) run ./cmd/icfg-experiments -bench-compare $(BENCH_BASELINE)
-
-check: fmt-check vet race fuzz-seed bench-warm bench-delta bench-patch obs-guard delta-guard alloc-guard cluster-guard batch-guard profile-guard landing-guard bench-compare
+# check runs each gate once. The cluster, batch, profile-guided,
+# landing-pad and delta acceptance tests run inside `race`;
+# TestAcceptanceTestsExist fails if one of them is renamed away.
+check: fmt-check vet race bench-warm bench-delta bench-patch obs-guard alloc-guard

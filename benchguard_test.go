@@ -45,25 +45,6 @@ func TestBenchguard(t *testing.T) {
 			t.Fatalf("want inner status 3 propagated, got %d\n%s", ee.ExitCode(), out)
 		}
 	})
-	t.Run("guard-match-override", func(t *testing.T) {
-		// cluster-guard runs `go test -run TestCluster -v` under the
-		// wrapper with GUARD_MATCH='^=== RUN' so a renamed test cannot
-		// silently turn the target into a no-op, same as the bench hole.
-		cmd := exec.Command("sh", "scripts/benchguard.sh", "printf", "=== RUN   TestClusterByteEquivalence\\nPASS\\n")
-		cmd.Env = append(cmd.Environ(), "GUARD_MATCH=^=== RUN")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("guard rejected a matching test run: %v\n%s", err, out)
-		}
-		cmd = exec.Command("sh", "scripts/benchguard.sh", "printf", "PASS\\nok\\n")
-		cmd.Env = append(cmd.Environ(), "GUARD_MATCH=^=== RUN")
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("guard accepted a run with no matching test output:\n%s", out)
-		}
-		if !strings.Contains(string(out), "GUARD_MATCH") {
-			t.Fatalf("missing diagnostic, got:\n%s", out)
-		}
-	})
 	t.Run("echoes-inner-output", func(t *testing.T) {
 		out, err := runGuard(t, "printf", "BenchmarkBar\t5\t7 ns/op\\n")
 		if err != nil {

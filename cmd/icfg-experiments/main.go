@@ -11,18 +11,6 @@
 //
 //	icfg-experiments [-run all|table1|table2|table3|figure1|figure2|firefox|docker|bolt|diogenes|incremental|profile|landingpads]
 //	                 [-arch x64|ppc|a64|all] [-jobs N] [-metrics] [-trace]
-//
-// Two exclusive modes maintain the repo's performance trajectory
-// (BENCH_<n>.json snapshots) instead of running experiments:
-//
-//	icfg-experiments -bench-record FILE [-bench-pr N] [-bench-iters N]
-//	icfg-experiments -bench-compare BASE [-bench-candidate FILE]
-//	                 [-latency-tolerance PCT] [-allocs-tolerance PCT]
-//
-// -bench-record measures the current build and writes the snapshot;
-// -bench-compare gates a candidate snapshot (or a fresh measurement
-// when -bench-candidate is empty) against a committed baseline and
-// exits non-zero on any regression beyond the tolerances.
 package main
 
 import (
@@ -33,7 +21,6 @@ import (
 
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/experiments"
-	"icfgpatch/internal/perf"
 	"icfgpatch/internal/workload"
 )
 
@@ -52,32 +39,12 @@ func main() {
 	jobs := flag.Int("jobs", 0, "worker count for the table3 sweep (0 = one per CPU, 1 = serial)")
 	metrics := flag.Bool("metrics", false, "print aggregated per-pass rewrite metrics after table3 and workload cache stats at exit")
 	trace := flag.Bool("trace", false, "print each rewrite's span tree (table3 and ablation cells)")
-	benchRecord := flag.String("bench-record", "", "record a performance trajectory snapshot to FILE and exit")
-	benchPR := flag.Int("bench-pr", 0, "PR number to stamp into the recorded snapshot")
-	benchIters := flag.Int("bench-iters", 0, "timing iterations for -bench-record (0 = default)")
-	benchCompare := flag.String("bench-compare", "", "gate against the baseline snapshot BASE and exit non-zero on regression")
-	benchCandidate := flag.String("bench-candidate", "", "candidate snapshot for -bench-compare (empty = measure the current build)")
-	latencyTol := flag.Float64("latency-tolerance", 0, "percent latency growth -bench-compare tolerates (0 = default)")
-	allocsTol := flag.Float64("allocs-tolerance", 0, "percent allocs/op growth -bench-compare tolerates (0 = default)")
 	flag.Parse()
 
 	usage := func(err error) {
 		fmt.Fprintln(os.Stderr, "icfg-experiments:", err)
 		flag.PrintDefaults()
 		os.Exit(2)
-	}
-	// The bench modes are exclusive: they measure or gate the build's
-	// performance trajectory instead of running experiments.
-	if *benchRecord != "" && *benchCompare != "" {
-		usage(fmt.Errorf("-bench-record and -bench-compare are mutually exclusive"))
-	}
-	if *benchRecord != "" {
-		runBenchRecord(*benchRecord, *benchPR, *benchIters)
-		return
-	}
-	if *benchCompare != "" {
-		runBenchCompare(*benchCompare, *benchCandidate, *benchPR, *benchIters, *latencyTol, *allocsTol)
-		return
 	}
 	known := false
 	for _, r := range knownRuns {
@@ -235,57 +202,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "icfg-experiments: %d failed run(s)\n", failedRuns)
 		os.Exit(1)
 	}
-}
-
-// runBenchRecord measures the current build and writes the snapshot.
-func runBenchRecord(path string, pr, iters int) {
-	tr, err := perf.Record(perf.RecordOptions{PR: pr, Iters: iters})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "icfg-experiments:", err)
-		os.Exit(1)
-	}
-	if err := tr.Save(path); err != nil {
-		fmt.Fprintln(os.Stderr, "icfg-experiments:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("recorded %s: cold=%.1fms warm=%.1fms delta=%.1fms emit=%.0fMB/s warm-allocs=%.0f/op p50=%.1fms p99=%.1fms guided-ratio=%.3f\n",
-		path, tr.ColdRewriteNs/1e6, tr.WarmPatchNs/1e6, tr.DeltaRewriteNs/1e6,
-		tr.EmitThroughputMBps, tr.WarmPatchAllocsPerOp, tr.ServiceP50Ns/1e6, tr.ServiceP99Ns/1e6,
-		tr.ProfileGuidedOverheadRatio)
-}
-
-// runBenchCompare gates a candidate snapshot — or a fresh measurement
-// of the current build — against the committed baseline.
-func runBenchCompare(basePath, candPath string, pr, iters int, latencyTol, allocsTol float64) {
-	fatal := func(err error) {
-		fmt.Fprintln(os.Stderr, "icfg-experiments:", err)
-		os.Exit(1)
-	}
-	base, err := perf.Load(basePath)
-	if err != nil {
-		fatal(err)
-	}
-	var cand *perf.Trajectory
-	if candPath != "" {
-		if cand, err = perf.Load(candPath); err != nil {
-			fatal(err)
-		}
-	} else {
-		fmt.Println("measuring current build for comparison...")
-		if cand, err = perf.Record(perf.RecordOptions{PR: pr, Iters: iters}); err != nil {
-			fatal(err)
-		}
-	}
-	regs, err := perf.Compare(base, cand, perf.Tolerances{LatencyPct: latencyTol, AllocsPct: allocsTol})
-	if err != nil {
-		fatal(err)
-	}
-	if len(regs) > 0 {
-		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "icfg-experiments: REGRESSION:", r)
-		}
-		fmt.Fprintf(os.Stderr, "icfg-experiments: %d perf regression(s) vs %s\n", len(regs), basePath)
-		os.Exit(1)
-	}
-	fmt.Printf("bench-compare: no regressions vs %s\n", basePath)
 }

@@ -10,7 +10,7 @@ package icfgpatch_test
 // marshalled images across 3 arches × 3 modes.
 //
 // Seed corpus regressions live in testdata/fuzz/FuzzDifferentialRewrite;
-// `make fuzz-seed` replays them on every `make check`. To hunt for new
+// every `go test` run replays them. To hunt for new
 // divergences: go test -fuzz FuzzDifferentialRewrite -fuzztime 60s .
 
 import (

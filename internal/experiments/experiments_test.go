@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"icfgpatch/internal/arch"
+	"icfgpatch/internal/workload"
 )
 
 // TestTable3X64Shape asserts the paper's Table 3 qualitative claims on
@@ -358,6 +359,7 @@ func total(m map[arch.TrampolineClass]int) int {
 // actually split hot functions into variants (a ratio below 1 with zero
 // variants would mean the win came from somewhere else).
 func TestProfileGuidedShape(t *testing.T) {
+	t.Parallel()
 	for _, a := range []arch.Arch{arch.X64, arch.A64} {
 		res, err := ProfileGuided(a)
 		if err != nil {
@@ -388,5 +390,92 @@ func TestProfileGuidedShape(t *testing.T) {
 		if out := res.Render(); !strings.Contains(out, "ratio") || !strings.Contains(out, "variants") {
 			t.Error("render malformed")
 		}
+	}
+}
+
+// TestProfileGuidedRatioBounds bounds the guided/unguided overhead
+// ratio of one capture → rewrite → re-run loop on four workloads that
+// span the profile-guided design's range: a large x64 library, a
+// command-dispatch binary, a stripped library (heat without symbols)
+// and an a64 SPEC-like benchmark. The emulator's cycle counts are
+// deterministic, so each ratio reproduces exactly; the bound is 1.75×
+// the ratio first recorded, so a change must lose a large share of
+// the guidance win before it trips.
+func TestProfileGuidedRatioBounds(t *testing.T) {
+	t.Parallel()
+	libxul, err := workload.LibxulCached(arch.X64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docker, err := workload.DockerCached(arch.X64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuda, err := workload.LibcudaCached(arch.X64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := *cuda
+	stripped.Binary = cuda.Binary.Clone()
+	stripped.Binary.Symbols = nil
+	suite, err := workload.SPECSuiteCached(arch.A64, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		p        *workload.Program
+		arg      uint64
+		recorded float64
+	}{
+		{"libxul-x64", libxul, workload.CmdLatencyBenchmark, 0.3101455119803743},
+		{"docker-x64", docker, 1, 0.25009146217530925},
+		{"libcuda-stripped-x64", &stripped, 0, 0.44407805316219323},
+		{"spec-perlbench-a64", suite[0], 0, 0.30303281491228984},
+	} {
+		r := profileGuidedOne(c.p, c.arg, 0)
+		if !r.Pass {
+			t.Errorf("%s: %s", c.name, r.Reason)
+			continue
+		}
+		if r.VariantFuncs == 0 {
+			t.Errorf("%s: guided plan split no hot functions into variants", c.name)
+		}
+		if r.Unguided <= 0 || r.Guided <= 0 {
+			t.Errorf("%s: overheads unguided %v guided %v, want both positive", c.name, r.Unguided, r.Guided)
+			continue
+		}
+		ratio := r.Guided / r.Unguided
+		if bound := 1.75 * c.recorded; ratio > bound {
+			t.Errorf("%s: guided/unguided ratio %v exceeds bound %v", c.name, ratio, bound)
+		} else {
+			t.Logf("%s: ratio %v (bound %v), %d hot / %d variant funcs", c.name, ratio, bound, r.HotFuncs, r.VariantFuncs)
+		}
+	}
+}
+
+// TestLandingPadCoverageCounts pins the evidence layer's func-ptr
+// acceptance on x64 exactly. Of the eight builds (go-table,
+// 600.perlbench_s, docker and libxul, each plain and CFI) the evidence
+// path accepts six and the conservative path four: landing pads turn
+// the two CFI refusals into sound rewrites. Acceptance is
+// deterministic, so one build more or less on either path is a
+// behaviour change. Every cell must also pass, which fails a rewrite
+// error other than the imprecise-pointer refusal.
+func TestLandingPadCoverageCounts(t *testing.T) {
+	t.Parallel()
+	res, err := LandingPads(arch.X64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range res.Failures() {
+		t.Error(f)
+	}
+	if res.Total != 8 || res.Pass != res.Total {
+		t.Errorf("pass %d/%d, want 8/8", res.Pass, res.Total)
+	}
+	if res.EvidenceAccepted != 6 || res.ConservativeAccepted != 4 {
+		t.Errorf("accepted: evidence %d, conservative %d; want 6 and 4",
+			res.EvidenceAccepted, res.ConservativeAccepted)
 	}
 }

@@ -48,8 +48,7 @@ type LandingPadResult struct {
 	Arch arch.Arch
 	Rows []LandingPadRow
 	// EvidenceAccepted/ConservativeAccepted count accepted cells per
-	// path; their ratio is the funcptr_coverage_ratio the perf
-	// trajectory gates.
+	// path; TestLandingPadCoverageCounts asserts both exactly on x64.
 	EvidenceAccepted, ConservativeAccepted int
 	Pass, Total                            int
 }
@@ -253,11 +252,9 @@ func (r *LandingPadResult) Render() string {
 }
 
 // CoverageRatio is evidence-path acceptances over conservative-path
-// acceptances — the number the perf trajectory gates as
-// funcptr_coverage_ratio (above 1 means landing pads convert refusals
-// into sound rewrites; exactly 1 means the evidence layer bought
-// nothing; 0 conservative acceptances make the ratio undefined and
-// return 0).
+// acceptances (above 1 means landing pads convert refusals into sound
+// rewrites; exactly 1 means the evidence layer bought nothing; 0
+// conservative acceptances make the ratio undefined and return 0).
 func (r *LandingPadResult) CoverageRatio() float64 {
 	if r.ConservativeAccepted == 0 {
 		return 0

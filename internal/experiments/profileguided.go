@@ -34,8 +34,9 @@ type ProfileGuidedResult struct {
 	Arch arch.Arch
 	Runs []ProfileGuidedRun
 	// Aggregates over passing runs. Ratio is mean guided overhead over
-	// mean unguided overhead — the number the perf trajectory gates on
-	// (below 1 means guidance pays for its dispatch stubs).
+	// mean unguided overhead (below 1 means guidance pays for its
+	// dispatch stubs); TestProfileGuidedRatioBounds bounds it per
+	// workload.
 	UnguidedMean, GuidedMean float64
 	Ratio                    float64
 	Samples                  int
@@ -49,14 +50,15 @@ func blockCounter() instrument.Request {
 	return instrument.Request{Where: instrument.BlockEntry, Payload: instrument.PayloadCounter}
 }
 
-// runHeat executes a binary with block-heat capture on, returning the
-// result (Heat keyed by link-time block address) alongside any fault.
-func runHeat(p *workload.Program) (emu.Result, error) {
+// runHeat executes a binary on input arg with block-heat capture on,
+// returning the result (Heat keyed by link-time block address)
+// alongside any fault.
+func runHeat(p *workload.Program, arg uint64) (emu.Result, error) {
 	lib, err := rtlib.Preload(p.Binary)
 	if err != nil {
 		return emu.Result{}, err
 	}
-	m, err := emu.Load(p.Binary, emu.Options{Runtime: lib, MaxInstrs: 80_000_000, CaptureHeat: true})
+	m, err := emu.Load(p.Binary, emu.Options{Runtime: lib, Arg: arg, MaxInstrs: 80_000_000, CaptureHeat: true})
 	if err != nil {
 		return emu.Result{}, err
 	}
@@ -80,7 +82,7 @@ func ProfileGuided(a arch.Arch) (*ProfileGuidedResult, error) {
 	}
 	res := &ProfileGuidedResult{Arch: a}
 	for _, p := range suite {
-		res.Runs = append(res.Runs, profileGuidedOne(p, gap))
+		res.Runs = append(res.Runs, profileGuidedOne(p, 0, gap))
 	}
 	var ug, gd []float64
 	for _, r := range res.Runs {
@@ -101,10 +103,10 @@ func ProfileGuided(a arch.Arch) (*ProfileGuidedResult, error) {
 	return res, nil
 }
 
-// profileGuidedOne measures one benchmark. Any panic fails the cell
-// with a reason instead of killing the sweep, matching the package's
-// graceful-failure contract.
-func profileGuidedOne(p *workload.Program, gap uint64) (out ProfileGuidedRun) {
+// profileGuidedOne measures one benchmark run on input arg. Any panic
+// fails the cell with a reason instead of killing the sweep, matching
+// the package's graceful-failure contract.
+func profileGuidedOne(p *workload.Program, arg, gap uint64) (out ProfileGuidedRun) {
 	out = ProfileGuidedRun{Bench: p.Profile.Name}
 	defer func() {
 		if r := recover(); r != nil {
@@ -112,7 +114,7 @@ func profileGuidedOne(p *workload.Program, gap uint64) (out ProfileGuidedRun) {
 			out.Reason = fmt.Sprintf("panic during rewrite: %v", r)
 		}
 	}()
-	orig, err := runHeat(p)
+	orig, err := runHeat(p, arg)
 	if err != nil {
 		out.Reason = "profiling run failed: " + err.Error()
 		return out
@@ -139,12 +141,12 @@ func profileGuidedOne(p *workload.Program, gap uint64) (out ProfileGuidedRun) {
 	out.HotFuncs = guided.Stats.HotFuncs
 	out.VariantFuncs = guided.Stats.VariantFuncs
 
-	ugRes, err := run(unguided.Binary, runOpts{})
+	ugRes, err := run(unguided.Binary, runOpts{arg: arg})
 	if err != nil {
 		out.Reason = "unguided binary faulted: " + err.Error()
 		return out
 	}
-	gdRes, err := run(guided.Binary, runOpts{})
+	gdRes, err := run(guided.Binary, runOpts{arg: arg})
 	if err != nil {
 		out.Reason = "guided binary faulted: " + err.Error()
 		return out

@@ -4,15 +4,8 @@
 # exits 0 when X matches nothing, so a renamed benchmark silently turns
 # a Makefile bench target into a no-op; this wrapper closes that hole.
 #
-# GUARD_MATCH overrides the required output pattern (grep regex,
-# default '^Benchmark'), so the same zero-matched guard protects test
-# targets too: GUARD_MATCH='^=== RUN' guards `go test -run X -v`
-# against X matching nothing.
-#
 # Usage: scripts/benchguard.sh go test -run '^$' -bench Foo ...
 set -u
-
-match="${GUARD_MATCH:-^Benchmark}"
 
 out=$("$@" 2>&1)
 status=$?
@@ -21,11 +14,7 @@ if [ $status -ne 0 ]; then
     echo "benchguard: command failed with status $status" >&2
     exit $status
 fi
-if ! printf '%s\n' "$out" | grep -q "$match"; then
-    if [ "$match" = '^Benchmark' ]; then
-        echo "benchguard: no benchmark ran (pattern matched nothing?)" >&2
-    else
-        echo "benchguard: output matched nothing for GUARD_MATCH=$match (pattern matched nothing?)" >&2
-    fi
+if ! printf '%s\n' "$out" | grep -q '^Benchmark'; then
+    echo "benchguard: no benchmark ran (pattern matched nothing?)" >&2
     exit 1
 fi
