@@ -59,7 +59,7 @@ var acceptanceTests = []struct {
 		"TestCorruptMarkersDegrade",
 	}},
 	{"landing-pads-wire", "internal/cluster", []string{
-		"TestUnknownFeatureBitsRejectedAtEveryDoor",
+		"TestUnknownOptionsRejectedAtEveryDoor",
 		"TestNoEvidenceFeatureEndToEnd",
 	}},
 	{"experiment-gates", "internal/experiments", []string{

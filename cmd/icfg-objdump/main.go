@@ -34,6 +34,7 @@ import (
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/instrument"
 	"icfgpatch/internal/profile"
+	"icfgpatch/internal/service/wire"
 )
 
 // printCFG disassembles by control-flow traversal and prints each
@@ -216,16 +217,9 @@ func printFuncHashes(img *bin.Binary) {
 // and the planned trampoline jobs. -sym restricts instrumentation to one
 // function; -mode selects the rewriting mode the plan is built for.
 func printPlan(img *bin.Binary, modeName, symSel, profPath string) {
-	var mode core.Mode
-	switch modeName {
-	case "dir":
-		mode = core.ModeDir
-	case "jt", "":
-		mode = core.ModeJT
-	case "func-ptr", "funcptr":
-		mode = core.ModeFuncPtr
-	default:
-		fmt.Fprintf(os.Stderr, "icfg-objdump: unknown mode %q\n", modeName)
+	mode, err := wire.ParseMode(modeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "icfg-objdump:", err)
 		os.Exit(2)
 	}
 	an, err := core.Analyze(img, core.AnalysisConfig{Mode: mode})

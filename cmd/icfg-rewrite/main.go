@@ -100,29 +100,16 @@ func main() {
 
 	// The flag surface is exactly the service wire surface, so the CLI
 	// reuses its parser: one set of validation for both paths.
-	v := url.Values{}
-	v.Set("mode", *mode)
-	v.Set("where", *where)
-	v.Set("payload", *payload)
+	v := url.Values{"mode": {*mode}, "where": {*where}, "payload": {*payload},
+		"verify": {strconv.FormatBool(*verify)}, "gap": {strconv.FormatUint(*gap, 10)},
+		"no-evidence": {strconv.FormatBool(*noEvidence)}}
 	if *funcs != "" {
 		v.Set("funcs", *funcs)
-	}
-	if *verify {
-		v.Set("verify", "1")
-	}
-	if *gap > 0 {
-		v.Set("gap", strconv.FormatUint(*gap, 10))
-	}
-	if *noEvidence {
-		// Framed as the wire feature bit so local and -remote invocations
-		// share one spelling (and a remote daemon too old to know the bit
-		// refuses with 400 instead of silently rewriting with evidence).
-		v.Set("features", strconv.FormatUint(wire.FeatureNoEvidence, 10))
 	}
 	// A bad mode/where/payload string is a usage error, reported with
 	// the flag reference — not a runtime failure (and never a panic in
 	// the arch layer, which only sees validated values).
-	opts, err := service.ParseOptions(v)
+	opts, err := wire.ParseOptions(v)
 	if err != nil {
 		usage(err)
 	}
@@ -134,7 +121,11 @@ func main() {
 		if flag.NArg() != 0 || *out != "" {
 			usage(fmt.Errorf("-batch takes inputs and outputs from the manifest, not the command line"))
 		}
-		if err := runBatch(*remote, *retries, *batchFile, v.Encode()); err != nil {
+		defaults, err := wire.EncodeOptions(opts)
+		if err != nil {
+			usage(err)
+		}
+		if err := runBatch(*remote, *retries, *batchFile, defaults.Encode()); err != nil {
 			fatal(err)
 		}
 		return

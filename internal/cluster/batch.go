@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
@@ -63,12 +62,7 @@ func (n *Node) InstallBatch(mgr *batch.Manager) {
 // execItemAt runs one item's rewrite on a specific peer over the plain
 // /rewrite wire format.
 func (n *Node) execItemAt(ctx context.Context, owner string, it *batch.Item) (*batch.ExecResult, error) {
-	q, err := url.ParseQuery(it.Opts)
-	if err != nil {
-		return nil, err
-	}
-	q.Set("lane", "batch")
-	u := strings.TrimSuffix(owner, "/") + "/rewrite?" + q.Encode()
+	u := strings.TrimSuffix(owner, "/") + "/rewrite?lane=batch&" + it.Opts
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(it.Input))
 	if err != nil {
 		return nil, err

@@ -1,12 +1,11 @@
 package cluster
 
-// Wire-level feature-bit contract: every door — the plain serve door, a
+// Wire-level option contract: every door — the plain serve door, a
 // cluster node, the gateway front door, and the peer-units endpoint —
-// must reject unknown feature bits with 400, and the one known bit
-// (FeatureNoEvidence) must change rewrite semantics end to end over
-// HTTP: a CFI binary that func-ptr mode accepts under landing-pad
-// evidence must be refused when the client asks for the conservative
-// path.
+// must reject an unknown, repeated or malformed option with 400, and
+// no-evidence=1 must change rewrite semantics end to end over HTTP: a
+// CFI binary that func-ptr mode accepts under landing-pad evidence must
+// be refused when the client asks for the conservative path.
 
 import (
 	"bytes"
@@ -38,7 +37,7 @@ func postRewrite(t *testing.T, base, query string, raw []byte) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-func TestUnknownFeatureBitsRejectedAtEveryDoor(t *testing.T) {
+func TestUnknownOptionsRejectedAtEveryDoor(t *testing.T) {
 	tc := NewTestCluster(t, TestClusterConfig{Nodes: 2, Replicas: 2})
 	srv := service.New(service.Config{})
 	t.Cleanup(func() { srv.Shutdown(context.Background()) })
@@ -51,35 +50,39 @@ func TestUnknownFeatureBitsRejectedAtEveryDoor(t *testing.T) {
 		{"node", tc.URLs[0]},
 		{"gateway", tc.GatewayURL()},
 	}
+	// Each query must die with a 400 whose body names the offending key.
+	refused := []struct{ query, key string }{
+		{"mode=jt&verfy=1", "verfy"},       // misspelt option
+		{"mode=jt&features=1", "features"}, // the retired feature bitfield
+		{"mode=jt&verify=yes", "verify"},   // malformed value
+		{"mode=jt&mode=dir", "mode"},       // repeated key
+	}
 	for _, d := range doors {
-		// Bit 1 (the lowest unknown bit) must die with a 400 naming it.
-		status, body := postRewrite(t, d.base, "mode=jt&features=2", raw)
-		if status != http.StatusBadRequest {
-			t.Fatalf("%s door: features=2 got %d (%s), want 400", d.name, status, strings.TrimSpace(body))
+		for _, c := range refused {
+			status, body := postRewrite(t, d.base, c.query, raw)
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s door: %s got %d (%s), want 400", d.name, c.query, status, strings.TrimSpace(body))
+			}
+			if !strings.Contains(body, fmt.Sprintf("%q", c.key)) {
+				t.Fatalf("%s door: %s: 400 body does not name %q: %q", d.name, c.query, c.key, body)
+			}
 		}
-		if !strings.Contains(body, "unknown feature bits") {
-			t.Fatalf("%s door: 400 body does not name the unknown bits: %q", d.name, body)
-		}
-		// A garbage bitfield is equally a sender bug.
-		if status, _ := postRewrite(t, d.base, "mode=jt&features=zebra", raw); status != http.StatusBadRequest {
-			t.Fatalf("%s door: features=zebra got %d, want 400", d.name, status)
-		}
-		// The known bit passes and the rewrite is served.
-		status, body = postRewrite(t, d.base, fmt.Sprintf("mode=jt&features=%d", 1), raw)
+		// The known option passes and the rewrite is served.
+		status, body := postRewrite(t, d.base, "mode=jt&no-evidence=1", raw)
 		if status != http.StatusOK {
-			t.Fatalf("%s door: features=1 got %d (%s), want 200", d.name, status, strings.TrimSpace(body))
+			t.Fatalf("%s door: no-evidence=1 got %d (%s), want 200", d.name, status, strings.TrimSpace(body))
 		}
 	}
 
 	// The peer-to-peer door holds the same line.
-	resp, err := http.Get(tc.URLs[0] + "/peer/units?hash=abc&arch=1&mode=1&features=2")
+	resp, err := http.Get(tc.URLs[0] + "/peer/units?hash=abc&mode=jt&bogus=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("peer units door: features=2 got %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"bogus"`) {
+		t.Fatalf("peer units door: bogus=1 got %d (%s), want 400 naming the key", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 }
 

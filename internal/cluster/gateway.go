@@ -122,10 +122,10 @@ func (g *Gateway) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	// Validate feature bits before burning a forward: the gateway is the
-	// outermost door, and a bit this build does not understand must die
-	// here with a 400, not ride to a node that may silently predate it.
-	if _, err := wire.ParseFeatures(r.URL.Query().Get("features")); err != nil {
+	// Validate the query before burning a forward: the gateway is the
+	// outermost door, and an option this build does not understand must
+	// die here with a 400, the same parse the serve door runs.
+	if _, _, err := wire.ParseRewriteQuery(r.URL.Query()); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

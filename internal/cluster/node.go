@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
-	"icfgpatch/internal/arch"
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/obs"
 	"icfgpatch/internal/service"
+	"icfgpatch/internal/service/storage"
 	"icfgpatch/internal/service/wire"
 	"icfgpatch/internal/store"
 )
@@ -280,37 +280,20 @@ func (n *Node) handleRewrite(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePeerUnits is the warm path's owner side: GET
-// /peer/units?hash=H&arch=A&mode=M returns the gob unit bundle of the
-// matching completed analysis, 404 when this node has none. The read
-// is side-effect-free (store.Peek underneath) so peer traffic never
-// perturbs local cache behaviour.
+// /peer/units?hash=H&<analysis options, as strict as /rewrite> returns
+// the gob unit bundle of the matching completed analysis, 404 when this
+// node has none. The read is side-effect-free (store.Peek underneath) so
+// peer traffic never perturbs local cache behaviour.
 func (n *Node) handlePeerUnits(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	hash := q.Get("hash")
-	if hash == "" {
-		http.Error(w, "missing hash", http.StatusBadRequest)
-		return
+	opts, t, err := wire.SplitQuery(r.URL.Query(), "hash")
+	key, kerr := storage.AnalysisKeyFor(t["hash"], opts)
+	if key.Hash == "" {
+		kerr = errors.New("missing hash")
 	}
-	archN, err := strconv.ParseUint(q.Get("arch"), 10, 8)
-	if err != nil {
-		http.Error(w, "bad arch", http.StatusBadRequest)
-		return
-	}
-	modeN, err := strconv.ParseUint(q.Get("mode"), 10, 8)
-	if err != nil {
-		http.Error(w, "bad mode", http.StatusBadRequest)
-		return
-	}
-	// The peer door holds the same feature-bit line as the client doors:
-	// an unknown bit means the peers disagree about what an analysis key
-	// even addresses, so refuse rather than serve the wrong cache slice.
-	feats, err := wire.ParseFeatures(q.Get("features"))
-	if err != nil {
+	if err = errors.Join(err, kerr); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	key := service.AnalysisKey{Hash: hash, Arch: arch.Arch(archN), Mode: core.Mode(modeN),
-		NoEvidence: feats&wire.FeatureNoEvidence != 0}
 	units := n.srv.Stores().CachedUnits(key)
 	if len(units) == 0 {
 		http.Error(w, "no cached analysis", http.StatusNotFound)
@@ -331,10 +314,7 @@ func (n *Node) handlePeerUnits(w http.ResponseWriter, r *http.Request) {
 // arrives into the unit store. Strictly best-effort under PeerTimeout;
 // the seeded units still face Analyze's full validation, so a stale
 // peer answer costs a recompute, never a wrong reuse.
-func (n *Node) warmUnits(ctx context.Context, key service.AnalysisKey) {
-	if key.Variant != (core.Variant{}) {
-		return // variants are in-process-only and never peer-cached
-	}
+func (n *Node) warmUnits(ctx context.Context, key storage.AnalysisKey) {
 	ctx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
 	defer cancel()
 	attempted := false
@@ -372,13 +352,8 @@ func (n *Node) warmUnits(ctx context.Context, key service.AnalysisKey) {
 // fetchUnits asks one peer for its cached units. A 404 is a clean
 // "don't have it" (nil, nil); transport errors propagate for health
 // accounting.
-func (n *Node) fetchUnits(ctx context.Context, owner string, key service.AnalysisKey) ([]*core.FuncUnit, error) {
-	var feats uint64
-	if key.NoEvidence {
-		feats |= wire.FeatureNoEvidence
-	}
-	u := fmt.Sprintf("%s/peer/units?hash=%s&arch=%d&mode=%d&features=%d",
-		strings.TrimSuffix(owner, "/"), url.QueryEscape(key.Hash), key.Arch, key.Mode, feats)
+func (n *Node) fetchUnits(ctx context.Context, owner string, key storage.AnalysisKey) ([]*core.FuncUnit, error) {
+	u := strings.TrimSuffix(owner, "/") + "/peer/units?hash=" + url.QueryEscape(key.Hash) + "&" + key.Opts
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err

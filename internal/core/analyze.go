@@ -19,8 +19,9 @@ import (
 // AnalysisConfig identifies one analysis variant of a binary: everything
 // Analyze consumes besides the binary itself. Two rewrites of the same
 // binary with the same config share all analysis work, whatever their
-// instrumentation request — the content-addressed store (internal/store)
-// keys cached analyses by binary hash × arch × mode × variant.
+// instrumentation request. Options.AnalysisConfig derives it; the
+// rewrite service, which serves no Variant, keys cached analyses by the
+// binary's hash and the wire encoding of Mode and NoEvidence.
 type AnalysisConfig struct {
 	Mode    Mode
 	Variant Variant
@@ -32,10 +33,10 @@ type AnalysisConfig struct {
 	// never share cache entries.
 	NoEvidence bool
 	// Trace, when non-nil, receives an "analyze" span with per-stage
-	// laps. It is NOT part of the analysis identity: caches key analyses
-	// by (hash, arch, mode, variant) only, and Analyze clears it before
-	// storing the config in the Analysis so a cached analysis never
-	// retains the first requester's span tree.
+	// laps. It is NOT part of the analysis identity (Mode, Variant,
+	// NoEvidence): Analyze clears it before storing the config in the
+	// Analysis so a cached analysis never retains the first requester's
+	// span tree.
 	Trace *obs.Span
 	// Units, when non-nil, is the function-keyed second store level:
 	// Analyze pulls unchanged functions' units from it and deposits

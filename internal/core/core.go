@@ -122,6 +122,12 @@ type Options struct {
 	Trace *obs.Span
 }
 
+// AnalysisConfig returns o's analysis identity, the fields Analyze
+// consumes; callers set Trace and Units on the result.
+func (o Options) AnalysisConfig() AnalysisConfig {
+	return AnalysisConfig{Mode: o.Mode, Variant: o.Variant, NoEvidence: o.NoEvidence}
+}
+
 // Variant toggles the design decisions that distinguish the paper's
 // approach from the baselines it is evaluated against. Each knob removes
 // one of the paper's techniques, so the baselines (package baseline) are

@@ -7,8 +7,8 @@
 // inputs. Units are content-addressed by UnitKey — a hash of the
 // function's own content (bytes, in-range relocations, catch pads) and
 // the binary-wide invariants the analysis silently depends on — crossed
-// with arch × mode × variant, the same identity convention the
-// whole-binary analysis store uses.
+// with arch × mode × variant (landing-pad evidence forks the identity
+// hash itself; see Analyze).
 //
 // A unit from a previous binary version may be reused only when every
 // way the new version could change its analysis has been ruled out:

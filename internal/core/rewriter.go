@@ -21,7 +21,9 @@ import (
 // binary repeatedly with different instrumentation sets should run
 // Analyze once (or hit it in a store.Store) and Patch per request.
 func Rewrite(b *bin.Binary, opts Options) (*Result, error) {
-	an, err := Analyze(b, AnalysisConfig{Mode: opts.Mode, Variant: opts.Variant, NoEvidence: opts.NoEvidence, Trace: opts.Trace})
+	cfgc := opts.AnalysisConfig()
+	cfgc.Trace = opts.Trace
+	an, err := Analyze(b, cfgc)
 	if err != nil {
 		return nil, err
 	}
@@ -33,11 +35,8 @@ func Rewrite(b *bin.Binary, opts Options) (*Result, error) {
 // relocation to the functions that contain them (partial
 // instrumentation).
 func (an *Analysis) preparePatch(opts Options) (Options, error) {
-	if opts.Mode != an.Config.Mode {
-		return opts, fmt.Errorf("core: patch mode %s does not match analysis mode %s", opts.Mode, an.Config.Mode)
-	}
-	if opts.Variant != an.Config.Variant {
-		return opts, fmt.Errorf("core: patch variant does not match analysis variant")
+	if got := opts.AnalysisConfig(); got != an.Config {
+		return opts, fmt.Errorf("core: patch options %+v do not match the analysis config %+v", got, an.Config)
 	}
 	if opts.Request.Where == instrument.AtAddrs && opts.Request.Funcs == nil {
 		var names []string
@@ -58,9 +57,10 @@ func (an *Analysis) preparePatch(opts Options) (Options, error) {
 // (address assignment), emit (per-arch parallel encoding) — then
 // installs trampolines, rewrites function pointers, and emits the new
 // sections. The analysis is not mutated, so concurrent Patch calls may
-// share it; opts must carry the mode and variant the analysis was built
-// with. Output bytes are identical for every Options.PatchJobs value
-// and whether or not the emit stage reused cached unit bytes.
+// share it; opts must carry the analysis identity the analysis was
+// built with (Options.AnalysisConfig). Output bytes are identical for
+// every Options.PatchJobs value and whether or not the emit stage
+// reused cached unit bytes.
 func (an *Analysis) Patch(opts Options) (*Result, error) {
 	opts, err := an.preparePatch(opts)
 	if err != nil {

@@ -106,3 +106,20 @@ func TestPatchRejectsMismatchedOptions(t *testing.T) {
 		t.Fatal("variant mismatch accepted")
 	}
 }
+
+// TestPatchRejectsMismatchedEvidence: the evidence switch is part of the
+// analysis identity, so patching an evidence-built analysis with
+// NoEvidence set must fail instead of silently serving evidence output.
+func TestPatchRejectsMismatchedEvidence(t *testing.T) {
+	suite, err := workload.SPECSuiteCached(arch.X64, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := core.Analyze(suite[0].Binary, core.AnalysisConfig{Mode: core.ModeJT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := an.Patch(core.Options{Mode: core.ModeJT, Request: instrBlockEmpty(), NoEvidence: true}); err == nil {
+		t.Fatal("no-evidence patch of an evidence analysis accepted")
+	}
+}

@@ -15,6 +15,7 @@ import (
 // IR lowering has near-zero overhead and small size but fails the
 // exception benchmarks.
 func TestTable3X64Shape(t *testing.T) {
+	t.Parallel()
 	res, err := Table3ForArch(arch.X64)
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +78,7 @@ func TestTable3X64Shape(t *testing.T) {
 // sub-100% coverage for the incremental modes (hard embedded jump
 // tables) that still beats SRBI's.
 func TestTable3PPCShape(t *testing.T) {
+	t.Parallel()
 	res, err := Table3ForArch(arch.PPC)
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +110,7 @@ func TestTable3PPCShape(t *testing.T) {
 }
 
 func TestFirefoxShape(t *testing.T) {
+	t.Parallel()
 	res, err := Firefox()
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +146,7 @@ func TestFirefoxShape(t *testing.T) {
 }
 
 func TestDockerShape(t *testing.T) {
+	t.Parallel()
 	res, err := Docker()
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +172,7 @@ func TestDockerShape(t *testing.T) {
 }
 
 func TestBOLTShape(t *testing.T) {
+	t.Parallel()
 	res, err := BOLTComparison()
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +192,7 @@ func TestBOLTShape(t *testing.T) {
 }
 
 func TestDiogenesShape(t *testing.T) {
+	t.Parallel()
 	res, err := Diogenes()
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +218,7 @@ func TestDiogenesShape(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
+	t.Parallel()
 	res, err := Figure2()
 	if err != nil {
 		t.Fatal(err)
@@ -257,6 +264,7 @@ func TestStaticRenders(t *testing.T) {
 // TestAblationShape asserts each design choice's measurable
 // contribution on the trampoline-stressed PPC configuration.
 func TestAblationShape(t *testing.T) {
+	t.Parallel()
 	res, err := Ablation(arch.PPC)
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +311,7 @@ func TestAblationShape(t *testing.T) {
 // cases (jump-table target blocks are small), a64's ±128MB branch
 // reaches with the short form everywhere.
 func TestTrampolineDistribution(t *testing.T) {
+	t.Parallel()
 	x, err := Trampolines(arch.X64)
 	if err != nil {
 		t.Fatal(err)

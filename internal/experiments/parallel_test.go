@@ -12,6 +12,7 @@ import (
 // parallel pipeline: the table rendered from a multi-worker sweep must
 // be byte-identical to the serial runner's.
 func TestTable3ParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	serial, err := Table3ForArch(arch.A64)
 	if err != nil {
 		t.Fatal(err)

@@ -74,9 +74,6 @@ type Item struct {
 	Hash  string
 }
 
-// Options returns the item's parsed rewrite options.
-func (it *Item) Options() (core.Options, error) { return wire.ParseItemOptions(it.Opts) }
-
 // record is the persisted job state, gob-encoded into the job store.
 // It carries everything a restarted daemon needs to finish the job:
 // pending items' inputs and finished items' outputs.
@@ -214,7 +211,7 @@ func (m *Manager) SetExec(e Exec) {
 func (m *Manager) LocalExec() Exec { return m.execLocal }
 
 func (m *Manager) execLocal(ctx context.Context, it *Item) (*ExecResult, error) {
-	opts, err := it.Options()
+	opts, err := wire.ParseItemOptions(it.Opts)
 	if err != nil {
 		return nil, err
 	}

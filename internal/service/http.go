@@ -18,22 +18,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 
-	"icfgpatch/internal/core"
 	"icfgpatch/internal/profile"
 	"icfgpatch/internal/service/wire"
 )
 
 // Reply is the JSON half of a /rewrite response; see wire.Reply.
 type Reply = wire.Reply
-
-// EncodeOptions renders the CLI-expressible rewrite options as query
-// parameters; see wire.EncodeOptions.
-func EncodeOptions(o core.Options) (url.Values, error) { return wire.EncodeOptions(o) }
-
-// ParseOptions is EncodeOptions' inverse; see wire.ParseOptions.
-func ParseOptions(v url.Values) (core.Options, error) { return wire.ParseOptions(v) }
 
 // Handler returns the HTTP interface to the service, including the
 // observability endpoints: /metrics for the Prometheus registry and the
@@ -79,13 +70,12 @@ func (s *Server) MaxRequestBytes() int64 { return s.cfg.MaxRequestBytes }
 // hash). Options and trace flag come from r's query string; the frame
 // goes to w.
 func (s *Server) ServeRewrite(w http.ResponseWriter, r *http.Request, raw []byte) {
-	q := r.URL.Query()
-	opts, err := wire.ParseOptions(q)
+	opts, t, err := wire.ParseRewriteQuery(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if q.Get("profile") == "1" || q.Get("profile") == "true" {
+	if t["profile"] == "1" || t["profile"] == "true" {
 		// profile=1 bodies carry a profile artifact ahead of the binary.
 		// Bad framing is the sender's bug (400); a profile that frames
 		// correctly but fails its own hardened decode — or decodes to a
@@ -101,16 +91,15 @@ func (s *Server) ServeRewrite(w http.ResponseWriter, r *http.Request, raw []byte
 			opts.Profile = p
 		}
 	}
-	trace := q.Get("trace") == "1" || q.Get("trace") == "true"
 	submit := s.Submit
-	if q.Get("lane") == "batch" {
+	if t["lane"] == "batch" {
 		// lane=batch puts the request on the scheduler's batch lane —
 		// the path cluster peers use when forwarding each other's batch
 		// items, so a forwarded fleet job cannot jump the priority
 		// fence on the remote node.
 		submit = s.SubmitBatch
 	}
-	resp, err := submit(r.Context(), Request{Raw: raw, Opts: opts, Trace: trace})
+	resp, err := submit(r.Context(), Request{Raw: raw, Opts: opts, Trace: t["trace"] == "1" || t["trace"] == "true"})
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return

@@ -15,7 +15,6 @@ import (
 
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/core"
-	"icfgpatch/internal/store"
 )
 
 // TestMetricsEndpoint drives the full scrape path: three requests with
@@ -175,7 +174,7 @@ func TestTimeoutMidPipelineCountsTimeout(t *testing.T) {
 	s := New(Config{Workers: 1, Timeout: timeout})
 	defer s.Shutdown(context.Background())
 
-	key := AnalysisKey{Hash: store.Hash(raw), Arch: img.Arch, Mode: core.ModeJT}
+	key := jtKey(t, raw)
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	go s.stores.Analyses.GetOrCreate(key, func() (*core.Analysis, error) {
@@ -228,7 +227,7 @@ func TestDisconnectDuringQueueWaitCountsCanceled(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	defer s.Shutdown(context.Background())
 
-	key := AnalysisKey{Hash: store.Hash(raw), Arch: img.Arch, Mode: core.ModeJT}
+	key := jtKey(t, raw)
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	go s.stores.Analyses.GetOrCreate(key, func() (*core.Analysis, error) {

@@ -52,9 +52,6 @@ var (
 	ErrShuttingDown = sched.ErrShuttingDown
 )
 
-// AnalysisKey addresses one cached analysis; see storage.AnalysisKey.
-type AnalysisKey = storage.AnalysisKey
-
 // Config configures a Server. Zero values select the documented
 // defaults.
 type Config struct {
@@ -97,7 +94,7 @@ type Config struct {
 	// seed them into the unit store so the analysis becomes a pure delta.
 	// The hook must be best-effort — failures mean a cold analysis, not
 	// a failed request. SetWarmUnits installs it after construction.
-	WarmUnits func(ctx context.Context, key AnalysisKey)
+	WarmUnits func(ctx context.Context, key storage.AnalysisKey)
 }
 
 // Request is one rewrite submission. Either Binary or Raw (a serialised
@@ -112,6 +109,10 @@ type Request struct {
 	// it back. Tracing is per-request so one noisy client cannot slow
 	// the pipeline for everyone.
 	Trace bool
+
+	// The cache keys, filled by normalize.
+	resultKey   string
+	analysisKey storage.AnalysisKey
 }
 
 // Response is one completed rewrite.
@@ -182,7 +183,7 @@ type Server struct {
 	pool   *sched.Pool
 
 	warmMu    sync.RWMutex
-	warmUnits func(ctx context.Context, key AnalysisKey)
+	warmUnits func(ctx context.Context, key storage.AnalysisKey)
 
 	served, failed, rejected atomic.Uint64
 
@@ -232,13 +233,13 @@ func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 // SetWarmUnits installs (or clears) the analysis-miss warm hook after
 // construction — the cluster needs the server to exist before it can
 // build the peering that the hook consults.
-func (s *Server) SetWarmUnits(fn func(ctx context.Context, key AnalysisKey)) {
+func (s *Server) SetWarmUnits(fn func(ctx context.Context, key storage.AnalysisKey)) {
 	s.warmMu.Lock()
 	s.warmUnits = fn
 	s.warmMu.Unlock()
 }
 
-func (s *Server) warmHook() func(ctx context.Context, key AnalysisKey) {
+func (s *Server) warmHook() func(ctx context.Context, key storage.AnalysisKey) {
 	s.warmMu.RLock()
 	fn := s.warmUnits
 	s.warmMu.RUnlock()
@@ -289,7 +290,9 @@ func (s *Server) submit(ctx context.Context, req Request, do func(context.Contex
 	return nil, err
 }
 
-// normalize fills the request's derived fields.
+// normalize fills the request's derived fields, the cache keys among
+// them. Both are built from the wire encoding, so options it cannot
+// express are refused here: the service serves the wire vocabulary.
 func normalize(req *Request) error {
 	if req.Binary == nil {
 		if len(req.Raw) == 0 {
@@ -308,7 +311,12 @@ func normalize(req *Request) error {
 			req.Hash = store.Hash(req.Binary.Marshal())
 		}
 	}
-	return nil
+	var err error
+	if req.resultKey, err = storage.Fingerprint(req.Hash, req.Opts); err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	req.analysisKey, err = storage.AnalysisKeyFor(req.Hash, req.Opts)
+	return err
 }
 
 // testHookDequeue, when non-nil, runs as a worker picks up a job —
@@ -372,8 +380,7 @@ func (s *Server) rewriteOnce(ctx context.Context, req *Request) (*Response, erro
 		return &Response{Image: res.Image, Stats: res.Stats, Metrics: res.Metrics, AnalysisHit: analysisHit}, nil
 	}
 	var analysisHit bool
-	key := storage.Fingerprint(req.Hash, req.Opts)
-	v, hit, err := s.stores.Results.GetOrCreate(key, func() (storage.CachedResult, error) {
+	v, hit, err := s.stores.Results.GetOrCreate(req.resultKey, func() (storage.CachedResult, error) {
 		res, ah, err := s.analyzeAndPatch(ctx, req)
 		if err != nil {
 			return storage.CachedResult{}, err
@@ -394,14 +401,13 @@ func (s *Server) rewriteOnce(ctx context.Context, req *Request) (*Response, erro
 // content-addressed store (single-flighted across concurrent requests
 // for the same binary), then a per-request patch.
 func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*storage.CachedResult, bool, error) {
-	key := AnalysisKey{Hash: req.Hash, Arch: req.Binary.Arch, Mode: req.Opts.Mode, Variant: req.Opts.Variant, NoEvidence: req.Opts.NoEvidence}
-	an, hit, err := s.stores.Analyses.GetOrCreate(key, func() (*core.Analysis, error) {
+	an, hit, err := s.stores.Analyses.GetOrCreate(req.analysisKey, func() (*core.Analysis, error) {
 		// An analysis-store miss is the cluster's warm-path moment: ask
 		// the owning peer for this binary's cached function units before
 		// recomputing. Best-effort by contract — on any failure the
 		// analysis below simply runs colder.
 		if warm := s.warmHook(); warm != nil {
-			warm(ctx, key)
+			warm(ctx, req.analysisKey)
 		}
 		// The requester's trace rides into Analyze but is never part of
 		// the analysis identity; waiters sharing this single-flighted
@@ -409,10 +415,9 @@ func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*storage.Ca
 		// The function-unit store turns an analysis-store miss for a new
 		// version of a known binary into a delta: unchanged functions'
 		// units are pulled instead of recomputed.
-		return core.Analyze(req.Binary, core.AnalysisConfig{
-			Mode: req.Opts.Mode, Variant: req.Opts.Variant, NoEvidence: req.Opts.NoEvidence,
-			Trace: req.Opts.Trace, Units: s.stores.Units,
-		})
+		cfgc := req.Opts.AnalysisConfig()
+		cfgc.Trace, cfgc.Units = req.Opts.Trace, s.stores.Units
+		return core.Analyze(req.Binary, cfgc)
 	})
 	if err != nil {
 		return nil, false, err

@@ -14,6 +14,7 @@ import (
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/instrument"
+	"icfgpatch/internal/service/storage"
 	"icfgpatch/internal/store"
 	"icfgpatch/internal/workload"
 )
@@ -132,7 +133,7 @@ func TestQueueFullRejection(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	defer s.Shutdown(context.Background())
 
-	key := AnalysisKey{Hash: store.Hash(raw), Arch: img.Arch, Mode: core.ModeJT}
+	key := jtKey(t, raw)
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	go s.stores.Analyses.GetOrCreate(key, func() (*core.Analysis, error) {
@@ -204,7 +205,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	s := New(Config{Workers: 1, QueueDepth: 8})
 
-	key := AnalysisKey{Hash: store.Hash(raw), Arch: img.Arch, Mode: core.ModeJT}
+	key := jtKey(t, raw)
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	buildDone := make(chan struct{})
@@ -403,30 +404,13 @@ func TestResultCachePersistence(t *testing.T) {
 	}
 }
 
-// TestOptionsWireRoundTrip checks EncodeOptions/ParseOptions are
-// inverses over the CLI-expressible surface.
-func TestOptionsWireRoundTrip(t *testing.T) {
-	cases := []core.Options{
-		{Mode: core.ModeDir, Request: blockEmpty()},
-		{Mode: core.ModeJT, Request: instrument.Request{Where: instrument.FuncEntry, Payload: instrument.PayloadCounter, Funcs: []string{"f1", "f2"}}, Verify: true, InstrGap: 1 << 20},
-		{Mode: core.ModeFuncPtr, Request: blockEmpty()},
+// jtKey is the analysis key the service computes for a jt request on
+// raw.
+func jtKey(t *testing.T, raw []byte) storage.AnalysisKey {
+	t.Helper()
+	key, err := storage.AnalysisKeyFor(store.Hash(raw), core.Options{Mode: core.ModeJT})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, o := range cases {
-		v, err := EncodeOptions(o)
-		if err != nil {
-			t.Fatalf("case %d encode: %v", i, err)
-		}
-		got, err := ParseOptions(v)
-		if err != nil {
-			t.Fatalf("case %d parse: %v", i, err)
-		}
-		if got.Mode != o.Mode || got.Verify != o.Verify || got.InstrGap != o.InstrGap ||
-			got.Request.Where != o.Request.Where || got.Request.Payload != o.Request.Payload ||
-			len(got.Request.Funcs) != len(o.Request.Funcs) {
-			t.Fatalf("case %d: round trip %+v -> %+v", i, o, got)
-		}
-	}
-	if _, err := EncodeOptions(core.Options{Variant: core.Variant{NoTrampolines: true}}); err == nil {
-		t.Fatal("variants must not be wire-encodable")
-	}
+	return key
 }

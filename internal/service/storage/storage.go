@@ -10,25 +10,29 @@ package storage
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
-	"strings"
 
-	"icfgpatch/internal/arch"
 	"icfgpatch/internal/core"
+	"icfgpatch/internal/service/wire"
 	"icfgpatch/internal/store"
 )
 
 // AnalysisKey addresses one cached analysis: the content hash of the
-// serialised input binary plus everything core.Analyze consumes.
+// serialised binary (which covers the arch) plus the analysis rows of
+// the request's wire encoding (wire.EncodeAnalysis).
 type AnalysisKey struct {
-	Hash    string
-	Arch    arch.Arch
-	Mode    core.Mode
-	Variant core.Variant
-	// NoEvidence mirrors core.AnalysisConfig.NoEvidence: on a CFI binary
-	// the evidence-enabled func-ptr analysis can differ from the
-	// conservative one, so the two must never share a cache entry.
-	NoEvidence bool
+	Hash string
+	Opts string
+}
+
+// AnalysisKeyFor builds the analysis key of one request. Requests that
+// differ only in their instrumentation share it, and so one analysis.
+func AnalysisKeyFor(hash string, o core.Options) (AnalysisKey, error) {
+	o.Profile = nil
+	v, err := wire.EncodeAnalysis(o)
+	if err != nil {
+		return AnalysisKey{}, err
+	}
+	return AnalysisKey{Hash: hash, Opts: v.Encode()}, nil
 }
 
 // CachedResult is the result cache's artifact (gob-encoded on disk).
@@ -104,21 +108,19 @@ func decodeResult(data []byte) (CachedResult, error) {
 	return v, err
 }
 
-// Fingerprint extends the content address with the full instrumentation
-// request, canonically rendered — the result cache's key. The profile
-// joins through its canonical content hash (same binary + same profile
-// ⇒ same cached bytes; a nil profile hashes to the empty string, so
-// degraded guided requests share the unguided entry).
-func Fingerprint(hash string, o core.Options) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|m%d|w%d|p%d|v%t|g%d|nr%t|ne%t|%+v|f:%s|ph:%s|a:",
-		hash, o.Mode, o.Request.Where, o.Request.Payload,
-		o.Verify, o.InstrGap, o.NoRAMap, o.NoEvidence, o.Variant,
-		strings.Join(o.Request.Funcs, ","), o.Profile.Hash())
-	for _, a := range o.Request.Addrs {
-		fmt.Fprintf(&b, "%x,", a)
+// Fingerprint is the result cache's key: a hash of a versioned string
+// of the content address, the request's wire encoding and the profile's
+// content hash (a nil profile hashes to "", so degraded guided requests
+// share the unguided entry). Options the wire cannot express are
+// refused, so it never renders them.
+func Fingerprint(hash string, o core.Options) (string, error) {
+	prof := o.Profile
+	o.Profile = nil
+	v, err := wire.EncodeOptions(o)
+	if err != nil {
+		return "", err
 	}
-	return store.Hash([]byte(b.String()))
+	return store.Hash([]byte("opts1\n" + hash + "\n" + v.Encode() + "\n" + prof.Hash())), nil
 }
 
 // CachedUnits returns the function units of an already-completed

@@ -90,7 +90,7 @@ type BatchManifest struct {
 }
 
 // ParseItemOptions parses one item's Opts query string into
-// core.Options, exactly as the /rewrite door would.
+// core.Options with ParseOptions; transport keys are not item options.
 func ParseItemOptions(opts string) (core.Options, error) {
 	v, err := url.ParseQuery(opts)
 	if err != nil {

@@ -1,0 +1,189 @@
+package wire
+
+import (
+	"errors"
+	"fmt"
+	"net/url"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
+
+	"icfgpatch/internal/core"
+	"icfgpatch/internal/instrument"
+)
+
+// option is one row of the option codec: a query key, the core.Options
+// field it carries, and whether it is part of the analysis identity
+// (core.AnalysisConfig) as well as the result identity. The rows are the
+// only place an identity option is named.
+type option struct {
+	key      string
+	analysis bool
+	field    func(o *core.Options) any // a pointer to the field
+	names    []string                  // an enumeration's values, by field value
+}
+
+var modeNames = []string{core.ModeDir: "dir", core.ModeJT: "jt", core.ModeFuncPtr: "func-ptr"}
+
+// options is the codec. Absent keys take ParseOptions' defaults: jt,
+// block entry, empty payload, every function, no verify, no gap,
+// evidence on.
+var options = []option{
+	{"mode", true, func(o *core.Options) any { return &o.Mode }, modeNames},
+	{"where", false, func(o *core.Options) any { return &o.Request.Where }, []string{instrument.BlockEntry: "block", instrument.FuncEntry: "func"}},
+	{"payload", false, func(o *core.Options) any { return &o.Request.Payload }, []string{instrument.PayloadEmpty: "empty", instrument.PayloadCounter: "counter"}},
+	{"funcs", false, func(o *core.Options) any { return &o.Request.Funcs }, nil},
+	{"verify", false, func(o *core.Options) any { return &o.Verify }, nil},
+	{"gap", false, func(o *core.Options) any { return &o.InstrGap }, nil},
+	{"no-evidence", true, func(o *core.Options) any { return &o.NoEvidence }, nil},
+}
+
+// render returns the row's value in o, "" to leave the key out (the
+// option is at its default), or an error when the wire cannot express
+// it.
+func (row option) render(o *core.Options) (string, error) {
+	f := reflect.ValueOf(row.field(o)).Elem()
+	switch {
+	case row.names != nil:
+		if f.Uint() < uint64(len(row.names)) {
+			return row.names[f.Uint()], nil
+		}
+		return "", fmt.Errorf("%s %d is not expressible on the wire", row.key, f.Uint())
+	case f.IsZero():
+		return "", nil
+	case f.Kind() == reflect.Bool:
+		return "1", nil
+	case f.Kind() == reflect.Uint64:
+		return strconv.FormatUint(f.Uint(), 10), nil
+	}
+	fs := f.Interface().([]string)
+	if len(fs) == 0 || slices.ContainsFunc(fs, func(f string) bool { return f == "" || strings.Contains(f, ",") }) {
+		return "", fmt.Errorf("function subset %q is not expressible on the wire", fs)
+	}
+	return strings.Join(fs, ","), nil
+}
+
+func (row option) parse(o *core.Options, s string) (err error) {
+	switch p := row.field(o).(type) {
+	case *bool:
+		if *p, err = strconv.ParseBool(s); err != nil {
+			err = fmt.Errorf("bad value %q, want 1 or 0", s)
+		}
+	case *uint64:
+		if *p, err = strconv.ParseUint(s, 10, 64); err != nil {
+			err = fmt.Errorf("bad value %q, want a byte count", s)
+		}
+	case *[]string:
+		if *p = strings.Split(s, ","); slices.Contains(*p, "") {
+			err = fmt.Errorf("bad value %q: empty function name", s)
+		}
+	case *core.Mode:
+		*p, err = ParseMode(s)
+	default:
+		i := slices.Index(row.names, s)
+		if i < 0 {
+			return fmt.Errorf("unknown %s %q", row.key, s)
+		}
+		reflect.ValueOf(p).Elem().SetUint(uint64(i))
+	}
+	return err
+}
+
+// ParseMode parses a wire mode string; "" selects the default (jt) and
+// "funcptr" is accepted for "func-ptr".
+func ParseMode(m string) (core.Mode, error) {
+	if alias, ok := map[string]string{"": "jt", "funcptr": "func-ptr"}[m]; ok {
+		m = alias
+	}
+	i := slices.Index(modeNames, m)
+	if i < 0 {
+		return 0, fmt.Errorf("unknown mode %q", m)
+	}
+	return core.Mode(i), nil
+}
+
+// EncodeOptions renders o as its /rewrite query: the request identity.
+// It refuses what it cannot express instead of dropping it — baseline
+// variants, a suppressed RA map, instrumentation addresses, function
+// names that are empty or carry a comma — since a dropped option would
+// be served, and cached, as another request. A profile travels in the
+// body (FrameProfile), so it is refused too. PatchJobs and Trace change
+// no output byte and are not encoded.
+func EncodeOptions(o core.Options) (url.Values, error) { return encode(&o, false) }
+
+// EncodeAnalysis refuses what EncodeOptions refuses and renders only
+// o's analysis rows: the identity the analysis store and the peer-units
+// query key on.
+func EncodeAnalysis(o core.Options) (url.Values, error) { return encode(&o, true) }
+
+func encode(o *core.Options, analysisOnly bool) (url.Values, error) {
+	if o.Variant != (core.Variant{}) || o.NoRAMap || len(o.Request.Addrs) > 0 || o.Profile != nil {
+		return nil, errors.New("wire: baseline variants, NoRAMap and instrumentation addresses are not expressible on the wire; a profile travels in the body (profile=1)")
+	}
+	v := url.Values{}
+	for _, row := range options {
+		s, err := row.render(o)
+		if err != nil {
+			return nil, fmt.Errorf("wire: %w", err)
+		}
+		if s != "" && (row.analysis || !analysisOnly) {
+			v.Set(row.key, s)
+		}
+	}
+	return v, nil
+}
+
+// ParseOptions is EncodeOptions' inverse and the parse target of every
+// surface that takes options: the doors, batch items and the CLI flags.
+// An unknown key, a repeated key or a malformed value is an error, so a
+// misspelt option is refused rather than served as its default. A door
+// splits off its own transport keys first.
+func ParseOptions(v url.Values) (core.Options, error) {
+	o := core.Options{Mode: core.ModeJT}
+	for k, vs := range v {
+		i := slices.IndexFunc(options, func(row option) bool { return row.key == k })
+		if i < 0 {
+			return o, fmt.Errorf("wire: unknown option %q", k)
+		}
+		if err := set(k, vs, func(s string) error { return options[i].parse(&o, s) }); err != nil {
+			return o, err
+		}
+	}
+	return o, nil
+}
+
+// set applies parse to a key's one value; a repeated key is an error.
+func set(key string, vs []string, parse func(string) error) error {
+	err := fmt.Errorf("given %d times", len(vs))
+	if len(vs) == 1 {
+		err = parse(vs[0])
+	}
+	if err != nil {
+		return fmt.Errorf("wire: option %q: %w", key, err)
+	}
+	return nil
+}
+
+// SplitQuery splits a door's transport keys — at most one value each,
+// and not part of the request identity — off q, and parses the rest
+// with ParseOptions.
+func SplitQuery(q url.Values, transport ...string) (core.Options, map[string]string, error) {
+	rest, t := url.Values{}, map[string]string{}
+	for k, vs := range q {
+		if !slices.Contains(transport, k) {
+			rest[k] = vs
+		} else if err := set(k, vs, func(s string) error { t[k] = s; return nil }); err != nil {
+			return core.Options{}, nil, err
+		}
+	}
+	o, err := ParseOptions(rest)
+	return o, t, err
+}
+
+// ParseRewriteQuery is the /rewrite door's parse, shared by the serve
+// door and the gateway. Its transport keys are profile=1 (FrameProfile
+// body), trace=1 (span tree in the reply) and lane=batch (batch lane).
+func ParseRewriteQuery(q url.Values) (core.Options, map[string]string, error) {
+	return SplitQuery(q, "profile", "trace", "lane")
+}

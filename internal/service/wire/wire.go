@@ -8,7 +8,7 @@
 //
 // The /rewrite frame:
 //
-//	POST /rewrite?mode=jt&where=block&payload=empty[&funcs=a,b][&verify=1][&gap=N][&profile=1][&features=N]
+//	POST /rewrite?mode=jt&where=block&payload=empty[&funcs=a,b][&verify=1][&gap=N][&no-evidence=1][&profile=1][&trace=1][&lane=batch]
 //	  body: serialised input binary (.icfg bytes); with profile=1 the
 //	        body is FrameProfile's framing — an 8-byte little-endian
 //	        profile length, the serialised profile artifact, then the
@@ -19,12 +19,11 @@
 //	  errors: 400 bad request/options, 422 rewrite failure,
 //	          429 queue full, 503 shutting down, 504 deadline exceeded
 //
-// features=N is the option bitfield (decimal; see FeatureNoEvidence).
-// Every door — the plain serve door, a cluster node, the gateway —
-// rejects unknown bits with 400 rather than serving the request with
-// part of its semantics silently dropped: a feature bit changes what
-// the rewrite MEANS (and therefore its cache identity), so an old
-// process that does not understand one must refuse, not guess.
+// The option keys are the codec in options.go; the query they render is
+// the request identity the service's cache keys are built from. profile,
+// trace and lane are transport keys (ParseRewriteQuery). Every door
+// answers an unknown key, a repeated key or a malformed value with 400
+// rather than serve the request with part of its meaning dropped.
 package wire
 
 import (
@@ -33,51 +32,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/url"
-	"strconv"
-	"strings"
 
 	"icfgpatch/internal/core"
-	"icfgpatch/internal/instrument"
 )
-
-// Feature bits carried by the features=<bits> query parameter.
-const (
-	// FeatureNoEvidence disables the landing-pad evidence layer for the
-	// request (core.Options.NoEvidence): the binary is analysed on the
-	// historical conservative path as if it carried no markers.
-	FeatureNoEvidence uint64 = 1 << 0
-
-	// KnownFeatures is the mask of feature bits this build understands.
-	KnownFeatures = FeatureNoEvidence
-)
-
-// ParseFeatures parses a features=<bits> parameter value. The empty
-// string is the zero bitfield. Unknown bits are an error — the caller
-// turns it into a 400 — because each bit alters rewrite semantics and
-// cache identity, so ignoring one would serve a subtly wrong answer.
-func ParseFeatures(s string) (uint64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	bits, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad features %q: %v", s, err)
-	}
-	if unknown := bits &^ KnownFeatures; unknown != 0 {
-		return 0, fmt.Errorf("unknown feature bits %#x in features=%s (this build understands %#x)", unknown, s, uint64(KnownFeatures))
-	}
-	return bits, nil
-}
-
-// FeatureBits renders the options that travel as feature bits.
-func FeatureBits(o core.Options) uint64 {
-	var bits uint64
-	if o.NoEvidence {
-		bits |= FeatureNoEvidence
-	}
-	return bits
-}
 
 // Reply is the JSON half of a /rewrite response.
 type Reply struct {
@@ -145,49 +102,6 @@ func ReadFrame(r io.Reader) (*Reply, []byte, error) {
 	return &reply, image, nil
 }
 
-// EncodeOptions renders the CLI-expressible rewrite options as query
-// parameters. Options outside the wire surface (instrumentation at raw
-// addresses, baseline variants) are rejected: they are in-process-only.
-func EncodeOptions(o core.Options) (url.Values, error) {
-	v := url.Values{}
-	v.Set("mode", o.Mode.String())
-	switch o.Request.Where {
-	case instrument.BlockEntry:
-		v.Set("where", "block")
-	case instrument.FuncEntry:
-		v.Set("where", "func")
-	default:
-		return nil, fmt.Errorf("wire: instrumentation point %d not expressible on the wire", o.Request.Where)
-	}
-	switch o.Request.Payload {
-	case instrument.PayloadEmpty:
-		v.Set("payload", "empty")
-	case instrument.PayloadCounter:
-		v.Set("payload", "counter")
-	default:
-		return nil, fmt.Errorf("wire: payload %d not expressible on the wire", o.Request.Payload)
-	}
-	if len(o.Request.Funcs) > 0 {
-		v.Set("funcs", strings.Join(o.Request.Funcs, ","))
-	}
-	if o.Verify {
-		v.Set("verify", "1")
-	}
-	if o.InstrGap > 0 {
-		v.Set("gap", strconv.FormatUint(o.InstrGap, 10))
-	}
-	if bits := FeatureBits(o); bits != 0 {
-		v.Set("features", strconv.FormatUint(bits, 10))
-	}
-	if o.Variant != (core.Variant{}) {
-		return nil, errors.New("wire: baseline variants are not expressible on the wire")
-	}
-	if o.Profile != nil {
-		return nil, errors.New("wire: profiles travel in the request body (profile=1 framing), not the query string")
-	}
-	return v, nil
-}
-
 // FrameProfile builds a profile=1 request body: an 8-byte
 // little-endian profile length, the serialised profile artifact, then
 // the serialised binary. Framing the profile into the body — instead
@@ -214,62 +128,4 @@ func SplitProfile(body []byte) (profileBytes, binaryBytes []byte, err error) {
 		return nil, nil, fmt.Errorf("wire: profiled body declares %d profile bytes, only %d present", n, len(body)-8)
 	}
 	return body[8 : 8+n], body[8+n:], nil
-}
-
-// ParseMode parses a wire mode string; "" selects the default (jt).
-func ParseMode(m string) (core.Mode, error) {
-	switch m {
-	case "dir":
-		return core.ModeDir, nil
-	case "jt", "":
-		return core.ModeJT, nil
-	case "func-ptr", "funcptr":
-		return core.ModeFuncPtr, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", m)
-	}
-}
-
-// ParseOptions is EncodeOptions' inverse, also used by the CLIs to turn
-// their flags into core.Options.
-func ParseOptions(v url.Values) (core.Options, error) {
-	var o core.Options
-	mode, err := ParseMode(v.Get("mode"))
-	if err != nil {
-		return o, err
-	}
-	o.Mode = mode
-	switch w := v.Get("where"); w {
-	case "block", "":
-		o.Request.Where = instrument.BlockEntry
-	case "func":
-		o.Request.Where = instrument.FuncEntry
-	default:
-		return o, fmt.Errorf("unknown instrumentation point %q", w)
-	}
-	switch p := v.Get("payload"); p {
-	case "empty", "":
-		o.Request.Payload = instrument.PayloadEmpty
-	case "counter":
-		o.Request.Payload = instrument.PayloadCounter
-	default:
-		return o, fmt.Errorf("unknown payload %q", p)
-	}
-	if f := v.Get("funcs"); f != "" {
-		o.Request.Funcs = strings.Split(f, ",")
-	}
-	o.Verify = v.Get("verify") == "1" || v.Get("verify") == "true"
-	bits, err := ParseFeatures(v.Get("features"))
-	if err != nil {
-		return o, err
-	}
-	o.NoEvidence = bits&FeatureNoEvidence != 0
-	if g := v.Get("gap"); g != "" {
-		gap, err := strconv.ParseUint(g, 10, 64)
-		if err != nil {
-			return o, fmt.Errorf("bad gap %q: %v", g, err)
-		}
-		o.InstrGap = gap
-	}
-	return o, nil
 }

@@ -1,8 +1,8 @@
 // Package store provides the content-addressed artifact store behind
 // the rewrite service's warm path. Artifacts are keyed by what produced
-// them — for rewrite analyses, the binary's content hash × arch × mode
-// × variant — so identical inputs share one cached result regardless of
-// which client submitted them.
+// them — for rewrite analyses, the binary's content hash × the analysis
+// options of the request's wire encoding — so identical inputs share one
+// cached result regardless of which client submitted them.
 //
 // The store is an in-memory LRU with single-flight population:
 // concurrent GetOrCreate calls for one key run the builder exactly once
