@@ -180,11 +180,11 @@ func main() {
 	}
 
 	var (
-		stats       core.Stats
-		metricsText string
-		traceText   string
-		rewritten   *bin.Binary
-		cacheLine   string
+		stats     core.Stats
+		mx        core.Metrics
+		traceText string
+		rewritten *bin.Binary
+		served    string
 	)
 	if *remote != "" {
 		cl := &service.Client{BaseURL: *remote, Trace: *trace, Retries: *retries}
@@ -200,18 +200,8 @@ func main() {
 		if err := os.WriteFile(*out, image, 0o644); err != nil {
 			fatal(err)
 		}
-		stats, metricsText = reply.Stats, reply.MetricsText
-		switch {
-		case reply.ResultHit:
-			cacheLine = fmt.Sprintf("result cache hit (%.1fms server)", float64(reply.ElapsedUS)/1000)
-		case reply.AnalysisHit:
-			cacheLine = fmt.Sprintf("warm analysis (%.1fms server)", float64(reply.ElapsedUS)/1000)
-		case reply.FuncsReused > 0:
-			cacheLine = fmt.Sprintf("delta analysis (reused %d / recomputed %d funcs, %.1fms server)",
-				reply.FuncsReused, reply.FuncsRecomputed, float64(reply.ElapsedUS)/1000)
-		default:
-			cacheLine = fmt.Sprintf("cold (%.1fms server)", float64(reply.ElapsedUS)/1000)
-		}
+		stats, mx = reply.Stats, reply.Metrics
+		served = fmt.Sprintf("%s (%.1fms server)", service.ReplyCachePath(reply), float64(reply.ElapsedUS)/1000)
 	} else {
 		opts.PatchJobs = *patchJobs
 		var sp *obs.Span
@@ -228,16 +218,16 @@ func main() {
 		if err := res.Binary.WriteFile(*out); err != nil {
 			fatal(err)
 		}
-		stats, metricsText, rewritten = res.Stats, res.Metrics.Render(), res.Binary
+		stats, mx, rewritten = res.Stats, res.Metrics, res.Binary
 	}
 
 	fmt.Printf("rewrote %s (%s, mode %s)\n", flag.Arg(0), img.Arch, opts.Mode)
-	printSummary(stats)
-	if cacheLine != "" {
-		fmt.Printf("  service:      %s\n", cacheLine)
+	printSummary(stats, mx)
+	if served != "" {
+		fmt.Printf("  service:      %s\n", served)
 	}
 	if *metrics {
-		fmt.Println(metricsText)
+		fmt.Println(mx.Render())
 	}
 	if *trace && traceText != "" {
 		fmt.Println(traceText)
@@ -251,15 +241,18 @@ func main() {
 	}
 }
 
-func printSummary(s core.Stats) {
+// printSummary prints one rewrite's record, local or remote alike: the
+// rewritten binary's Stats and the pipeline's Metrics.
+func printSummary(s core.Stats, m core.Metrics) {
 	fmt.Printf("  functions:    %d/%d instrumented (coverage %.2f%%)\n",
 		s.InstrumentedFuncs, s.TotalFuncs, 100*s.Coverage())
 	if len(s.SkippedFuncs) > 0 {
 		fmt.Printf("  skipped:      %s\n", strings.Join(s.SkippedFuncs, ", "))
 	}
-	fmt.Printf("  CFL blocks:   %d (+%d scratch blocks)\n", s.CFLBlocks, s.ScratchBlocks)
-	fmt.Printf("  trampolines:  %v\n", s.Trampolines)
-	fmt.Printf("  jump tables:  %d cloned\n", s.ClonedTables)
+	fmt.Printf("  analysis:     %d funcs reused, %d recomputed\n", m.FuncsReused, m.FuncsRecomputed)
+	fmt.Printf("  CFL blocks:   %d (+%d scratch blocks)\n", m.CFLBlocks, m.ScratchBlocks)
+	fmt.Printf("  trampolines:  %v\n", m.Trampolines)
+	fmt.Printf("  jump tables:  %d cloned\n", m.ClonedTables)
 	fmt.Printf("  fn pointers:  %d rewritten\n", s.RewrittenPtrs)
 	fmt.Printf("  ra map:       %d entries\n", s.RAMapEntries)
 	if s.HotFuncs > 0 || s.VariantFuncs > 0 {

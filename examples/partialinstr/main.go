@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("trap trampolines: ours=%d, per-block placement=%d\n",
-		ours.Stats.TrapCount(), srbi.Stats.TrapCount())
+		ours.Metrics.TrapCount(), srbi.Metrics.TrapCount())
 
 	lib, err := rtlib.Preload(ours.Binary)
 	if err != nil {

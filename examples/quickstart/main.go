@@ -76,7 +76,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("rewritten: %d blocks instrumented, %d jump tables cloned, trampolines %v\n",
-		len(res.CounterCells), res.Stats.ClonedTables, res.Stats.Trampolines)
+		len(res.CounterCells), res.Metrics.ClonedTables, res.Metrics.Trampolines)
 
 	// 4. Run the rewritten binary with the runtime library preloaded.
 	lib, err := rtlib.Preload(res.Binary)

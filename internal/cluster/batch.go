@@ -14,7 +14,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"icfgpatch/internal/service"
 	"icfgpatch/internal/service/batch"
@@ -30,7 +29,7 @@ import (
 // cache-locality policy, availability wins.
 func (n *Node) InstallBatch(mgr *batch.Manager) {
 	local := mgr.LocalExec()
-	mgr.SetExec(func(ctx context.Context, it *batch.Item) (*batch.ExecResult, error) {
+	mgr.SetExec(func(ctx context.Context, it *batch.Item) (*service.Response, error) {
 		owners := n.ring.Owners(it.Hash, n.cfg.Replicas)
 		for _, o := range owners {
 			if o == n.cfg.Self {
@@ -60,8 +59,9 @@ func (n *Node) InstallBatch(mgr *batch.Manager) {
 }
 
 // execItemAt runs one item's rewrite on a specific peer over the plain
-// /rewrite wire format.
-func (n *Node) execItemAt(ctx context.Context, owner string, it *batch.Item) (*batch.ExecResult, error) {
+// /rewrite wire format. The owner's record arrives whole, stage laps
+// included.
+func (n *Node) execItemAt(ctx context.Context, owner string, it *batch.Item) (*service.Response, error) {
 	u := strings.TrimSuffix(owner, "/") + "/rewrite?lane=batch&" + it.Opts
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(it.Input))
 	if err != nil {
@@ -83,9 +83,5 @@ func (n *Node) execItemAt(ctx context.Context, owner string, it *batch.Item) (*b
 	if err != nil {
 		return nil, err
 	}
-	return &batch.ExecResult{
-		Image:   image,
-		Path:    service.ReplyCachePath(reply),
-		Elapsed: time.Duration(reply.ElapsedUS) * time.Microsecond,
-	}, nil
+	return &service.Response{Image: image, Reply: *reply}, nil
 }

@@ -14,6 +14,7 @@ import (
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/service"
 	"icfgpatch/internal/service/wire"
+	"icfgpatch/internal/store"
 )
 
 // TestClusterBatchThroughGateway drives a fleet job through the front
@@ -99,6 +100,83 @@ func TestClusterBatchThroughGateway(t *testing.T) {
 	}
 	if misses != 3 {
 		t.Errorf("cluster-wide analysis misses = %d, want 3", misses)
+	}
+}
+
+// TestClusterBatchStageEvents pins the batch feed's stage-event rule on
+// both executors: an item reports item-stage events exactly when its
+// cache path is not result-cache — the rule /metrics' stage histogram
+// follows. An item forwarded to its hash's owner carries the owner's
+// stage laps home in its reply, and a result-cache replay reports none,
+// wherever it ran.
+func TestClusterBatchStageEvents(t *testing.T) {
+	tc := NewTestCluster(t, TestClusterConfig{Batch: true, Service: service.Config{ResultEntries: 8}})
+	self := tc.Nodes[0]
+	owned := func(raw []byte) bool {
+		for _, o := range self.Owners(store.Hash(raw)) {
+			if o == self.Self() {
+				return true
+			}
+		}
+		return false
+	}
+	// One binary node 0 owns and one it must forward, each submitted
+	// twice so the second copy can replay from its owner's result cache.
+	var local, remote []byte
+	for seed := int64(70); local == nil || remote == nil; seed++ {
+		if seed == 100 {
+			t.Fatal("no seed in 70..99 gives both a local and a forwarded binary")
+		}
+		raw := clusterBinary(t, arch.X64, seed)
+		if owned(raw) && local == nil {
+			local = raw
+		} else if !owned(raw) && remote == nil {
+			remote = raw
+		}
+	}
+	man := wire.BatchManifest{Items: []wire.BatchItem{
+		{Name: "remote-0", Binary: remote}, {Name: "remote-1", Binary: remote},
+		{Name: "local-0", Binary: local}, {Name: "local-1", Binary: local},
+	}}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	cl := tc.NodeClient(0)
+	acc, err := cl.BatchSubmit(ctx, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := map[string]int{}
+	paths := map[string]string{}
+	if err := cl.BatchEvents(ctx, acc.ID, 0, func(ev wire.BatchEvent) bool {
+		switch ev.Type {
+		case wire.EventItemStage:
+			stages[ev.Name]++
+		case wire.EventItemDone:
+			paths[ev.Name] = ev.Path
+		case wire.EventItemFailed:
+			t.Errorf("%s failed: %s", ev.Name, ev.Err)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	built := map[string]bool{}
+	for _, it := range man.Items {
+		path := paths[it.Name]
+		switch {
+		case path == "":
+			t.Errorf("%s: no item-done event", it.Name)
+		case path == service.PathResultCache && stages[it.Name] != 0:
+			t.Errorf("%s: result-cache replay reported %d item-stage events, want none", it.Name, stages[it.Name])
+		case path != service.PathResultCache && stages[it.Name] == 0:
+			t.Errorf("%s: %s rewrite reported no item-stage events", it.Name, path)
+		case path != service.PathResultCache:
+			built[strings.TrimRight(it.Name, "-01")] = true
+		}
+	}
+	if !built["remote"] || !built["local"] {
+		t.Errorf("built items %v: want one build each of the forwarded and the local binary (paths %v)", built, paths)
 	}
 }
 

@@ -190,7 +190,7 @@ func TestClusterPeerWarmPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.FuncsRecomputed == 0 {
+	if cold.Metrics.FuncsRecomputed == 0 {
 		t.Fatal("cold rewrite recomputed nothing; test premise broken")
 	}
 
@@ -198,11 +198,11 @@ func TestClusterPeerWarmPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.FuncsRecomputed != 0 {
-		t.Fatalf("peer-warmed rewrite recomputed %d funcs, want 0", warm.FuncsRecomputed)
+	if warm.Metrics.FuncsRecomputed != 0 {
+		t.Fatalf("peer-warmed rewrite recomputed %d funcs, want 0", warm.Metrics.FuncsRecomputed)
 	}
-	if warm.FuncsReused != cold.FuncsRecomputed {
-		t.Fatalf("peer-warmed rewrite reused %d funcs, want %d", warm.FuncsReused, cold.FuncsRecomputed)
+	if warm.Metrics.FuncsReused != cold.Metrics.FuncsRecomputed {
+		t.Fatalf("peer-warmed rewrite reused %d funcs, want %d", warm.Metrics.FuncsReused, cold.Metrics.FuncsRecomputed)
 	}
 
 	st, err := tc.NodeClient(1).Stats(context.Background())
@@ -251,7 +251,7 @@ func TestClusterPeerTimeout(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("timeout-fallback rewrite diverged")
 	}
-	if reply.FuncsRecomputed == 0 {
+	if reply.Metrics.FuncsRecomputed == 0 {
 		t.Fatal("node 1 claims reuse although the peer fetch should have timed out")
 	}
 	st, err := tc.NodeClient(1).Stats(context.Background())

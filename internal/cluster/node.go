@@ -286,7 +286,7 @@ func (n *Node) handleRewrite(w http.ResponseWriter, r *http.Request) {
 // peer traffic never perturbs local cache behaviour.
 func (n *Node) handlePeerUnits(w http.ResponseWriter, r *http.Request) {
 	opts, t, err := wire.SplitQuery(r.URL.Query(), "hash")
-	key, kerr := storage.AnalysisKeyFor(t["hash"], opts)
+	_, key, kerr := storage.Keys(t["hash"], opts)
 	if key.Hash == "" {
 		kerr = errors.New("missing hash")
 	}

@@ -33,8 +33,8 @@ func TestBoundaryTableRewriteEquivalence(t *testing.T) {
 		if res.Stats.Coverage() != 1 {
 			t.Errorf("%s: coverage = %v, want 1", a, res.Stats.Coverage())
 		}
-		if res.Stats.ClonedTables != 1 {
-			t.Errorf("%s: %d tables cloned, want 1", a, res.Stats.ClonedTables)
+		if res.Metrics.ClonedTables != 1 {
+			t.Errorf("%s: %d tables cloned, want 1", a, res.Metrics.ClonedTables)
 		}
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 
-	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/instrument"
 	"icfgpatch/internal/obs"
@@ -172,15 +171,14 @@ type Variant struct {
 	ReverseBlocks bool
 }
 
-// Stats summarises what the rewriter did.
+// Stats describes the rewritten binary: coverage, sizes, skipped
+// functions, rewritten pointers, the RA map, profile guidance and
+// landing-pad evidence. What the pipeline did to produce it (stages,
+// placement counters, the delta split) is Metrics; no fact is in both.
 type Stats struct {
 	TotalFuncs        int
 	InstrumentedFuncs int
 	SkippedFuncs      []string
-	CFLBlocks         int
-	ScratchBlocks     int
-	Trampolines       map[arch.TrampolineClass]int
-	ClonedTables      int
 	RewrittenPtrs     int
 	RAMapEntries      int
 	OrigLoadedSize    uint64
@@ -218,15 +216,12 @@ func (s Stats) SizeIncrease() float64 {
 	return float64(s.NewLoadedSize)/float64(s.OrigLoadedSize) - 1
 }
 
-// TrapCount returns the number of trap trampolines installed.
-func (s Stats) TrapCount() int { return s.Trampolines[arch.TrampTrap] }
-
 // Result is a completed rewrite.
 type Result struct {
 	Binary *bin.Binary
 	Stats  Stats
-	// Metrics records per-pass stage timings and counters (the
-	// experiment pipeline aggregates them across cells).
+	// Metrics records per-pass stage timings and the placement counters
+	// (the experiment pipeline aggregates them across cells).
 	Metrics Metrics
 	// CounterCells maps the original address of each instrumented point
 	// to its counter cell (PayloadCounter only).

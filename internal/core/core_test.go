@@ -546,15 +546,15 @@ func TestDirModeLeavesTablesAndBouncesThroughText(t *testing.T) {
 			Request: instrument.Request{Where: instrument.BlockEntry, Payload: instrument.PayloadEmpty},
 			Verify:  true,
 		})
-		if dirRes.Stats.ClonedTables != 0 {
+		if dirRes.Metrics.ClonedTables != 0 {
 			t.Error("dir mode cloned jump tables")
 		}
-		if jtRes.Stats.ClonedTables == 0 {
+		if jtRes.Metrics.ClonedTables == 0 {
 			t.Error("jt mode cloned no jump tables")
 		}
-		if dirRes.Stats.CFLBlocks <= jtRes.Stats.CFLBlocks {
+		if dirRes.Metrics.CFLBlocks <= jtRes.Metrics.CFLBlocks {
 			t.Errorf("dir CFL blocks (%d) must exceed jt CFL blocks (%d)",
-				dirRes.Stats.CFLBlocks, jtRes.Stats.CFLBlocks)
+				dirRes.Metrics.CFLBlocks, jtRes.Metrics.CFLBlocks)
 		}
 		if jtRes.Binary.Section(bin.SecJTClone) == nil {
 			t.Error("jt mode emitted no clone section")
@@ -578,12 +578,12 @@ func TestForcedGapDrivesLongTrampolinesOnPPC(t *testing.T) {
 	if string(got.Output) != string(want.Output) {
 		t.Errorf("output = %q, want %q", got.Output, want.Output)
 	}
-	longish := res.Stats.Trampolines[arch.TrampLong] + res.Stats.Trampolines[arch.TrampLongSpill]
+	longish := res.Metrics.Trampolines[arch.TrampLong] + res.Metrics.Trampolines[arch.TrampLongSpill]
 	if longish == 0 {
-		t.Errorf("no long trampolines despite a 48MB gap: %v", res.Stats.Trampolines)
+		t.Errorf("no long trampolines despite a 48MB gap: %v", res.Metrics.Trampolines)
 	}
-	if res.Stats.Trampolines[arch.TrampShort] != 0 {
-		t.Errorf("single-branch trampolines cannot reach across a 48MB gap: %v", res.Stats.Trampolines)
+	if res.Metrics.Trampolines[arch.TrampShort] != 0 {
+		t.Errorf("single-branch trampolines cannot reach across a 48MB gap: %v", res.Metrics.Trampolines)
 	}
 }
 
@@ -603,7 +603,7 @@ func TestRewrittenBinaryFailsWithoutRuntimeLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.TrapCount() == 0 {
+	if res.Metrics.TrapCount() == 0 {
 		t.Skip("no trap trampolines were needed; nothing to demonstrate")
 	}
 	m, err := emu.Load(res.Binary, emu.Options{})
@@ -625,22 +625,18 @@ func TestStatsShape(t *testing.T) {
 		Request: instrument.Request{Where: instrument.BlockEntry, Payload: instrument.PayloadEmpty},
 		Verify:  true,
 	})
-	s := res.Stats
+	s, m := res.Stats, res.Metrics
 	if s.TotalFuncs < 6 || s.InstrumentedFuncs != s.TotalFuncs {
 		t.Errorf("funcs: %d/%d", s.InstrumentedFuncs, s.TotalFuncs)
 	}
 	if s.SizeIncrease() <= 0 {
 		t.Error("rewritten binary not larger than original")
 	}
-	if s.CFLBlocks == 0 || s.ScratchBlocks == 0 {
-		t.Errorf("placement stats empty: %+v", s)
+	if m.CFLBlocks == 0 || m.ScratchBlocks == 0 {
+		t.Errorf("placement counters empty: %+v", m)
 	}
-	total := 0
-	for _, n := range s.Trampolines {
-		total += n
-	}
-	if total < s.CFLBlocks {
-		t.Errorf("%d trampolines for %d CFL blocks", total, s.CFLBlocks)
+	if total := m.TrampolineTotal(); total < m.CFLBlocks {
+		t.Errorf("%d trampolines for %d CFL blocks", total, m.CFLBlocks)
 	}
 	if !strings.Contains(ModeFuncPtr.String(), "func-ptr") {
 		t.Error("mode stringer wrong")

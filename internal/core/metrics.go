@@ -29,8 +29,9 @@ type StageMetric struct {
 }
 
 // Metrics is the per-pass metrics layer: stage timings plus the counters
-// that explain where a rewrite's time and bytes went. Rewrite fills one
-// per call; experiment sweeps aggregate them across many cells with Add.
+// that explain where a rewrite's time and bytes went — trampoline
+// placement and the delta split. Rewrite fills one per call; experiment
+// sweeps aggregate them across many cells with Add.
 // Timings are wall-clock and therefore non-deterministic; everything
 // else is a deterministic function of the input binary and options.
 type Metrics struct {
@@ -110,6 +111,9 @@ func (m *Metrics) Add(o Metrics) {
 	m.PatchFuncsReused += o.PatchFuncsReused
 	m.PatchFuncsReencoded += o.PatchFuncsReencoded
 }
+
+// TrapCount returns the number of trap trampolines installed.
+func (m Metrics) TrapCount() int { return m.Trampolines[arch.TrampTrap] }
 
 // TotalWall sums the stage timings.
 func (m Metrics) TotalWall() time.Duration {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"time"
 
@@ -69,6 +68,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	b, g, ptrSites := an.Binary, an.Graph, an.PtrSites
 	mx := Metrics{
 		Stages:          append([]StageMetric(nil), an.Metrics.Stages...),
+		Trampolines:     map[arch.TrampolineClass]int{},
 		FuncsReused:     an.Metrics.FuncsReused,
 		FuncsRecomputed: an.Metrics.FuncsRecomputed,
 	}
@@ -82,7 +82,6 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	// (DESIGN.md §11's zero-copy section assembly).
 	nb := b.CloneShared()
 	stats := Stats{
-		Trampolines:    map[arch.TrampolineClass]int{},
 		OrigLoadedSize: b.LoadedSize(),
 		TotalFuncs:     len(g.Funcs),
 	}
@@ -119,7 +118,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	if err := p.layoutAll(opts); err != nil {
 		return nil, err
 	}
-	stats.ClonedTables = len(p.clones)
+	mx.ClonedTables = len(p.clones)
 	sp.Record(StageLayout, mx.lap(StageLayout, &clock))
 
 	// Stage 3: emit — parallel per-unit encoding.
@@ -177,8 +176,8 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	}
 	var deferred []hopJob
 	for _, ft := range p.tramps {
-		stats.CFLBlocks += ft.cflBlocks
-		stats.ScratchBlocks += ft.scratchBlocks
+		mx.CFLBlocks += ft.cflBlocks
+		mx.ScratchBlocks += ft.scratchBlocks
 		for _, job := range ft.jobs {
 			to, ok := p.reloc.get(job.sb.Start)
 			if !ok {
@@ -193,7 +192,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 				deferred = append(deferred, hopJob{sb: sb, to: to, scratch: job.scratch, heat: p.profCount[ft.fn.Name]})
 				continue
 			}
-			if err := installTrampoline(nb, tr, pool, sb, &stats); err != nil {
+			if err := installTrampoline(nb, tr, pool, sb, &mx); err != nil {
 				return nil, err
 			}
 		}
@@ -211,7 +210,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 		tr, hop, ok := multiHop(b, job.sb, job.to, job.scratch, pool)
 		if ok {
 			tr.Class = arch.TrampMulti
-			if err := installTrampoline(nb, tr, pool, job.sb, &stats); err != nil {
+			if err := installTrampoline(nb, tr, pool, job.sb, &mx); err != nil {
 				return nil, err
 			}
 			if err := writeTrampoline(nb, hop); err != nil {
@@ -220,7 +219,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 			continue
 		}
 		trap := arch.NewTrapTrampoline(b.Arch, job.sb.Start, job.to)
-		if err := installTrampoline(nb, trap, pool, job.sb, &stats); err != nil {
+		if err := installTrampoline(nb, trap, pool, job.sb, &mx); err != nil {
 			return nil, err
 		}
 		trapPairs = append(trapPairs, bin.AddrPair{From: trap.From, To: trap.To})
@@ -338,12 +337,8 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("core: rewritten binary invalid: %w", err)
 	}
 	sp.Record(StageFinalize, mx.lap(StageFinalize, &clock))
-	mx.CFLBlocks = stats.CFLBlocks
-	mx.ScratchBlocks = stats.ScratchBlocks
 	mx.ScratchBytesHarvested = pool.harvested
 	mx.ScratchBytesFree = pool.total()
-	mx.Trampolines = maps.Clone(stats.Trampolines)
-	mx.ClonedTables = stats.ClonedTables
 	mx.AnalysisFailures = len(stats.SkippedFuncs)
 	if sp != nil {
 		sp.SetInt("cfl-blocks", int64(mx.CFLBlocks))

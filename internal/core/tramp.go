@@ -100,11 +100,11 @@ func multiHop(b *bin.Binary, sb superblock, to uint64, scratch arch.Reg, pool *s
 
 // installTrampoline writes the trampoline into the text section and
 // donates the superblock's remaining space to the scratch pool.
-func installTrampoline(nb *bin.Binary, tr arch.Trampoline, pool *scratchPool, sb superblock, stats *Stats) error {
+func installTrampoline(nb *bin.Binary, tr arch.Trampoline, pool *scratchPool, sb superblock, mx *Metrics) error {
 	if err := writeTrampoline(nb, tr); err != nil {
 		return err
 	}
-	stats.Trampolines[tr.Class]++
+	mx.Trampolines[tr.Class]++
 	leftover := sb.Start + uint64(tr.Len)
 	end := sb.Start + uint64(sb.Space)
 	if end > leftover {

@@ -60,7 +60,7 @@ func Firefox() (*FirefoxResult, error) {
 		}
 		m.Coverage = rw.Stats.Coverage()
 		m.SizeInc = rw.Stats.SizeIncrease()
-		m.Traps = rw.Stats.TrapCount()
+		m.Traps = rw.Metrics.TrapCount()
 		if mode == core.ModeDir && trapsInDtors(p, rw) {
 			m.Failed = true
 			m.Reason = "runtime library bug handling trap trampolines installed in library destructors (modelled Dyninst-10.2 defect)"

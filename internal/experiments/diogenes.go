@@ -64,7 +64,7 @@ func Diogenes() (*DiogenesResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diogenes mainstream rewrite: %w", err)
 	}
-	res.MainstreamTraps = main.Stats.TrapCount()
+	res.MainstreamTraps = main.Metrics.TrapCount()
 	mRun, err := run(main.Binary, runOpts{maxInstr: 200_000_000})
 	if err == nil {
 		res.MainstreamOK = true
@@ -75,7 +75,7 @@ func Diogenes() (*DiogenesResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diogenes incremental rewrite: %w", err)
 	}
-	res.OursTraps = ours.Stats.TrapCount()
+	res.OursTraps = ours.Metrics.TrapCount()
 	oRun, err := run(ours.Binary, runOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("diogenes incremental run: %w", err)

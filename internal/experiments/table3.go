@@ -224,7 +224,7 @@ func runOne(label string, p *workload.Program, rewrite rewriteFn) (out Table3Run
 	}
 	out.Coverage = rw.Stats.Coverage()
 	out.SizeInc = rw.Stats.SizeIncrease()
-	out.Traps = rw.Stats.TrapCount()
+	out.Traps = rw.Metrics.TrapCount()
 	out.Metrics = rw.Metrics
 	got, err := run(rw.Binary, runOpts{})
 	if err != nil {

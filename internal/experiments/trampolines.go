@@ -39,7 +39,7 @@ func Trampolines(a arch.Arch) (*TrampolineDistribution, error) {
 			if err != nil {
 				continue
 			}
-			for class, n := range rw.Stats.Trampolines {
+			for class, n := range rw.Metrics.Trampolines {
 				counts[class] += n
 			}
 		}

@@ -33,33 +33,18 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
-	"icfgpatch/internal/core"
 	"icfgpatch/internal/obs"
 	"icfgpatch/internal/service"
 	"icfgpatch/internal/service/wire"
 	"icfgpatch/internal/store"
 )
 
-// Exec runs one item's rewrite and returns its outcome. The default
-// executor submits to the local server's batch lane; the cluster
-// installs a routing executor via SetExec.
-type Exec func(ctx context.Context, item *Item) (*ExecResult, error)
-
-// ExecResult is one executed item's outcome.
-type ExecResult struct {
-	// Image is the rewritten serialised binary.
-	Image []byte
-	// Path is the cache path the rewrite took (service cache-path
-	// vocabulary: cold, delta, warm-analysis, result-cache).
-	Path string
-	// Elapsed is the rewrite's server-side processing time.
-	Elapsed time.Duration
-	// Stages carries the pipeline's per-stage wall times when the item
-	// ran locally; empty for items forwarded to a peer.
-	Stages []core.StageMetric
-}
+// Exec runs one item's rewrite and returns its image and record, the
+// same service.Response whether the item ran locally or on a peer. The
+// default executor submits to the local server's batch lane; the
+// cluster installs a routing executor via SetExec.
+type Exec func(ctx context.Context, item *Item) (*service.Response, error)
 
 // Item is one unit of batch work: a manifest entry plus its parsed
 // options and content hash.
@@ -210,21 +195,12 @@ func (m *Manager) SetExec(e Exec) {
 // server's batch lane — for routing executors to fall back on.
 func (m *Manager) LocalExec() Exec { return m.execLocal }
 
-func (m *Manager) execLocal(ctx context.Context, it *Item) (*ExecResult, error) {
+func (m *Manager) execLocal(ctx context.Context, it *Item) (*service.Response, error) {
 	opts, err := wire.ParseItemOptions(it.Opts)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := m.srv.SubmitBatch(ctx, service.Request{Raw: it.Input, Hash: it.Hash, Opts: opts})
-	if err != nil {
-		return nil, err
-	}
-	return &ExecResult{
-		Image:   resp.Image,
-		Path:    resp.CachePath(),
-		Elapsed: resp.Elapsed,
-		Stages:  resp.Metrics.Stages,
-	}, nil
+	return m.srv.SubmitBatch(ctx, service.Request{Raw: it.Input, Hash: it.Hash, Opts: opts})
 }
 
 // Submit validates a manifest, persists the new job, and starts its
@@ -409,16 +385,18 @@ func (m *Manager) runItem(job *Job, i int) {
 		job.mu.Unlock()
 		return
 	}
+	var path string
 	job.mu.Lock()
 	ir := &job.rec.Items[i]
 	if err != nil {
 		ir.State = wire.BatchFailed
 		ir.Err = err.Error()
 	} else {
+		path = service.ReplyCachePath(&res.Reply)
 		ir.State = wire.BatchDone
 		ir.Image = res.Image
-		ir.Path = res.Path
-		ir.ElapsedUS = res.Elapsed.Microseconds()
+		ir.Path = path
+		ir.ElapsedUS = res.ElapsedUS
 	}
 	job.done++
 	done := job.done
@@ -434,13 +412,17 @@ func (m *Manager) runItem(job *Job, i int) {
 			Err: err.Error(), Done: done})
 		return
 	}
-	for _, st := range res.Stages {
-		m.emit(job, wire.BatchEvent{Type: wire.EventItemStage, Item: i, Name: it.Name,
-			Stage: st.Name, WallUS: st.Wall.Microseconds()})
+	// Stage events follow /metrics: a result-cache replay ran no stage,
+	// so the original build's laps are not reported as this item's.
+	if path != service.PathResultCache {
+		for _, st := range res.Metrics.Stages {
+			m.emit(job, wire.BatchEvent{Type: wire.EventItemStage, Item: i, Name: it.Name,
+				Stage: st.Name, WallUS: st.Wall.Microseconds()})
+		}
 	}
 	m.itemsTotal.With("ok").Inc()
 	m.emit(job, wire.BatchEvent{Type: wire.EventItemDone, Item: i, Name: it.Name,
-		Path: res.Path, WallUS: res.Elapsed.Microseconds(), Done: done})
+		Path: path, WallUS: res.ElapsedUS, Done: done})
 }
 
 // persist re-Puts the job's record through the store (and so to disk).

@@ -144,7 +144,7 @@ func TestBatchResume(t *testing.T) {
 	// until shutdown cancels it — freezing the job with exactly one
 	// completed item in the persisted record.
 	local := mgr1.LocalExec()
-	mgr1.SetExec(func(ctx context.Context, it *Item) (*ExecResult, error) {
+	mgr1.SetExec(func(ctx context.Context, it *Item) (*service.Response, error) {
 		if it.Index == 0 {
 			return local(ctx, it)
 		}
@@ -333,7 +333,7 @@ func TestBatchSSEClientDisconnect(t *testing.T) {
 	// Slow the items down so the disconnect happens mid-job.
 	local := mgr.LocalExec()
 	var gate atomic.Bool
-	mgr.SetExec(func(ctx context.Context, it *Item) (*ExecResult, error) {
+	mgr.SetExec(func(ctx context.Context, it *Item) (*service.Response, error) {
 		for !gate.Load() {
 			select {
 			case <-ctx.Done():

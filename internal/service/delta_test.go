@@ -42,18 +42,18 @@ func TestDeltaMetricsScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply1.FuncsReused != 0 || reply1.FuncsRecomputed == 0 {
-		t.Fatalf("cold reply delta split = %d reused / %d recomputed", reply1.FuncsReused, reply1.FuncsRecomputed)
+	if reply1.Metrics.FuncsReused != 0 || reply1.Metrics.FuncsRecomputed == 0 {
+		t.Fatalf("cold reply delta split = %d reused / %d recomputed", reply1.Metrics.FuncsReused, reply1.Metrics.FuncsRecomputed)
 	}
 	_, reply2, err := cl.Rewrite(context.Background(), v2.Marshal(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply2.FuncsReused == 0 {
-		t.Fatalf("v2 reply reused nothing (recomputed %d): delta path never engaged", reply2.FuncsRecomputed)
+	if reply2.Metrics.FuncsReused == 0 {
+		t.Fatalf("v2 reply reused nothing (recomputed %d): delta path never engaged", reply2.Metrics.FuncsRecomputed)
 	}
-	if reply2.FuncsRecomputed >= reply1.FuncsRecomputed {
-		t.Fatalf("v2 recomputed %d of %d funcs: not a delta", reply2.FuncsRecomputed, reply1.FuncsRecomputed)
+	if reply2.Metrics.FuncsRecomputed >= reply1.Metrics.FuncsRecomputed {
+		t.Fatalf("v2 recomputed %d of %d funcs: not a delta", reply2.Metrics.FuncsRecomputed, reply1.Metrics.FuncsRecomputed)
 	}
 
 	res, err := http.Get(ts.URL + "/metrics")
@@ -70,9 +70,9 @@ func TestDeltaMetricsScrape(t *testing.T) {
 	for _, want := range []string{
 		`icfg_cache_path_total{path="cold"} 1`,
 		`icfg_cache_path_total{path="delta"} 1`,
-		fmt.Sprintf("icfg_analysis_funcs_reused_total %d", reply1.FuncsReused+reply2.FuncsReused),
-		fmt.Sprintf("icfg_analysis_funcs_recomputed_total %d", reply1.FuncsRecomputed+reply2.FuncsRecomputed),
-		fmt.Sprintf(`icfg_store_hits{store="funcs"} %d`, reply2.FuncsReused),
+		fmt.Sprintf("icfg_analysis_funcs_reused_total %d", reply1.Metrics.FuncsReused+reply2.Metrics.FuncsReused),
+		fmt.Sprintf("icfg_analysis_funcs_recomputed_total %d", reply1.Metrics.FuncsRecomputed+reply2.Metrics.FuncsRecomputed),
+		fmt.Sprintf(`icfg_store_hits{store="funcs"} %d`, reply2.Metrics.FuncsReused),
 		`icfg_store_disk_hits{store="funcs"} 0`,
 		`icfg_store_misses{store="analysis"} 2`,
 	} {

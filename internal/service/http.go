@@ -104,18 +104,9 @@ func (s *Server) ServeRewrite(w http.ResponseWriter, r *http.Request, raw []byte
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	reply := &wire.Reply{
-		Stats:           resp.Stats,
-		MetricsText:     resp.Metrics.Render(),
-		AnalysisHit:     resp.AnalysisHit,
-		ResultHit:       resp.ResultHit,
-		FuncsReused:     resp.Metrics.FuncsReused,
-		FuncsRecomputed: resp.Metrics.FuncsRecomputed,
-		ElapsedUS:       resp.Elapsed.Microseconds(),
-		TraceText:       resp.Trace.Render(),
-	}
+	resp.TraceText = resp.Trace.Render()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	wire.WriteFrame(w, reply, resp.Image)
+	wire.WriteFrame(w, &resp.Reply, resp.Image)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

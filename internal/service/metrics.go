@@ -28,10 +28,10 @@ const (
 // Cache path labels for icfg_cache_path_total: how much of the pipeline
 // a served request actually ran.
 const (
-	pathCold         = "cold"          // full Analyze + Patch
-	pathDelta        = "delta"         // fresh analysis assembled partly from reused function units
-	pathWarmAnalysis = "warm-analysis" // cached analysis, per-request Patch
-	pathResultCache  = "result-cache"  // byte-identical replay, no patching
+	PathCold         = "cold"          // full Analyze + Patch
+	PathDelta        = "delta"         // fresh analysis assembled partly from reused function units
+	PathWarmAnalysis = "warm-analysis" // cached analysis, per-request Patch
+	PathResultCache  = "result-cache"  // byte-identical replay, no patching
 )
 
 // metrics is one Server's instrumentation: outcome/cache-path counters,
@@ -82,8 +82,8 @@ func newMetrics(s *Server) *metrics {
 	reg.GaugeFunc("icfg_batch_queue_capacity", "batch-lane queue capacity", "", "",
 		func() float64 { return float64(s.pool.BatchQueueCap()) })
 	registerStoreGauges(reg, "analysis", func() store.Stats { return s.stores.Analyses.Stats() })
-	if s.stores.Results != nil {
-		registerStoreGauges(reg, "result", func() store.Stats { return s.stores.Results.Stats() })
+	if s.results != nil {
+		registerStoreGauges(reg, "result", func() store.Stats { return s.results.Stats() })
 	}
 	if s.stores.Units != nil {
 		units := s.stores.Units
@@ -128,8 +128,8 @@ func registerCacheGauges(reg *obs.Registry, prefix, what string, stats func() st
 // per-stage histogram samples.
 func (m *metrics) observeServed(resp *Response) {
 	m.requests.With(outcomeOK).Inc()
-	m.cachePath.With(respPath(resp)).Inc()
-	m.request.Observe(resp.Elapsed.Seconds())
+	m.cachePath.With(ReplyCachePath(&resp.Reply)).Inc()
+	m.request.Observe(float64(resp.ElapsedUS) / 1e6)
 	if resp.ResultHit {
 		return
 	}
@@ -147,40 +147,23 @@ func (m *metrics) observeServed(resp *Response) {
 	}
 }
 
-// CachePath classifies how this served response was produced — one of
+// ReplyCachePath classifies how a served rewrite was produced — one of
 // the icfg_cache_path_total labels (cold, delta, warm-analysis,
-// result-cache). Exported for the batch subsystem's per-item events.
-func (r *Response) CachePath() string { return respPath(r) }
-
-// ReplyCachePath is CachePath over a remote rewrite's wire Reply, so a
-// node relaying a batch item to the hash's owner reports the same
-// vocabulary the owner would have.
+// result-cache). It is the only classifier: /metrics, traces, batch
+// item events and the CLI all read a record through it, whether the
+// record was built here or arrived over the wire.
 func ReplyCachePath(rep *Reply) string {
 	switch {
 	case rep.ResultHit:
-		return pathResultCache
+		return PathResultCache
 	case rep.AnalysisHit:
-		return pathWarmAnalysis
-	case rep.FuncsReused > 0:
-		return pathDelta
-	default:
-		return pathCold
-	}
-}
-
-// respPath classifies how a served response was produced.
-func respPath(resp *Response) string {
-	switch {
-	case resp.ResultHit:
-		return pathResultCache
-	case resp.AnalysisHit:
-		return pathWarmAnalysis
-	case resp.Metrics.FuncsReused > 0:
+		return PathWarmAnalysis
+	case rep.Metrics.FuncsReused > 0:
 		// Freshly built, but assembled partly from reused function
 		// units: the delta path.
-		return pathDelta
+		return PathDelta
 	default:
-		return pathCold
+		return PathCold
 	}
 }
 
@@ -217,7 +200,7 @@ func finishTrace(sp *obs.Span, resp *Response) {
 	if sp == nil || resp == nil {
 		return
 	}
-	sp.SetAttr("path", respPath(resp))
+	sp.SetAttr("path", ReplyCachePath(&resp.Reply))
 	sp.End()
 	resp.Trace = sp
 }

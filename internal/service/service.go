@@ -3,10 +3,13 @@
 //
 //   - internal/service/sched — the bounded worker pool and
 //     backpressured queue (knows nothing about rewriting);
-//   - internal/service/storage — the analysis / function-unit / result
-//     cache bundle and its key vocabulary;
+//   - internal/service/storage — the analysis / function-unit cache
+//     bundle and the key vocabulary of every cache level;
 //   - internal/service/wire — the /rewrite option encoding and reply
-//     frame shared by servers, clients, gateways, and peers.
+//     frame shared by servers, clients, gateways, and peers. Its Reply
+//     is the one record of a rewrite: the service's response, the
+//     result cache's entry (persisted as the frame) and a batch item's
+//     outcome.
 //
 // The paper's incremental pitch is operational here: rewriting the same
 // binary with different instrumentation sets (the Diogenes §9 loop)
@@ -24,6 +27,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -37,6 +41,7 @@ import (
 	"icfgpatch/internal/obs"
 	"icfgpatch/internal/service/sched"
 	"icfgpatch/internal/service/storage"
+	"icfgpatch/internal/service/wire"
 	"icfgpatch/internal/store"
 )
 
@@ -115,23 +120,18 @@ type Request struct {
 	analysisKey storage.AnalysisKey
 }
 
-// Response is one completed rewrite.
+// Response is one completed rewrite: the image and its record.
 type Response struct {
 	// Image is the serialised rewritten binary.
 	Image []byte
-	Stats core.Stats
-	// Metrics is the request's per-pass metrics. On an analysis-store
-	// hit the analysis stages report the cached analysis's timings (see
-	// core.Analysis.Metrics); on a result-cache hit the whole record is
-	// the cached request's.
-	Metrics core.Metrics
-	// AnalysisHit reports that the patch ran against a cached analysis;
-	// ResultHit that the entire response was served from the result
-	// cache (AnalysisHit is false then — no analysis was consulted).
-	AnalysisHit bool
-	ResultHit   bool
-	// Elapsed is the server-side processing time, excluding queueing.
-	Elapsed time.Duration
+	// Reply is the rewrite's record, built once when the rewrite
+	// finished. On an analysis-store hit the analysis stages report the
+	// cached analysis's timings (see core.Analysis.Metrics). On a
+	// result-cache hit the record is the cached request's with ResultHit
+	// set (AnalysisHit is false then — no analysis was consulted).
+	// ElapsedUS is always this request's processing time, excluding
+	// queueing.
+	Reply
 	// Trace is the request's span tree (Request.Trace only). A
 	// result-cache replay has no analyze/patch children — the root span
 	// with path=result-cache is the whole story.
@@ -180,7 +180,10 @@ func (s ServerStats) String() string {
 type Server struct {
 	cfg    Config
 	stores *storage.Stores
-	pool   *sched.Pool
+	// results serves byte-identical repeat requests by result key; nil
+	// when disabled. Its entries are records without a trace.
+	results *store.Store[string, *Response]
+	pool    *sched.Pool
 
 	warmMu    sync.RWMutex
 	warmUnits func(ctx context.Context, key storage.AnalysisKey)
@@ -196,9 +199,16 @@ func New(cfg Config) *Server {
 	s.stores = storage.New(storage.Config{
 		AnalysisEntries: cfg.AnalysisEntries,
 		FuncEntries:     cfg.FuncEntries,
-		ResultEntries:   cfg.ResultEntries,
-		Dir:             cfg.Dir,
 	})
+	if cfg.ResultEntries > 0 {
+		s.results = store.New(store.Config[string, *Response]{
+			MaxEntries: cfg.ResultEntries,
+			Dir:        cfg.Dir,
+			KeyPath:    func(k string) string { return k + ".res" },
+			Encode:     encodeResult,
+			Decode:     decodeResult,
+		})
+	}
 	// The pool's hooks close over s; none can fire before New returns
 	// (workers idle until the first Do), so s.metrics is always set by
 	// the time they run.
@@ -219,6 +229,24 @@ func New(cfg Config) *Server {
 	})
 	s.metrics = newMetrics(s)
 	return s
+}
+
+// encodeResult persists a result-cache entry as its /rewrite frame.
+func encodeResult(r *Response) ([]byte, error) {
+	var buf bytes.Buffer
+	err := wire.WriteFrame(&buf, &r.Reply, r.Image)
+	return buf.Bytes(), err
+}
+
+// decodeResult reads a persisted entry back through the frame's bounded
+// reader. A file that does not decode — torn, or written in an older
+// format — takes the store's corrupt-artifact path and is recomputed.
+func decodeResult(data []byte) (*Response, error) {
+	rep, image, err := wire.ReadFrame(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return &Response{Image: image, Reply: *rep}, nil
 }
 
 // Stores exposes the cache bundle — the seam the cluster's federated
@@ -312,11 +340,10 @@ func normalize(req *Request) error {
 		}
 	}
 	var err error
-	if req.resultKey, err = storage.Fingerprint(req.Hash, req.Opts); err != nil {
+	if req.resultKey, req.analysisKey, err = storage.Keys(req.Hash, req.Opts); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	req.analysisKey, err = storage.AnalysisKeyFor(req.Hash, req.Opts)
-	return err
+	return nil
 }
 
 // testHookDequeue, when non-nil, runs as a worker picks up a job —
@@ -339,7 +366,7 @@ func (s *Server) process(ctx context.Context, req *Request) (*Response, error) {
 		s.metrics.observeFailed(err)
 		return nil, err
 	}
-	resp.Elapsed = time.Since(start)
+	resp.ElapsedUS = time.Since(start).Microseconds()
 	finishTrace(sp, resp)
 	s.served.Add(1)
 	s.metrics.observeServed(resp)
@@ -372,35 +399,28 @@ func (s *Server) rewriteOnce(ctx context.Context, req *Request) (*Response, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.stores.Results == nil {
-		res, analysisHit, err := s.analyzeAndPatch(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{Image: res.Image, Stats: res.Stats, Metrics: res.Metrics, AnalysisHit: analysisHit}, nil
+	if s.results == nil {
+		return s.analyzeAndPatch(ctx, req)
 	}
-	var analysisHit bool
-	v, hit, err := s.stores.Results.GetOrCreate(req.resultKey, func() (storage.CachedResult, error) {
-		res, ah, err := s.analyzeAndPatch(ctx, req)
-		if err != nil {
-			return storage.CachedResult{}, err
-		}
-		analysisHit = ah
-		return *res, nil
+	v, hit, err := s.results.GetOrCreate(req.resultKey, func() (*Response, error) {
+		return s.analyzeAndPatch(ctx, req)
 	})
 	if err != nil {
 		return nil, err
 	}
+	// The cached record is shared; the request gets its own copy.
+	resp := *v
 	if hit {
-		return &Response{Image: v.Image, Stats: v.Stats, Metrics: v.Metrics, ResultHit: true}, nil
+		resp.AnalysisHit, resp.ResultHit = false, true
 	}
-	return &Response{Image: v.Image, Stats: v.Stats, Metrics: v.Metrics, AnalysisHit: analysisHit}, nil
+	return &resp, nil
 }
 
 // analyzeAndPatch is the warm path's seam: analysis through the
 // content-addressed store (single-flighted across concurrent requests
-// for the same binary), then a per-request patch.
-func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*storage.CachedResult, bool, error) {
+// for the same binary), then a per-request patch. It builds the
+// rewrite's record.
+func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*Response, error) {
 	an, hit, err := s.stores.Analyses.GetOrCreate(req.analysisKey, func() (*core.Analysis, error) {
 		// An analysis-store miss is the cluster's warm-path moment: ask
 		// the owning peer for this binary's cached function units before
@@ -420,13 +440,13 @@ func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*storage.Ca
 		return core.Analyze(req.Binary, cfgc)
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if hit {
 		req.Opts.Trace.Record("analyze", 0).SetAttr("cached", "true")
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, hit, err
+		return nil, err
 	}
 	opts := req.Opts
 	if opts.PatchJobs == 0 {
@@ -434,17 +454,19 @@ func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*storage.Ca
 	}
 	res, err := an.Patch(opts)
 	if err != nil {
-		return nil, hit, err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, hit, err
+		return nil, err
 	}
 	image := res.Binary.Marshal()
 	// The serialised image is the response; the rewritten binary object
 	// is dead, so its pooled emit buffers go back for the next request —
 	// the steady-state loop the emit pool exists for.
 	res.Recycle()
-	return &storage.CachedResult{Image: image, Stats: res.Stats, Metrics: res.Metrics}, hit, nil
+	return &Response{Image: image, Reply: Reply{
+		Stats: res.Stats, Metrics: res.Metrics, MetricsText: res.Metrics.Render(), AnalysisHit: hit,
+	}}, nil
 }
 
 // Shutdown drains the service: new submissions are rejected, workers
@@ -471,8 +493,8 @@ func (s *Server) Stats() ServerStats {
 		Workers:       s.pool.Workers(),
 		Outcomes:      s.metrics.requests.Snapshot(),
 	}
-	if s.stores.Results != nil {
-		st.Results = s.stores.Results.Stats()
+	if s.results != nil {
+		st.Results = s.results.Stats()
 	}
 	return st
 }

@@ -3,8 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -372,7 +376,9 @@ func TestHTTPRoundTrip(t *testing.T) {
 
 // TestResultCachePersistence restarts the service over the same disk
 // directory and expects the repeat request to be served from disk
-// without any analysis or patch work.
+// without any analysis or patch work, with the whole record intact. A
+// .res file that is not a frame — garbage, or the gob entry an older
+// build wrote — is recomputed and never served.
 func TestResultCachePersistence(t *testing.T) {
 	dir := t.TempDir()
 	raw := testBinaryRaw(t)
@@ -399,8 +405,40 @@ func TestResultCachePersistence(t *testing.T) {
 	if !bytes.Equal(resp1.Image, resp2.Image) {
 		t.Fatal("persisted image differs")
 	}
+	if !reflect.DeepEqual(resp1.Stats, resp2.Stats) || !reflect.DeepEqual(resp1.Metrics, resp2.Metrics) ||
+		resp1.MetricsText != resp2.MetricsText {
+		t.Fatalf("persisted record differs:\n%+v\n%+v", resp1.Reply, resp2.Reply)
+	}
 	if st := s2.Stats(); st.Analyses.Misses != 0 {
 		t.Fatalf("disk hit still ran analysis: %s", st.Analyses)
+	}
+
+	key, _, err := storage.Keys(store.Hash(raw), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(struct {
+		Image   []byte
+		Stats   core.Stats
+		Metrics core.Metrics
+	}{Image: []byte("stale"), Stats: resp1.Stats, Metrics: resp1.Metrics}); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"garbage": []byte("not a frame"), "gob": old.Bytes()} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, key+".res"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{Workers: 1, ResultEntries: 4, Dir: dir})
+		resp, err := s.Submit(context.Background(), Request{Raw: raw, Opts: opts})
+		s.Shutdown(context.Background())
+		if err != nil {
+			t.Fatalf("%s .res: %v", name, err)
+		}
+		if resp.ResultHit || !bytes.Equal(resp.Image, resp1.Image) {
+			t.Errorf("%s .res: served it (result hit %v, image equal %v)", name, resp.ResultHit, bytes.Equal(resp.Image, resp1.Image))
+		}
 	}
 }
 
@@ -408,7 +446,7 @@ func TestResultCachePersistence(t *testing.T) {
 // raw.
 func jtKey(t *testing.T, raw []byte) storage.AnalysisKey {
 	t.Helper()
-	key, err := storage.AnalysisKeyFor(store.Hash(raw), core.Options{Mode: core.ModeJT})
+	_, key, err := storage.Keys(store.Hash(raw), core.Options{Mode: core.ModeJT})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,11 +97,7 @@ func TestOptionIdentityComplete(t *testing.T) {
 
 func keys(t *testing.T, hash string, o core.Options) (string, AnalysisKey) {
 	t.Helper()
-	fp, err := Fingerprint(hash, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ak, err := AnalysisKeyFor(hash, o)
+	fp, ak, err := Keys(hash, o)
 	if err != nil {
 		t.Fatal(err)
 	}

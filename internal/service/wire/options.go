@@ -110,28 +110,39 @@ func ParseMode(m string) (core.Mode, error) {
 // be served, and cached, as another request. A profile travels in the
 // body (FrameProfile), so it is refused too. PatchJobs and Trace change
 // no output byte and are not encoded.
-func EncodeOptions(o core.Options) (url.Values, error) { return encode(&o, false) }
-
-// EncodeAnalysis refuses what EncodeOptions refuses and renders only
-// o's analysis rows: the identity the analysis store and the peer-units
-// query key on.
-func EncodeAnalysis(o core.Options) (url.Values, error) { return encode(&o, true) }
-
-func encode(o *core.Options, analysisOnly bool) (url.Values, error) {
+func EncodeOptions(o core.Options) (url.Values, error) {
 	if o.Variant != (core.Variant{}) || o.NoRAMap || len(o.Request.Addrs) > 0 || o.Profile != nil {
 		return nil, errors.New("wire: baseline variants, NoRAMap and instrumentation addresses are not expressible on the wire; a profile travels in the body (profile=1)")
 	}
 	v := url.Values{}
 	for _, row := range options {
-		s, err := row.render(o)
+		s, err := row.render(&o)
 		if err != nil {
 			return nil, fmt.Errorf("wire: %w", err)
 		}
-		if s != "" && (row.analysis || !analysisOnly) {
+		if s != "" {
 			v.Set(row.key, s)
 		}
 	}
 	return v, nil
+}
+
+// AnalysisQuery renders only the analysis rows of an EncodeOptions
+// encoding: the identity the analysis store and the peer-units query
+// key on.
+func AnalysisQuery(v url.Values) string {
+	var b strings.Builder
+	for _, row := range options {
+		if s := v.Get(row.key); row.analysis && s != "" {
+			if b.Len() > 0 {
+				b.WriteByte('&')
+			}
+			b.WriteString(row.key)
+			b.WriteByte('=')
+			b.WriteString(url.QueryEscape(s))
+		}
+	}
+	return b.String()
 }
 
 // ParseOptions is EncodeOptions' inverse and the parse target of every

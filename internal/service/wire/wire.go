@@ -36,19 +36,21 @@ import (
 	"icfgpatch/internal/core"
 )
 
-// Reply is the JSON half of a /rewrite response.
+// Reply is the JSON half of a /rewrite response and the service's one
+// record of a rewrite: built once when the rewrite finishes, it is the
+// result-cache entry, the reply sent, and the batch item's outcome.
 type Reply struct {
-	Stats       core.Stats `json:"stats"`
-	MetricsText string     `json:"metrics"`
-	AnalysisHit bool       `json:"analysisHit"`
-	ResultHit   bool       `json:"resultHit"`
-	// FuncsReused / FuncsRecomputed expose the delta engine's work split
-	// for the analysis behind this response: how many function units were
-	// pulled unchanged from the unit store versus recomputed. On cache
-	// hits they describe the run that originally built the artifact.
-	FuncsReused     int   `json:"funcsReused"`
-	FuncsRecomputed int   `json:"funcsRecomputed"`
-	ElapsedUS       int64 `json:"elapsedUs"`
+	// Stats describes the rewritten binary, Metrics the pipeline run
+	// that produced it. On a result-cache hit both are the original
+	// build's.
+	Stats   core.Stats   `json:"stats"`
+	Metrics core.Metrics `json:"pipeline"`
+	// MetricsText is Metrics.Render, rendered once per record for
+	// readers that still parse the text.
+	MetricsText string `json:"metrics"`
+	AnalysisHit bool   `json:"analysisHit"`
+	ResultHit   bool   `json:"resultHit"`
+	ElapsedUS   int64  `json:"elapsedUs"`
 	// TraceText is the rendered span tree (trace=1 requests only).
 	TraceText string `json:"trace,omitempty"`
 }
@@ -77,7 +79,10 @@ func WriteFrame(w io.Writer, reply *Reply, image []byte) error {
 }
 
 // ReadFrame reads one /rewrite response frame, returning the reply and
-// the image bytes.
+// the image bytes. It decodes frames from peers and from the result
+// cache's files alike, so the header is read only as far as the bytes
+// present: a hostile length prefix costs no allocation beyond the
+// input.
 func ReadFrame(r io.Reader) (*Reply, []byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -87,8 +92,11 @@ func ReadFrame(r io.Reader) (*Reply, []byte, error) {
 	if n > MaxReplyHeader {
 		return nil, nil, fmt.Errorf("wire: reply header declares %d bytes", n)
 	}
-	jr := make([]byte, n)
-	if _, err := io.ReadFull(r, jr); err != nil {
+	jr, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && uint64(len(jr)) != n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, nil, fmt.Errorf("wire: truncated reply: %w", err)
 	}
 	var reply Reply

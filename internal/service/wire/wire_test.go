@@ -3,20 +3,40 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"net/url"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"icfgpatch/internal/arch"
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/instrument"
 	"icfgpatch/internal/profile"
 )
 
-// TestFrameRoundTrip: WriteFrame's output parses back to the same reply
-// and image through ReadFrame.
+// sampleReply is a record with every kind of field set: the skipped
+// list, the evidence flags, stage laps and trampolines by class.
+func sampleReply() *Reply {
+	m := core.Metrics{
+		Stages:      []core.StageMetric{{Name: core.StageCFG, Wall: time.Millisecond}, {Name: core.StagePlan, Wall: 3 * time.Microsecond}},
+		CFLBlocks:   9,
+		Trampolines: map[arch.TrampolineClass]int{arch.TrampShort: 6, arch.TrampTrap: 1},
+		FuncsReused: 3, FuncsRecomputed: 1, PatchFuncsReencoded: 4,
+	}
+	return &Reply{
+		Stats: core.Stats{TotalFuncs: 5, InstrumentedFuncs: 4, SkippedFuncs: []string{"bad"}, RAMapEntries: 7,
+			OrigLoadedSize: 4096, NewLoadedSize: 8192, MarkSites: 2, EvidenceTrusted: true},
+		Metrics: m, MetricsText: m.Render(), AnalysisHit: true, ElapsedUS: 1234,
+	}
+}
+
+// TestFrameRoundTrip: WriteFrame's output parses back to the same whole
+// record and image through ReadFrame.
 func TestFrameRoundTrip(t *testing.T) {
-	in := &Reply{FuncsReused: 3, FuncsRecomputed: 1, AnalysisHit: true, ElapsedUS: 1234}
+	in := sampleReply()
 	image := []byte("not really a binary, but the frame does not care")
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, in, image); err != nil {
@@ -26,8 +46,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.FuncsReused != in.FuncsReused || out.FuncsRecomputed != in.FuncsRecomputed ||
-		out.AnalysisHit != in.AnalysisHit || out.ElapsedUS != in.ElapsedUS {
+	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("reply round trip: got %+v, want %+v", out, in)
 	}
 	if !bytes.Equal(gotImage, image) {
@@ -191,6 +210,66 @@ func FuzzOptionsCodec(f *testing.F) {
 		for k := range v {
 			refuse("a repeated "+k, func(w url.Values) { w.Add(k, w.Get(k)) })
 			refuse("a malformed "+k, func(w url.Values) { w.Set(k, ",") })
+		}
+	})
+}
+
+// FuzzReadFrame: ReadFrame decodes frames from peers and from the
+// result cache's files, so no input may panic it, a length prefix may
+// not make it allocate beyond the bytes actually present, and a frame
+// it accepts must re-encode to an equal reply and image.
+func FuzzReadFrame(f *testing.F) {
+	var valid bytes.Buffer
+	if err := WriteFrame(&valid, sampleReply(), []byte("image")); err != nil {
+		f.Fatal(err)
+	}
+	frame := func(declared uint64, body string) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, declared)
+		return append(b, body...)
+	}
+	// A result-cache file written before the cache stored frames: the
+	// gob encoding of the old {Image, Stats, Metrics} entry.
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(struct {
+		Image   []byte
+		Stats   core.Stats
+		Metrics core.Metrics
+	}{Image: []byte("image"), Stats: core.Stats{TotalFuncs: 3}}); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		valid.Bytes(),
+		valid.Bytes()[:5],             // truncated header
+		frame(MaxReplyHeader+1, "{}"), // length above the bound
+		frame(MaxReplyHeader, "{}"),   // length at the bound, body absent
+		frame(2, "{]"),                // bad JSON
+		frame(2, "{}"),                // empty reply, no image
+		frame(100, "{}"),              // body shorter than declared
+		old.Bytes(),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		reply, image, err := ReadFrame(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("%d input bytes allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, reply, image); err != nil {
+			t.Fatalf("accepted reply does not encode: %v", err)
+		}
+		back, img2, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded frame refused: %v", err)
+		}
+		if !reflect.DeepEqual(back, reply) || !bytes.Equal(img2, image) {
+			t.Fatalf("re-encoding changed the frame: %+v -> %+v", reply, back)
 		}
 	})
 }
