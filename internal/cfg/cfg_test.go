@@ -291,40 +291,6 @@ func TestCatchPadsAreEntryPoints(t *testing.T) {
 	}
 }
 
-func TestSplitAt(t *testing.T) {
-	img, _ := link(t, simpleProgram(arch.X64))
-	g, _ := Build(img, nil)
-	f, _ := g.FuncByName("main")
-	blk := f.Blocks[0]
-	if len(blk.Instrs) < 2 {
-		t.Skip("first block too small")
-	}
-	mid := blk.Instrs[1].Addr
-	before := len(f.Blocks)
-	nb, ok := f.SplitAt(mid)
-	if !ok || nb.Start != mid {
-		t.Fatalf("SplitAt failed: %v %v", nb, ok)
-	}
-	if len(f.Blocks) != before+1 {
-		t.Error("block count unchanged")
-	}
-	if blk.End != mid || len(blk.Succs) != 1 || blk.Succs[0].To != mid {
-		t.Error("original block not linked to the split")
-	}
-	// Splitting at a non-boundary must fail (over-approximated targets
-	// mid-instruction cannot be honoured).
-	if _, ok := f.SplitAt(mid + 1); ok && img.Arch == arch.X64 {
-		if _, exists := f.BlockAt(mid + 1); !exists {
-			t.Error("split at non-boundary succeeded")
-		}
-	}
-	// Splitting at an existing boundary is a no-op returning the block.
-	again, ok := f.SplitAt(mid)
-	if !ok || again != nb {
-		t.Error("re-split did not return the existing block")
-	}
-}
-
 func TestGraphQueries(t *testing.T) {
 	img, dbg := link(t, simpleProgram(arch.PPC))
 	g, _ := Build(img, nil)

@@ -82,7 +82,9 @@ func MarshalUnits(us []*FuncUnit) ([]byte, error) {
 }
 
 // UnmarshalUnits decodes a peer's unit payload, rehydrating flattened
-// errors and rebuilding each graph's internal block index.
+// errors and checking each graph's structure (cfg.Func.Check): a
+// malformed graph fails the whole payload, so the node recomputes
+// instead of patching from it.
 func UnmarshalUnits(data []byte) ([]*FuncUnit, error) {
 	var wus []wireUnit
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wus); err != nil {
@@ -103,7 +105,9 @@ func UnmarshalUnits(data []byte) ([]*FuncUnit, error) {
 			}
 			w.Fn.IndirectJumps[je.Index].Err = errors.New(je.Text)
 		}
-		w.Fn.Reindex()
+		if err := w.Fn.Check(); err != nil {
+			return nil, fmt.Errorf("core: unmarshal units: unit %s: %w", w.Name, err)
+		}
 		us = append(us, &FuncUnit{Key: w.Key, Name: w.Name, Fn: w.Fn, Deps: w.Deps, Reads: w.Reads})
 	}
 	return us, nil

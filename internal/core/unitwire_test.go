@@ -2,9 +2,12 @@ package core_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"icfgpatch/internal/arch"
+	"icfgpatch/internal/bin"
+	"icfgpatch/internal/cfg"
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/instrument"
 	"icfgpatch/internal/workload"
@@ -100,5 +103,120 @@ func TestUnitWireGarbage(t *testing.T) {
 		if us, err := core.UnmarshalUnits(data); err == nil && len(us) > 0 {
 			t.Errorf("UnmarshalUnits(%d garbage bytes) decoded %d units without error", len(data), len(us))
 		}
+	}
+}
+
+// specUnits analyses the first x64 SPEC-like benchmark into a unit
+// store and returns the binary, its cold jt rewrite and the units.
+func specUnits(t *testing.T) (*bin.Binary, core.Options, []byte, []*core.FuncUnit) {
+	t.Helper()
+	s, err := workload.SPECSuiteCached(arch.X64, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := s[0].Binary
+	opts := core.Options{Mode: core.ModeJT, Request: instrument.Request{Where: instrument.BlockEntry, Payload: instrument.PayloadEmpty}}
+	cold, err := core.Rewrite(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := core.Analyze(b, core.AnalysisConfig{Mode: core.ModeJT, Units: core.NewUnitStore(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, opts, cold.Binary.Marshal(), an.FuncUnits
+}
+
+// withBrokenGraph returns units with the first unit that has at least
+// two blocks, each with successors and predecessors where needed,
+// replaced by a copy whose graph break has damaged. The originals are
+// left untouched.
+func withBrokenGraph(t *testing.T, us []*core.FuncUnit, brk func(f *cfg.Func)) []*core.FuncUnit {
+	t.Helper()
+	out := append([]*core.FuncUnit(nil), us...)
+	for i, u := range out {
+		if len(u.Fn.Blocks) < 2 || len(u.Fn.Blocks[0].Succs) == 0 || len(u.Fn.Blocks[0].Instrs) < 2 {
+			continue
+		}
+		fc := *u.Fn
+		fc.Blocks = make([]*cfg.Block, len(u.Fn.Blocks))
+		for k, blk := range u.Fn.Blocks {
+			bc := *blk
+			bc.Instrs = append([]arch.Instr(nil), blk.Instrs...)
+			bc.Succs = append([]cfg.Edge(nil), blk.Succs...)
+			bc.Preds = append([]uint64(nil), blk.Preds...)
+			fc.Blocks[k] = &bc
+		}
+		brk(&fc)
+		out[i] = &core.FuncUnit{Key: u.Key, Name: u.Name, Fn: &fc, Deps: u.Deps, Reads: u.Reads}
+		return out
+	}
+	t.Fatal("no unit with a multi-instruction entry block and successors")
+	return nil
+}
+
+// TestUnmarshalUnitsRejectsMalformedGraphs: every structural defect a
+// peer's graph can carry fails the payload, so the receiving node
+// recomputes instead of patching from it.
+func TestUnmarshalUnitsRejectsMalformedGraphs(t *testing.T) {
+	_, _, _, units := specUnits(t)
+	defects := []struct {
+		name string
+		brk  func(f *cfg.Func)
+	}{
+		{"empty block", func(f *cfg.Func) { f.Blocks[0].Instrs = nil }},
+		{"blocks out of order", func(f *cfg.Func) { f.Blocks[0], f.Blocks[1] = f.Blocks[1], f.Blocks[0] }},
+		{"duplicate block", func(f *cfg.Func) { f.Blocks[1] = f.Blocks[0] }},
+		{"block before entry", func(f *cfg.Func) { f.Entry = f.Blocks[0].Start + 1 }},
+		{"block past end", func(f *cfg.Func) { f.End = f.Blocks[len(f.Blocks)-1].End - 1 }},
+		{"start off its first instruction", func(f *cfg.Func) { f.Blocks[0].Start++ }},
+		{"end off its last instruction", func(f *cfg.Func) { f.Blocks[0].End++ }},
+		{"hole between instructions", func(f *cfg.Func) {
+			f.Blocks[0].Instrs = append(f.Blocks[0].Instrs[:1:1], f.Blocks[0].Instrs[2:]...)
+		}},
+		{"successor not a block start", func(f *cfg.Func) { f.Blocks[0].Succs[0].To++ }},
+		{"predecessor not a block start", func(f *cfg.Func) { f.Blocks[1].Preds = append(f.Blocks[1].Preds, f.Blocks[1].Start+1) }},
+	}
+	for _, d := range defects {
+		t.Run(d.name, func(t *testing.T) {
+			data, err := core.MarshalUnits(withBrokenGraph(t, units, d.brk))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if us, err := core.UnmarshalUnits(data); err == nil {
+				t.Fatalf("UnmarshalUnits accepted %d units with a damaged graph", len(us))
+			} else if !strings.Contains(err.Error(), "cfg: ") {
+				t.Fatalf("error %q does not come from the graph check", err)
+			}
+		})
+	}
+}
+
+// TestPeerUnitWithEmptyBlockRecomputes follows a peer payload whose
+// unit has an empty entry block through the node's warm path: decode,
+// seed the units that decoded, Analyze, Patch. Without the graph check
+// the unit passed reuse validation (which replays only dependencies and
+// reads) and Patch panicked in Block.Last; now the payload is refused,
+// every function is recomputed and the bytes equal a cold rewrite.
+func TestPeerUnitWithEmptyBlockRecomputes(t *testing.T) {
+	b, opts, want, units := specUnits(t)
+	data, err := core.MarshalUnits(withBrokenGraph(t, units, func(f *cfg.Func) { f.Blocks[0].Instrs = nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := core.NewUnitStore(0)
+	if us, err := core.UnmarshalUnits(data); err == nil {
+		store.Seed(us)
+	}
+	an, err := core.Analyze(b, core.AnalysisConfig{Mode: core.ModeJT, Units: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := an.Patch(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Binary.Marshal(); !bytes.Equal(got, want) {
+		t.Fatalf("rewrite after a malformed peer payload diverged from cold: %d vs %d bytes", len(got), len(want))
 	}
 }
