@@ -51,6 +51,10 @@ var acceptanceTests = []struct {
 	}},
 	{"delta", "internal/core", []string{
 		"TestDeltaRecomputeBound",
+		"TestDeltaCFIRewriteMatchesCold",
+	}},
+	{"delta", "internal/analysis", []string{
+		"FuzzSweepRegions",
 	}},
 	{"landing-pads", ".", []string{
 		"TestSoundFuncPtrWithLandingPads",
@@ -87,8 +91,8 @@ func TestAcceptanceTestsExist(t *testing.T) {
 	}
 }
 
-// testFuncs returns the names of the top-level Test functions declared
-// in dir's _test.go files.
+// testFuncs returns the names of the top-level Test and Fuzz functions
+// declared in dir's _test.go files.
 func testFuncs(t *testing.T, dir string) map[string]bool {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
@@ -106,7 +110,8 @@ func testFuncs(t *testing.T, dir string) map[string]bool {
 			t.Fatal(err)
 		}
 		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil &&
+				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
 				names[fn.Name.Name] = true
 			}
 		}

@@ -12,14 +12,14 @@ import (
 
 // Allocation budgets, in allocs/op, for the steady-state paths on the
 // libxul-x64 workload (jt, empty payload at block entries). Each is
-// 1.2× the count measured when the budget was set (3885, 14226 and
-// 6878), so a failure means a real regression in allocation
+// 1.2× the count measured when the budget was set (3885, 8319 and
+// 550), so a failure means a real regression in allocation
 // discipline: re-examine the change, or lower the budget when an
 // optimisation makes room.
 const (
 	warmPatchAllocBudget    = 4662
-	warmAnalyzeAllocBudget  = 17072
-	deltaAnalyzeAllocBudget = 8254
+	warmAnalyzeAllocBudget  = 9983
+	deltaAnalyzeAllocBudget = 660
 )
 
 // TestAllocBudget asserts the hot paths stay inside their allocation

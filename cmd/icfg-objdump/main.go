@@ -22,6 +22,7 @@
 package main
 
 import (
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -207,7 +208,7 @@ func printFuncHashes(img *bin.Binary) {
 	fmt.Printf("\n%d functions:\n", len(syms))
 	hashes := img.FuncContentHashes(syms)
 	for k, sym := range syms {
-		fmt.Printf("  %#10x %8d  %s  %s\n", sym.Addr, sym.Size, hashes[k], sym.Name)
+		fmt.Printf("  %#10x %8d  %s  %s\n", sym.Addr, sym.Size, hex.EncodeToString(hashes[k][:]), sym.Name)
 	}
 }
 

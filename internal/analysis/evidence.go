@@ -140,54 +140,20 @@ func Untrusted() *Evidence {
 	return &Evidence{Counts: map[SourceKind]int{}}
 }
 
-// padScan is the landing-pad source: over the linear sweep it collects
-// marker addresses (plus, in a CFI-claiming binary, instruction
-// boundaries), then finish runs the trust checks. Markers found in a
-// binary that does not claim CFI are indexed (icfg-objdump lists them)
-// but never trusted — completeness is the compiler's claim, not
-// something a scan can establish. It runs before CFG construction (see
-// Sweep): the trust bit is part of the analysis identity, so it must be
-// decided before any unit is keyed.
-type padScan struct {
-	marks []uint64
-	// boundaries lists every instruction start, ascending; collected
-	// only when the binary claims CFI, since trust check 2 is its only
-	// reader.
-	boundaries     []uint64
-	keepBoundaries bool
-	// imms are candidate code-immediate values, checked in finish for
-	// mid-instruction markers.
-	imms []uint64
-	prev arch.Instr
-}
-
-func newPadScan(b *bin.Binary) *padScan { return &padScan{keepBoundaries: b.CFI()} }
-
-// visit folds one instruction of the linear sweep into the scan.
-func (s *padScan) visit(ins arch.Instr) {
-	if s.keepBoundaries {
-		s.boundaries = append(s.boundaries, ins.Addr)
+// finishEvidence is the landing-pad source, run over what the text
+// sweep collected (see SweepFuncs): it seeds ev with the marker index
+// and runs the trust checks. Markers found in a binary that does not
+// claim CFI are indexed (icfg-objdump lists them) but never trusted —
+// completeness is the compiler's claim, not something a scan can
+// establish. It runs before CFG construction: the trust bit is part of
+// the analysis identity, so it must be decided before any unit is keyed.
+// The decision reads the whole text, however the sweep was assembled.
+func finishEvidence(b *bin.Binary, marks, imms []uint64, ev *Evidence) {
+	if len(marks) > 0 {
+		ev.Marks = &MarkIndex{addrs: marks}
 	}
-	switch ins.Kind {
-	case arch.Mark:
-		s.marks = append(s.marks, ins.Addr)
-	case arch.MovImm:
-		s.imms = append(s.imms, uint64(ins.Imm))
-	case arch.MovK16:
-		if p := s.prev; p.Kind == arch.MovImm16 && p.Shift == 0 && ins.Shift == 1 && ins.Rd == p.Rd {
-			s.imms = append(s.imms, uint64(p.Imm)|uint64(ins.Imm)<<16)
-		}
-	}
-	s.prev = ins
-}
-
-// finish seeds ev with the marker index and runs the trust checks.
-func (s *padScan) finish(b *bin.Binary, ev *Evidence) {
-	if len(s.marks) > 0 {
-		ev.Marks = &MarkIndex{addrs: s.marks}
-	}
-	ev.Counts[SourceLandingPad] = len(s.marks)
-	if !b.CFI() || len(s.marks) == 0 {
+	ev.Counts[SourceLandingPad] = len(marks)
+	if !b.CFI() || len(marks) == 0 {
 		return
 	}
 
@@ -207,14 +173,15 @@ func (s *padScan) finish(b *bin.Binary, ev *Evidence) {
 	// Trust check 2: no candidate pointer value may decode as a marker
 	// at a non-boundary address — a marker byte pattern embedded
 	// mid-instruction would let the evidence layer "prove" reachability
-	// of an address the program never executes as a landing pad.
+	// of an address the program never executes as a landing pad. The
+	// sweep decodes every instruction boundary exactly as this check
+	// decodes v, so a boundary that decodes as a marker is in the index:
+	// "decodes as a marker and is not indexed" is "a marker off every
+	// boundary".
 	text := b.Text()
 	enc := arch.ForArch(b.Arch)
 	checkValue := func(v uint64) {
-		if !text.Contains(v) {
-			return
-		}
-		if _, ok := slices.BinarySearch(s.boundaries, v); ok {
+		if !text.Contains(v) || ev.Marks.Marked(v) {
 			return
 		}
 		if ins, err := enc.Decode(text.Data[v-text.Addr:], v); err == nil && ins.Kind == arch.Mark {
@@ -231,7 +198,7 @@ func (s *padScan) finish(b *bin.Binary, ev *Evidence) {
 			checkValue(binary.LittleEndian.Uint64(data.Data[off:]))
 		}
 	}
-	for _, v := range s.imms {
+	for _, v := range imms {
 		checkValue(v)
 	}
 	if !ev.Corrupt {

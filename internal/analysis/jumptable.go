@@ -9,9 +9,7 @@ package analysis
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"slices"
 	"sort"
 
 	"icfgpatch/internal/arch"
@@ -71,100 +69,8 @@ func (jt *JumpTables) Collect(_ *bin.Binary, _ *cfg.Graph, ev *Evidence) error {
 
 // UseMarks engages trusted landing-pad evidence for bound validation.
 // Callers must fold the trust decision into any cache identity covering
-// resolved tables (core does, via the unit environment string).
+// resolved tables (core does, via the unit environment).
 func (jt *JumpTables) UseMarks(m *MarkIndex) { jt.marks = m }
-
-// NewJumpTables scans the binary for boundary hints and returns the
-// resolver.
-func NewJumpTables(b *bin.Binary) *JumpTables {
-	jt, _ := sweepText(b, false)
-	return jt
-}
-
-// Sweep runs the one linear sweep of the text section an analysis
-// needs, decoding every instruction once: it feeds the jump-table
-// boundary scan and, when evidence is set, the landing-pad scan. It
-// returns the resolver and the evidence layer (Untrusted when evidence
-// is false).
-func Sweep(b *bin.Binary, evidence bool) (*JumpTables, *Evidence) {
-	jt, lp := sweepText(b, evidence)
-	ev := Untrusted()
-	if lp != nil {
-		lp.finish(b, ev)
-	}
-	return jt, ev
-}
-
-// sweepText walks the text section once with the boundary scan and,
-// when evidence is set, a landing-pad scan, whose trust checks are left
-// to the caller.
-func sweepText(b *bin.Binary, evidence bool) (*JumpTables, *padScan) {
-	jt := &JumpTables{bin: b}
-	text := b.Text()
-	if text == nil {
-		return jt, nil
-	}
-	bs := boundaryScan{jt: jt}
-	var lp *padScan
-	if evidence {
-		lp = newPadScan(b)
-	}
-	arch.Walk(b.Arch, text.Data, text.Addr, func(ins arch.Instr) bool {
-		bs.visit(ins)
-		if lp != nil {
-			lp.visit(ins)
-		}
-		return true
-	})
-	slices.Sort(jt.boundaries)
-	jt.boundaries = slices.Compact(jt.boundaries)
-	return jt, lp
-}
-
-// boundaryScan collects every address the code forms PC-relatively or
-// materialises as a constant. Jump tables never extend past such an
-// address ("we identify non-jump table memory accesses and ensure jump
-// tables will not run into other jump tables or known non-jump table
-// data"). page/pending track adrp-style page bases awaiting their add.
-type boundaryScan struct {
-	jt      *JumpTables
-	page    [arch.NumRegs]uint64
-	pending arch.RegSet
-}
-
-// visit folds one instruction of the linear sweep into the scan.
-func (s *boundaryScan) visit(ins arch.Instr) {
-	addBound := func(a uint64) {
-		if s.jt.bin.SectionAt(a) != nil {
-			s.jt.boundaries = append(s.jt.boundaries, a)
-		}
-	}
-	switch ins.Kind {
-	case arch.Lea:
-		t, _ := ins.Target()
-		addBound(t)
-		s.pending = s.pending.Remove(ins.Rd)
-	case arch.LeaHi:
-		if ins.Rd.Valid() {
-			s.page[ins.Rd], _ = ins.Target()
-			s.pending = s.pending.Add(ins.Rd)
-		}
-	case arch.ALUImm, arch.AddImm16:
-		isAdd := ins.Kind == arch.AddImm16 || ins.Op == arch.Add
-		if isAdd && ins.Rd == ins.Rs1 && s.pending.Has(ins.Rd) && ins.Imm >= 0 && ins.Imm < 4096 {
-			addBound(s.page[ins.Rd] + uint64(ins.Imm))
-		}
-		s.pending = s.pending.Remove(ins.Rd)
-	case arch.MovImm:
-		addBound(uint64(ins.Imm))
-		s.pending = s.pending.Remove(ins.Rd)
-	case arch.LoadPC:
-		addBound(ins.Addr + uint64(ins.Imm))
-		s.pending = s.pending.Remove(ins.Rd)
-	default:
-		s.pending = s.pending.Minus(ins.Defs(s.jt.bin.Arch))
-	}
-}
 
 // nextBoundary returns the first boundary strictly greater than addr,
 // or the end of addr's section. hard reports whether the limit is a
@@ -204,7 +110,7 @@ func (jt *JumpTables) Boundary(addr uint64) (limit uint64, hard bool) {
 type ReadSpan struct {
 	Addr uint64
 	Len  uint64
-	Sum  string // hex sha256 of the bytes read
+	Sum  [32]byte // sha256 of the bytes read
 }
 
 // ReadFail is a table read that failed (unmapped address or section
@@ -349,10 +255,7 @@ func sameSection(b *bin.Binary, start, end uint64) bool {
 }
 
 // hashBytes is the content address of a read span.
-func hashBytes(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
+func hashBytes(data []byte) [32]byte { return sha256.Sum256(data) }
 
 // ResolveJump implements cfg.Resolver: backward slicing from the
 // indirect jump, symbolic target expression matching, bound inference,

@@ -4,12 +4,14 @@ import (
 	"encoding/binary"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"icfgpatch/internal/analysis"
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/asm"
 	"icfgpatch/internal/bin"
+	"icfgpatch/internal/cfg"
 	"icfgpatch/internal/workload"
 )
 
@@ -82,18 +84,22 @@ func plantedMarkerBinary(t *testing.T) *bin.Binary {
 	return img
 }
 
-// refScan is the reference the streaming sweep is checked against: the
+// refScan is the reference the assembled sweep is checked against: the
 // boundary-hint scan and the landing-pad scan written directly over a
-// materialised DecodeAll stream, with map-based sets.
+// materialised DecodeAll stream of the whole text, with map-based sets,
+// and the inter-function padding found by decoding each gap between
+// function symbols on its own.
 type refScan struct {
-	hints, bounds, marks []uint64
-	trusted, corrupt     bool
+	hints, marks     []uint64
+	trusted, corrupt bool
+	padding          [][2]uint64
 }
 
 func reference(b *bin.Binary) refScan {
 	var r refScan
 	text := b.Text()
 	ins := arch.DecodeAll(b.Arch, text.Data, text.Addr)
+	r.padding = referencePadding(b)
 
 	seen := map[uint64]bool{}
 	add := func(a uint64) {
@@ -138,9 +144,6 @@ func reference(b *bin.Binary) refScan {
 	var imms []uint64
 	for k, i := range ins {
 		boundary[i.Addr] = true
-		if b.CFI() {
-			r.bounds = append(r.bounds, i.Addr)
-		}
 		switch i.Kind {
 		case arch.Mark:
 			marked[i.Addr] = true
@@ -190,10 +193,115 @@ func reference(b *bin.Binary) refScan {
 	return r
 }
 
-// TestStreamingSweepMatchesDecodeAll checks the one-pass sweep against
+// referencePadding finds inter-function padding the way the patcher
+// did before the sweep found it: every stretch between function symbols
+// (zero-size ones split stretches) is decoded on its own, from its start
+// with nothing past its end visible, and is padding when everything up
+// to the first non-nop is a nop.
+func referencePadding(b *bin.Binary) [][2]uint64 {
+	text := b.Text()
+	var out [][2]uint64
+	pos := text.Addr
+	flush := func(start, end uint64) {
+		end = min(end, text.End())
+		if end <= start {
+			return
+		}
+		nops := true
+		for _, i := range arch.DecodeAll(b.Arch, text.Data[start-text.Addr:end-text.Addr], start) {
+			if nops = i.Kind == arch.Nop; !nops {
+				break
+			}
+		}
+		if nops {
+			out = append(out, [2]uint64{start, end})
+		}
+	}
+	for _, s := range b.FuncSymbols() {
+		if s.Addr > pos {
+			flush(pos, s.Addr)
+		}
+		pos = max(pos, s.Addr+s.Size)
+	}
+	flush(pos, text.End())
+	return out
+}
+
+// mapMemo is a test ScanMemo that counts its hits.
+type mapMemo struct {
+	mu   sync.Mutex
+	m    map[[32]byte]*analysis.FuncScan
+	hits int
+}
+
+func newMapMemo() *mapMemo { return &mapMemo{m: map[[32]byte]*analysis.FuncScan{}} }
+
+func (m *mapMemo) Scan(id [32]byte) *analysis.FuncScan {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := m.m[id]
+	if s != nil {
+		m.hits++
+	}
+	return s
+}
+
+func (m *mapMemo) PutScan(id [32]byte, s *analysis.FuncScan) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.m[id] = s
+}
+
+// sweepOut is what one assembled sweep produced.
+type sweepOut struct {
+	hints   []uint64
+	ev      *analysis.Evidence
+	padding [][2]uint64
+}
+
+// assemble sweeps b cut along funcs, through memo when it is non-nil.
+func assemble(b *bin.Binary, funcs []bin.Symbol, memo analysis.ScanMemo) sweepOut {
+	in := analysis.SweepInput{Funcs: funcs, Evidence: true}
+	if memo != nil {
+		in.IDs, in.Memo = b.FuncContentHashes(funcs), memo
+	}
+	jt, ev, pad := analysis.SweepFuncs(b, in)
+	return sweepOut{analysis.Hints(jt), ev, pad}
+}
+
+// compareSweep reports where an assembled sweep differs from the
+// reference: hints, marker index, trust decision and (when checked)
+// padding.
+func compareSweep(t *testing.T, name string, got sweepOut, ref refScan, padding bool) {
+	t.Helper()
+	if !slices.Equal(got.hints, ref.hints) {
+		t.Errorf("%s: boundary hints differ: %d vs %d", name, len(got.hints), len(ref.hints))
+	}
+	ev := got.ev
+	if !slices.Equal(ev.Marks.Addrs(), ref.marks) {
+		t.Errorf("%s: marker index differs: %d vs %d sites", name, ev.Marks.Count(), len(ref.marks))
+	}
+	for _, m := range ref.marks {
+		if !ev.Marks.Marked(m) || ev.Marks.Marked(m+1) && !slices.Contains(ref.marks, m+1) {
+			t.Errorf("%s: Marked wrong around %#x", name, m)
+			break
+		}
+	}
+	if ev.Trusted != ref.trusted || ev.Corrupt != ref.corrupt {
+		t.Errorf("%s: trusted/corrupt = %v/%v, reference %v/%v", name, ev.Trusted, ev.Corrupt, ref.trusted, ref.corrupt)
+	}
+	if padding && !slices.Equal(got.padding, ref.padding) {
+		t.Errorf("%s: padding %#x, reference %#x", name, got.padding, ref.padding)
+	}
+}
+
+// TestStreamingSweepMatchesDecodeAll checks the assembled sweep against
 // the materialised reference on every corpus binary: the walker's
-// instruction stream, the jump-table boundary hints, the
-// instruction-boundary list, the marker index and the trust decision.
+// instruction stream, the jump-table boundary hints, the marker index,
+// the trust decision and the padding. Each binary is swept cold (no
+// memo), then twice through one memo (the first pass fills it, the
+// second takes every function it can from it); a stripped binary is
+// also cut along its discovered functions.
 func TestStreamingSweepMatchesDecodeAll(t *testing.T) {
 	var sawTrusted bool
 	for name, b := range sweepCorpus(t) {
@@ -209,29 +317,32 @@ func TestStreamingSweepMatchesDecodeAll(t *testing.T) {
 		}
 
 		ref := reference(b)
-		hints, bounds, ev := analysis.SweepState(b)
-		if !slices.Equal(hints, ref.hints) {
-			t.Errorf("%s: boundary hints differ: %d vs %d", name, len(hints), len(ref.hints))
-		}
-		if !slices.Equal(bounds, ref.bounds) {
-			t.Errorf("%s: instruction boundaries differ: %d vs %d", name, len(bounds), len(ref.bounds))
-		}
-		if !slices.Equal(ev.Marks.Addrs(), ref.marks) {
-			t.Errorf("%s: marker index differs: %d vs %d sites", name, ev.Marks.Count(), len(ref.marks))
-		}
-		for _, m := range ref.marks {
-			if !ev.Marks.Marked(m) || ev.Marks.Marked(m+1) {
-				t.Errorf("%s: Marked wrong around %#x", name, m)
-				break
-			}
-		}
-		if ev.Trusted != ref.trusted || ev.Corrupt != ref.corrupt {
-			t.Errorf("%s: trusted/corrupt = %v/%v, reference %v/%v", name, ev.Trusted, ev.Corrupt, ref.trusted, ref.corrupt)
-		}
+		syms := b.FuncSymbols()
+		cold := assemble(b, syms, nil)
+		compareSweep(t, name+"/cold", cold, ref, true)
+		jt, ev := analysis.Sweep(b, true)
+		compareSweep(t, name+"/Sweep", sweepOut{analysis.Hints(jt), ev, cold.padding}, ref, false)
 		if name == "planted-marker-x64" && !ev.Corrupt {
 			t.Errorf("%s: planted mid-instruction marker not reported corrupt", name)
 		}
 		sawTrusted = sawTrusted || ev.Trusted
+
+		// Padding is found between symbols: a cut along discovered
+		// functions has other gaps.
+		symtab := len(syms) > 0
+		if !symtab {
+			ds, err := cfg.DiscoverFunctions(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			syms = ds
+		}
+		memo := newMapMemo()
+		compareSweep(t, name+"/memo-fill", assemble(b, syms, memo), ref, symtab)
+		compareSweep(t, name+"/memo-hit", assemble(b, syms, memo), ref, symtab)
+		if memo.hits == 0 {
+			t.Errorf("%s: the second pass took nothing from the memo", name)
+		}
 	}
 	if !sawTrusted {
 		t.Fatal("no corpus binary reached the trusted path")

@@ -276,7 +276,16 @@ func (b *Binary) WriteAt(addr uint64, data []byte) error {
 
 // FuncSymbols returns the function symbols sorted by address.
 func (b *Binary) FuncSymbols() []Symbol {
-	var out []Symbol
+	n := 0
+	for _, s := range b.Symbols {
+		if s.Kind == SymFunc {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Symbol, 0, n)
 	for _, s := range b.Symbols {
 		if s.Kind == SymFunc {
 			out = append(out, s)

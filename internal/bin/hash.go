@@ -3,8 +3,6 @@ package bin
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
-	"io"
 	"sort"
 
 	"icfgpatch/internal/arch"
@@ -14,7 +12,7 @@ import (
 // fields below change so stale identities can never validate.
 const funcHashVersion = "icfg-func-v1"
 
-// FuncContentHash returns the content address of one function: a hex
+// FuncContentHash returns the content address of one function: a
 // sha256 over everything a per-function analysis may read from the
 // function itself. Two binaries in which a function hashes equal are
 // guaranteed to agree on the function's bytes, placement, and the
@@ -25,23 +23,23 @@ const funcHashVersion = "icfg-func-v1"
 // (clamped to the section): the decoder's lookahead window for the last
 // instruction may read past a truncated function, so those bytes are
 // part of what analysis can observe.
-func (b *Binary) FuncContentHash(sym Symbol) string {
+func (b *Binary) FuncContentHash(sym Symbol) [32]byte {
 	return b.FuncContentHashes([]Symbol{sym})[0]
 }
 
 // FuncContentHashes returns FuncContentHash for every symbol, sorting
 // each relocation list by offset once for the batch: n functions over
 // r relocations cost O((n + r) log r), not O(n·r).
-func (b *Binary) FuncContentHashes(syms []Symbol) []string {
+func (b *Binary) FuncContentHashes(syms []Symbol) [][32]byte {
 	h := sha256.New()
-	var buf [8]byte
+	var buf []byte // scratch for the digest input: io.WriteString would allocate per string
 	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		buf = binary.LittleEndian.AppendUint64(buf[:0], v)
+		h.Write(buf)
 	}
 	str := func(s string) {
-		io.WriteString(h, s)
-		h.Write([]byte{0})
+		buf = append(append(buf[:0], s...), 0)
+		h.Write(buf)
 	}
 	var flags uint64
 	if b.PIE {
@@ -76,7 +74,7 @@ func (b *Binary) FuncContentHashes(syms []Symbol) []string {
 			str(rs[i].Sym)
 		}
 	}
-	out := make([]string, len(syms))
+	out := make([][32]byte, len(syms))
 	for k, sym := range syms {
 		h.Reset()
 		str(funcHashVersion)
@@ -92,7 +90,7 @@ func (b *Binary) FuncContentHashes(syms []Symbol) []string {
 		}
 		hashRelocs("relocs", b.Relocs, relocOrder, sym.Addr, sym.Addr+sym.Size)
 		hashRelocs("link", b.LinkRelocs, linkOrder, sym.Addr, sym.Addr+sym.Size)
-		out[k] = hex.EncodeToString(h.Sum(nil))
+		h.Sum(out[k][:0])
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package bin_test
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"io"
 	"testing"
 
@@ -17,7 +16,7 @@ import (
 // must reproduce exactly: it scans every relocation for every function
 // and hashes the in-range ones in slice order. Any difference would
 // change every unit ID the delta engine keys analyses by.
-func scanHash(b *bin.Binary, sym bin.Symbol) string {
+func scanHash(b *bin.Binary, sym bin.Symbol) [32]byte {
 	h := sha256.New()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -64,7 +63,9 @@ func scanHash(b *bin.Binary, sym bin.Symbol) string {
 	}
 	hashRelocs("relocs", b.Relocs)
 	hashRelocs("link", b.LinkRelocs)
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // checkHashes compares the batch hashes of b's functions (discovered
@@ -81,11 +82,11 @@ func checkHashes(t *testing.T, name string, b *bin.Binary) {
 	got := b.FuncContentHashes(syms)
 	for k, sym := range syms {
 		if want := scanHash(b, sym); got[k] != want {
-			t.Fatalf("%s %s: batch hash %s, reference %s", name, sym.Name, got[k], want)
+			t.Fatalf("%s %s: batch hash %x, reference %x", name, sym.Name, got[k], want)
 		}
 	}
 	if one := b.FuncContentHash(syms[0]); one != got[0] {
-		t.Fatalf("%s: FuncContentHash %s differs from the batch %s", name, one, got[0])
+		t.Fatalf("%s: FuncContentHash %x differs from the batch %x", name, one, got[0])
 	}
 }
 
@@ -170,10 +171,10 @@ func TestFuncContentHashesUnsortedRelocs(t *testing.T) {
 		{Kind: bin.RelocAbs64, Off: 0x1024, Sym: "a"},
 	}
 	got := b.FuncContentHashes(syms)
-	seen := map[string]bool{}
+	seen := map[[32]byte]bool{}
 	for k, sym := range syms {
 		if want := scanHash(b, sym); got[k] != want {
-			t.Errorf("%s: batch hash %s, reference %s", sym.Name, got[k], want)
+			t.Errorf("%s: batch hash %x, reference %x", sym.Name, got[k], want)
 		}
 		seen[got[k]] = true
 	}

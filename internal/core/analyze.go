@@ -77,8 +77,9 @@ type Analysis struct {
 	// from the store versus recomputed.
 	Delta DeltaStats
 
-	unitOf  map[*cfg.Func]*FuncUnit
-	padOnce sync.Once
+	unitOf map[*cfg.Func]*FuncUnit
+	// padding is the text's inter-function padding, which every Patch
+	// donates to the scratch pool; the sweep finds it.
 	padding [][2]uint64
 }
 
@@ -101,10 +102,13 @@ type funcPlacement struct {
 // function-granular units:
 //
 //  1. function table — symbols, or entry discovery for stripped
-//     binaries;
-//  2. identity — each function's content-addressed unit ID (bytes,
-//     in-range relocations, catch pads, binary-wide environment);
-//  3. assembly — for each function, a validated unit from the store
+//     binaries — and each function's content hash;
+//  2. the text sweep, cut along the table — boundary hints, the
+//     landing-pad evidence and its trust decision, padding — with
+//     unchanged functions' shares taken from the unit store's scan memo;
+//  3. identity — each function's content-addressed unit ID (content
+//     hash, catch pads, binary-wide environment);
+//  4. assembly — for each function, a validated unit from the store
 //     (cfgc.Units) or a fresh BuildFunc run with the resolver's read
 //     set recorded; then the whole-binary graph, variant adjustments,
 //     and function-pointer analysis in func-ptr mode.
@@ -122,13 +126,14 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 		return nil, fmt.Errorf("core: input binary invalid: %w", err)
 	}
 
-	// Pass 1: the function table.
+	// Pass 1: the function table and content hashes.
 	text := b.Text()
 	if text == nil {
 		return nil, fmt.Errorf("core: CFG construction: cfg: binary has no text section")
 	}
 	syms := b.FuncSymbols()
-	if len(syms) == 0 {
+	stripped := len(syms) == 0
+	if stripped {
 		// Stripped binary: recover function entries first, as Dyninst's
 		// parser does (the paper's libcuda.so is stripped). Discovery is
 		// re-run per version — it is cheap and global — and the delta
@@ -143,39 +148,55 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: CFG construction: %w", err)
 	}
-	// One linear sweep of .text yields the jump-table boundary hints and
-	// the evidence scan. The evidence must be settled before any unit is
-	// keyed, because the trust decision changes CFG construction
-	// (mark-bounded jump tables) and so must be part of every unit's
-	// identity.
-	resolver, ev := analysis.Sweep(b, !cfgc.NoEvidence)
+	hashes := b.FuncContentHashes(syms)
+
+	// Pass 2: one sweep of .text, cut along the function table, yields
+	// the jump-table boundary hints, the evidence scan and the padding
+	// the patcher donates to scratch space. With a unit store, unchanged
+	// functions' shares of it come from the scan memo. The evidence must
+	// be settled before any unit is keyed, because the trust decision
+	// changes CFG construction (mark-bounded jump tables) and so must be
+	// part of every unit's identity.
+	in := analysis.SweepInput{Funcs: syms, Evidence: !cfgc.NoEvidence}
+	if units != nil {
+		in.IDs, in.Memo = hashes, units.scans
+	}
+	resolver, ev, padding := analysis.SweepFuncs(b, in)
+	if stripped {
+		// Padding lies between symbols; with none, the whole text is the
+		// one gap, however discovery cut it.
+		padding = nil
+		if analysis.PaddingGap(b, text.Addr, text.End()) {
+			padding = [][2]uint64{{text.Addr, text.End()}}
+		}
+	}
 	resolver.Strict = cfgc.Variant.StrictJumpTableBounds
 
-	// Pass 2: per-function identities. The full name→ID map must exist
+	// Pass 3: per-function identities. The full name→ID map must exist
 	// before any unit is validated or built: reuse validation compares
 	// dependency edges against it, and fresh builds stamp their deps
 	// from it.
-	env := deltaEnv(b)
-	if cfgc.Mode == ModeFuncPtr && ev.Trusted {
+	useMarks := cfgc.Mode == ModeFuncPtr && ev.Trusted
+	if useMarks {
 		// Marker evidence engages only in func-ptr mode, where it converts
 		// refusal into sound acceptance; dir/jt stay byte-identical to the
-		// conservative path. The suffix forks the unit identity so trusted
-		// and conservative units never validate against each other.
+		// conservative path. The environment's trust bit forks the unit
+		// identity so trusted and conservative units never validate
+		// against each other.
 		resolver.UseMarks(ev.Marks)
-		env += "|lp1"
 	}
+	env := deltaEnv(make([]byte, 0, 128), b, useMarks)
 	type fent struct {
 		sym bin.Symbol
-		id  string
+		id  [32]byte
 	}
-	var table []fent
-	idByName := make(map[string]string, len(syms))
-	hashes := b.FuncContentHashes(syms)
+	table := make([]fent, 0, len(syms))
+	idByName := make(map[string][32]byte, len(syms))
 	for k, sym := range syms {
 		if sym.Size == 0 {
 			continue
 		}
-		id := unitID(hashes[k], cfg.CatchPads(pads, sym), env)
+		id := unitID(env, hashes[k], cfg.CatchPads(pads, sym))
 		table = append(table, fent{sym, id})
 		idByName[sym.Name] = id
 	}
@@ -189,7 +210,7 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 		return "", false
 	}
 
-	// Pass 3: assemble units — reuse validated ones, recompute the rest.
+	// Pass 4: assemble units — reuse validated ones, recompute the rest.
 	funcs := make([]*cfg.Func, 0, len(table))
 	fus := make([]*FuncUnit, 0, len(table))
 	unitOf := make(map[*cfg.Func]*FuncUnit, len(table))
@@ -260,7 +281,7 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 
 	return &Analysis{
 		Binary: b, Config: cfgc, Graph: g, PtrSites: ptrSites, Metrics: mx,
-		Evidence: ev, FuncUnits: fus, Delta: delta, unitOf: unitOf,
+		Evidence: ev, FuncUnits: fus, Delta: delta, unitOf: unitOf, padding: padding,
 	}, nil
 }
 
@@ -302,13 +323,6 @@ func (an *Analysis) placement(f *cfg.Func) *funcPlacement {
 		p.sbs = sbs
 	})
 	return p
-}
-
-// paddingRanges lazily computes the text section's inter-function
-// padding, which every Patch donates to the scratch pool.
-func (an *Analysis) paddingRanges() [][2]uint64 {
-	an.padOnce.Do(func() { an.padding = paddingRanges(an.Binary) })
-	return an.padding
 }
 
 // ProfileFromHeat aggregates a heat map captured by an emulated run

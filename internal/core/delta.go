@@ -28,9 +28,7 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"io"
+	"encoding/binary"
 	"sort"
 
 	"icfgpatch/internal/analysis"
@@ -44,8 +42,8 @@ import (
 type UnitKey struct {
 	// ID is the function's identity hash: bin.FuncContentHash plus the
 	// catch pads landing in the function and the delta environment (see
-	// deltaEnv).
-	ID      string
+	// unitID).
+	ID      [32]byte
 	Arch    arch.Arch
 	Mode    Mode
 	Variant Variant
@@ -56,7 +54,7 @@ type UnitKey struct {
 // mismatch in the new version invalidates the unit.
 type Dep struct {
 	Name string
-	ID   string
+	ID   [32]byte
 }
 
 // FuncUnit is one function's cached analysis.
@@ -84,7 +82,7 @@ type FuncUnit struct {
 // validFor reports whether the unit may stand in for a fresh analysis
 // of the same-identity function in binary b: all dependency edges
 // unchanged and the read set replaying identically.
-func (u *FuncUnit) validFor(b *bin.Binary, jt *analysis.JumpTables, idByName map[string]string) bool {
+func (u *FuncUnit) validFor(b *bin.Binary, jt *analysis.JumpTables, idByName map[string][32]byte) bool {
 	for _, d := range u.Deps {
 		if idByName[d.Name] != d.ID {
 			return false
@@ -108,18 +106,41 @@ type DeltaStats struct {
 // UnitStore is the function-keyed second store level. One store serves
 // every binary the process analyses: units are content-addressed, so
 // versions of the same program share whatever functions survived the
-// diff, and unrelated binaries simply never collide.
+// diff, and unrelated binaries simply never collide. Beside the units it
+// memoises each function's share of the text sweep (analysis.FuncScan),
+// keyed by the function's content hash alone: a scan does not depend on
+// the mode, the variant or the trust decision.
 type UnitStore struct {
-	m *store.Multi[UnitKey, *FuncUnit]
+	m     *store.Multi[UnitKey, *FuncUnit]
+	scans scanMemo
 }
 
 // NewUnitStore creates a unit store bounding the number of distinct
 // function identities held; <= 0 means unbounded. Each identity keeps
 // up to two candidates (the current and the previous version's
-// environment for the same function content).
+// environment for the same function content). The scan memo is bounded
+// by the same count.
 func NewUnitStore(maxFuncs int) *UnitStore {
-	return &UnitStore{m: store.NewMulti[UnitKey, *FuncUnit](maxFuncs, 2)}
+	return &UnitStore{
+		m:     store.NewMulti[UnitKey, *FuncUnit](maxFuncs, 2),
+		scans: scanMemo{store.NewMulti[[32]byte, *analysis.FuncScan](maxFuncs, 1)},
+	}
 }
+
+// scanMemo is the unit store's analysis.ScanMemo. Its hits and misses
+// are not part of Stats, which counts units.
+type scanMemo struct {
+	m *store.Multi[[32]byte, *analysis.FuncScan]
+}
+
+// Scan implements analysis.ScanMemo.
+func (s scanMemo) Scan(id [32]byte) *analysis.FuncScan {
+	fs, _ := s.m.Get(id, nil)
+	return fs
+}
+
+// PutScan implements analysis.ScanMemo.
+func (s scanMemo) PutScan(id [32]byte, fs *analysis.FuncScan) { s.m.Put(id, fs) }
 
 // Len returns the number of distinct function identities held.
 func (s *UnitStore) Len() int {
@@ -158,41 +179,56 @@ func Dependents(units []*FuncUnit, changed map[string]bool) []string {
 	return out
 }
 
-// deltaEnv renders the binary-wide invariants every per-function
-// analysis silently depends on: architecture, position independence,
-// exception use (placement consults it), the text section extent
-// (decode windows and plausibility checks), and the TOC value (the
-// slicer's r2 seed on PPC). The environment is folded into every unit
-// ID, so a layout change — text grown, sections moved — invalidates all
-// units rather than risking a stale reuse. The delta engine targets
-// same-layout version changes; cross-layout diffs fall back to cold.
-func deltaEnv(b *bin.Binary) string {
-	text := b.Text()
+// unitIDVersion tags the unit identity layout; bump it whenever the
+// layout changes so stale identities can never validate.
+const unitIDVersion = "icfg-unit-v2"
+
+// deltaEnv appends to dst the binary-wide invariants every per-function
+// analysis silently depends on beyond its content hash (which covers
+// the architecture): position independence, exception use (placement
+// consults it), the text section extent (decode windows and
+// plausibility checks), the TOC value (the slicer's r2 seed on PPC) and
+// whether trusted landing-pad evidence is engaged. The environment is
+// folded into every unit ID, so a layout change — text grown, sections
+// moved — invalidates all units rather than risking a stale reuse. The
+// delta engine targets same-layout version changes; cross-layout diffs
+// fall back to cold. The rendering has a fixed layout: the version tag,
+// one flag byte, then three 8-byte little-endian words.
+func deltaEnv(dst []byte, b *bin.Binary, marks bool) []byte {
+	var flags byte
+	for i, set := range []bool{b.PIE, b.SharedLib, b.UsesExceptions(), marks} {
+		if set {
+			flags |= 1 << i
+		}
+	}
 	var tAddr, tEnd uint64
-	if text != nil {
+	if text := b.Text(); text != nil {
 		tAddr, tEnd = text.Addr, text.End()
 	}
-	return fmt.Sprintf("env1|%d|%t|%t|%t|%x|%x|%x",
-		b.Arch, b.PIE, b.SharedLib, b.UsesExceptions(), tAddr, tEnd, b.TOCValue)
+	dst = append(append(dst, unitIDVersion...), flags)
+	dst = binary.LittleEndian.AppendUint64(dst, tAddr)
+	dst = binary.LittleEndian.AppendUint64(dst, tEnd)
+	return binary.LittleEndian.AppendUint64(dst, b.TOCValue)
 }
 
-// unitID computes a function's identity hash: content hash
-// (bin.FuncContentHash) × catch pads × delta environment.
-func unitID(contentHash string, catchPads []uint64, env string) string {
-	h := sha256.New()
-	io.WriteString(h, contentHash)
-	io.WriteString(h, env)
+// unitID computes a function's identity hash: one sha256 over the
+// environment (deltaEnv), the content hash (bin.FuncContentHash) and
+// the catch pads, each pad as 8 little-endian bytes. It builds the
+// input in env's spare capacity, so a caller hashing many functions
+// gives env room once and env's own bytes are never written.
+func unitID(env []byte, content [32]byte, catchPads []uint64) [32]byte {
+	buf := append(env[:len(env):cap(env)], content[:]...)
 	for _, p := range catchPads {
-		fmt.Fprintf(h, "|%x", p)
+		buf = binary.LittleEndian.AppendUint64(buf, p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return sha256.Sum256(buf)
 }
 
 // callDeps builds a freshly analysed function's dependency index:
 // direct call targets resolved to their containing functions, plus the
 // owners of recorded read ranges (in-text jump tables land inside a
 // function), each stamped with its identity hash at build time.
-func callDeps(f *cfg.Func, rec *analysis.Recording, symAt func(uint64) (string, bool), idByName map[string]string) []Dep {
+func callDeps(f *cfg.Func, rec *analysis.Recording, symAt func(uint64) (string, bool), idByName map[string][32]byte) []Dep {
 	seen := map[string]bool{}
 	add := func(addr uint64) {
 		if f.Contains(addr) {

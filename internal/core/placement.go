@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/cfg"
 )
@@ -165,39 +164,4 @@ func alignUp(v, a uint64) uint64 {
 		return v
 	}
 	return (v + a - 1) / a * a
-}
-
-// paddingRanges finds inter-function alignment padding in the text
-// section: bytes covered by no function symbol that decode as nops.
-func paddingRanges(b *bin.Binary) [][2]uint64 {
-	text := b.Text()
-	if text == nil {
-		return nil
-	}
-	syms := b.FuncSymbols()
-	var out [][2]uint64
-	pos := text.Addr
-	flush := func(start, end uint64) {
-		if end <= start {
-			return
-		}
-		nops := true
-		arch.Walk(b.Arch, text.Data[start-text.Addr:end-text.Addr], start, func(ins arch.Instr) bool {
-			nops = ins.Kind == arch.Nop
-			return nops
-		})
-		if nops { // otherwise not padding; leave it alone
-			out = append(out, [2]uint64{start, end})
-		}
-	}
-	for _, s := range syms {
-		if s.Addr > pos {
-			flush(pos, s.Addr)
-		}
-		if s.Addr+s.Size > pos {
-			pos = s.Addr + s.Size
-		}
-	}
-	flush(pos, text.End())
-	return out
 }

@@ -163,7 +163,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 			fillTextIllegal(b.Arch, text, u.fn)
 		}
 	}
-	for _, pr := range an.paddingRanges() {
+	for _, pr := range an.padding {
 		pool.add(pr[0], pr[1])
 	}
 

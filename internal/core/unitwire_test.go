@@ -2,9 +2,12 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/gob"
+	"encoding/hex"
 	"strings"
 	"testing"
 
+	"icfgpatch/internal/analysis"
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/cfg"
@@ -218,5 +221,84 @@ func TestPeerUnitWithEmptyBlockRecomputes(t *testing.T) {
 	}
 	if got := res.Binary.Marshal(); !bytes.Equal(got, want) {
 		t.Fatalf("rewrite after a malformed peer payload diverged from cold: %d vs %d bytes", len(got), len(want))
+	}
+}
+
+// Unit wire shapes of nodes built before identities became 32-byte
+// arrays: the same fields, with hex-string IDs and read sums.
+type (
+	oldUnitKey struct {
+		ID      string
+		Arch    arch.Arch
+		Mode    core.Mode
+		Variant core.Variant
+	}
+	oldDep      struct{ Name, ID string }
+	oldReadSpan struct {
+		Addr, Len uint64
+		Sum       string
+	}
+	oldRecording struct {
+		Reads  []oldReadSpan
+		Fails  []analysis.ReadFail
+		Bounds []analysis.BoundQuery
+	}
+	oldWireUnit struct {
+		Key   oldUnitKey
+		Name  string
+		Fn    *cfg.Func
+		Deps  []oldDep
+		Reads *oldRecording
+	}
+)
+
+// TestOldPeerUnitsRecompute pins the mixed-version cluster behaviour:
+// unit identities changed from hex strings to 32-byte arrays, so a
+// payload from a node running the old codec does not decode. The node
+// seeds nothing, recomputes every function and still patches the cold
+// bytes.
+func TestOldPeerUnitsRecompute(t *testing.T) {
+	b, opts, want, units := specUnits(t)
+	var old []oldWireUnit
+	for _, u := range units {
+		fc := *u.Fn
+		fc.Err = nil
+		fc.IndirectJumps = append([]cfg.IndirectJump(nil), fc.IndirectJumps...)
+		for i := range fc.IndirectJumps {
+			fc.IndirectJumps[i].Err = nil
+		}
+		w := oldWireUnit{Key: oldUnitKey{ID: hex.EncodeToString(u.Key.ID[:]), Arch: u.Key.Arch, Mode: u.Key.Mode, Variant: u.Key.Variant},
+			Name: u.Name, Fn: &fc, Reads: &oldRecording{Fails: u.Reads.Fails, Bounds: u.Reads.Bounds}}
+		for _, d := range u.Deps {
+			w.Deps = append(w.Deps, oldDep{Name: d.Name, ID: hex.EncodeToString(d.ID[:])})
+		}
+		for _, r := range u.Reads.Reads {
+			w.Reads.Reads = append(w.Reads.Reads, oldReadSpan{Addr: r.Addr, Len: r.Len, Sum: hex.EncodeToString(r.Sum[:])})
+		}
+		old = append(old, w)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	store := core.NewUnitStore(0)
+	if us, err := core.UnmarshalUnits(buf.Bytes()); err == nil {
+		t.Fatalf("an old node's payload decoded into %d units", len(us))
+	} else if !strings.Contains(err.Error(), "[32]uint8") {
+		t.Fatalf("error %q is not the identity type mismatch", err)
+	}
+	an, err := core.Analyze(b, core.AnalysisConfig{Mode: core.ModeJT, Units: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an.Delta.Reused != 0 || an.Delta.Recomputed != len(units) {
+		t.Fatalf("delta = %d reused, %d recomputed; want all %d recomputed", an.Delta.Reused, an.Delta.Recomputed, len(units))
+	}
+	res, err := an.Patch(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Binary.Marshal(), want) {
+		t.Fatal("rewrite after an old node's payload diverged from cold")
 	}
 }

@@ -19,11 +19,20 @@ type Multi[K comparable, V any] struct {
 	maxPerKey int
 
 	mu      sync.Mutex
-	entries map[K][]V
-	lru     *list.List // of K; front is most recently used
-	elems   map[K]*list.Element
+	entries map[K]*multiEntry[K, V]
+	lru     *list.List // of *multiEntry; front is most recently used
 
 	hits, misses, evictions, peerHits atomic.Uint64
+}
+
+// multiEntry is one key's candidates and its place in the LRU order.
+// Put replaces cands with a new slice and never writes into one already
+// published, so a slice read under the lock stays valid after it is
+// released.
+type multiEntry[K comparable, V any] struct {
+	key   K
+	cands []V
+	el    *list.Element
 }
 
 // NewMulti creates a Multi bounding the key count and candidates per
@@ -36,25 +45,25 @@ func NewMulti[K comparable, V any](maxKeys, maxPerKey int) *Multi[K, V] {
 	return &Multi[K, V]{
 		maxKeys:   maxKeys,
 		maxPerKey: maxPerKey,
-		entries:   map[K][]V{},
+		entries:   map[K]*multiEntry[K, V]{},
 		lru:       list.New(),
-		elems:     map[K]*list.Element{},
 	}
 }
 
 // Get returns the first candidate for key accepted by valid (nil valid
 // accepts any). The callback runs without the store lock held — it may
-// do real work (byte comparisons, boundary queries) — against a copied
-// candidate slice, so concurrent Puts and evictions are safe.
+// do real work (byte comparisons, boundary queries) — over the
+// candidate slice as it was when looked up, which concurrent Puts and
+// evictions never modify.
 func (m *Multi[K, V]) Get(key K, valid func(V) bool) (V, bool) {
+	var cands []V
 	m.mu.Lock()
-	cands := m.entries[key]
-	if el := m.elems[key]; el != nil {
-		m.lru.MoveToFront(el)
+	if e := m.entries[key]; e != nil {
+		cands = e.cands
+		m.lru.MoveToFront(e.el)
 	}
-	copied := append([]V(nil), cands...)
 	m.mu.Unlock()
-	for _, v := range copied {
+	for _, v := range cands {
 		if valid == nil || valid(v) {
 			m.hits.Add(1)
 			return v, true
@@ -67,27 +76,28 @@ func (m *Multi[K, V]) Get(key K, valid func(V) bool) (V, bool) {
 
 // Put adds a candidate for key, most-recent first, trimming the
 // candidate list to maxPerKey and evicting least-recently-used keys
-// beyond maxKeys.
+// beyond maxKeys. The candidate list is rebuilt, not edited in place
+// (see multiEntry).
 func (m *Multi[K, V]) Put(key K, v V) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cands := append([]V{v}, m.entries[key]...)
-	if len(cands) > m.maxPerKey {
-		cands = cands[:m.maxPerKey]
-	}
-	m.entries[key] = cands
-	if el := m.elems[key]; el != nil {
-		m.lru.MoveToFront(el)
+	e := m.entries[key]
+	if e == nil {
+		e = &multiEntry[K, V]{key: key}
+		e.el = m.lru.PushFront(e)
+		m.entries[key] = e
 	} else {
-		m.elems[key] = m.lru.PushFront(key)
+		m.lru.MoveToFront(e.el)
 	}
+	n := min(len(e.cands)+1, m.maxPerKey)
+	cands := make([]V, n)
+	cands[0] = v
+	copy(cands[1:], e.cands)
+	e.cands = cands
 	if m.maxKeys > 0 {
 		for m.lru.Len() > m.maxKeys {
-			el := m.lru.Back()
-			old := el.Value.(K)
-			m.lru.Remove(el)
-			delete(m.entries, old)
-			delete(m.elems, old)
+			old := m.lru.Remove(m.lru.Back()).(*multiEntry[K, V])
+			delete(m.entries, old.key)
 			m.evictions.Add(1)
 		}
 	}
