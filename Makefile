@@ -61,8 +61,9 @@ bench-delta:
 bench-patch:
 	$(BENCHGUARD) $(GO) test -run '^$$' -bench BenchmarkPatchParallel -benchtime 3x .
 
-# obs-guard verifies the tracing instrumentation stays within its 2%
-# overhead budget on the warm patch path (see obs_overhead_test.go).
+# obs-guard verifies a traced warm patch (Patch plus rendering the span
+# tree from its Metrics) stays within 2% of an untraced one (see
+# obs_overhead_test.go).
 obs-guard:
 	$(GO) test -run TestObsOverheadGuard .
 

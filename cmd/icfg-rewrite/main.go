@@ -207,12 +207,12 @@ func main() {
 		var sp *obs.Span
 		if *trace {
 			sp = obs.NewTrace("rewrite")
-			opts.Trace = sp
 		}
 		res, err := core.Rewrite(img, opts)
 		if err != nil {
 			fatal(err)
 		}
+		res.Metrics.AddSpans(sp, false)
 		sp.End()
 		traceText = sp.Render()
 		if err := res.Binary.WriteFile(*out); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
-	"icfgpatch/internal/cfg"
 )
 
 // SourceKind identifies one target-evidence source. Indirect-control-flow
@@ -52,15 +51,6 @@ func (k SourceKind) String() string {
 		return sourceNames[k]
 	}
 	return "source(?)"
-}
-
-// Source is one ranked target-evidence source. Collect contributes the
-// source's evidence for the binary to ev: pointer sites, marker indexes,
-// attribution counts. The graph is nil for sources that run before CFG
-// construction (the landing-pad scan).
-type Source interface {
-	Kind() SourceKind
-	Collect(b *bin.Binary, g *cfg.Graph, ev *Evidence) error
 }
 
 // MarkIndex is the set of landing-pad marker addresses found at

@@ -60,7 +60,8 @@ func FuncPointers(b *bin.Binary, g *cfg.Graph) ([]PtrSite, error) {
 }
 
 // FuncPointers runs the ranked pointer sources (reloc, data-cell,
-// code-imm) under this evidence. With trusted landing pads, candidates
+// code-imm) under this evidence. Each source that completes records its
+// kept sites in ev.Counts. With trusted landing pads, candidates
 // the conservative analysis would refuse are skipped when no marker
 // covers them — provably not indirect targets — converting whole-binary
 // refusal into sound acceptance; without trust, behaviour and errors are
@@ -71,25 +72,18 @@ func (ev *Evidence) FuncPointers(b *bin.Binary, g *cfg.Graph) ([]PtrSite, error)
 	}
 	ev.sites = nil
 	ev.slotSeen = map[uint64]bool{}
-	for _, src := range []Source{relocSource{}, dataCellSource{}, codeImmSource{}} {
-		if err := src.Collect(b, g, ev); err != nil {
-			return nil, err
-		}
-		ev.Counts[src.Kind()] = countKind(ev.sites, src.Kind())
+	if err := ev.relocPtrs(b, g); err != nil {
+		return nil, err
+	}
+	if err := ev.dataCellPtrs(b, g); err != nil {
+		return nil, err
+	}
+	if err := ev.codeImmPtrs(b, g); err != nil {
+		return nil, err
 	}
 	sites := ev.sites
 	ev.sites, ev.slotSeen = nil, nil
 	return sites, nil
-}
-
-func countKind(sites []PtrSite, k SourceKind) int {
-	n := 0
-	for _, s := range sites {
-		if s.Kind == k {
-			n++
-		}
-	}
-	return n
 }
 
 // validate classifies a code-address-like value: keep (a rewritable
@@ -136,14 +130,9 @@ func (ev *Evidence) validate(g *cfg.Graph, v uint64, what string) (keep bool, er
 	return false, fmt.Errorf("%w: %s value %#x is not an instruction boundary in %s", ErrImprecise, what, v, f.Name)
 }
 
-// relocSource finds pointers defined by runtime relocations (PIE).
-type relocSource struct{}
-
-// Kind implements Source.
-func (relocSource) Kind() SourceKind { return SourceReloc }
-
-// Collect implements Source.
-func (relocSource) Collect(b *bin.Binary, g *cfg.Graph, ev *Evidence) error {
+// relocPtrs finds pointers defined by runtime relocations (PIE).
+func (ev *Evidence) relocPtrs(b *bin.Binary, g *cfg.Graph) error {
+	first := len(ev.sites)
 	text := b.Text()
 	for _, rl := range b.Relocs {
 		if rl.Kind != bin.RelocRelative {
@@ -163,21 +152,18 @@ func (relocSource) Collect(b *bin.Binary, g *cfg.Graph, ev *Evidence) error {
 		}
 		ev.sites = append(ev.sites, PtrSite{Kind: PtrReloc, Slot: rl.Off, Value: v})
 	}
+	ev.Counts[SourceReloc] = len(ev.sites) - first
 	return nil
 }
 
-// dataCellSource finds pointers hiding in initialised data cells
+// dataCellPtrs finds pointers hiding in initialised data cells
 // (position dependent binaries have no relocations).
-type dataCellSource struct{}
-
-// Kind implements Source.
-func (dataCellSource) Kind() SourceKind { return SourceDataCell }
-
-// Collect implements Source.
-func (dataCellSource) Collect(b *bin.Binary, g *cfg.Graph, ev *Evidence) error {
+func (ev *Evidence) dataCellPtrs(b *bin.Binary, g *cfg.Graph) error {
+	first := len(ev.sites)
 	text := b.Text()
 	data := b.Section(bin.SecData)
 	if data == nil {
+		ev.Counts[SourceDataCell] = 0
 		return nil
 	}
 	for off := uint64(0); off+8 <= data.Size(); off += 8 {
@@ -198,18 +184,14 @@ func (dataCellSource) Collect(b *bin.Binary, g *cfg.Graph, ev *Evidence) error {
 		}
 		ev.sites = append(ev.sites, PtrSite{Kind: PtrDataCell, Slot: slot, Value: v})
 	}
+	ev.Counts[SourceDataCell] = len(ev.sites) - first
 	return nil
 }
 
-// codeImmSource finds code-materialised pointers: movimm (X64) and
+// codeImmPtrs finds code-materialised pointers: movimm (X64) and
 // movz/movk pairs (fixed-width ISAs).
-type codeImmSource struct{}
-
-// Kind implements Source.
-func (codeImmSource) Kind() SourceKind { return SourceCodeImm }
-
-// Collect implements Source.
-func (codeImmSource) Collect(b *bin.Binary, g *cfg.Graph, ev *Evidence) error {
+func (ev *Evidence) codeImmPtrs(b *bin.Binary, g *cfg.Graph) error {
+	first := len(ev.sites)
 	text := b.Text()
 	for _, f := range g.Funcs {
 		if !f.Instrumentable() {
@@ -256,5 +238,6 @@ func (codeImmSource) Collect(b *bin.Binary, g *cfg.Graph, ev *Evidence) error {
 			}
 		}
 	}
+	ev.Counts[SourceCodeImm] = len(ev.sites) - first
 	return nil
 }

@@ -49,22 +49,18 @@ type JumpTables struct {
 	// entries.
 	marks *MarkIndex
 	// tablesResolved and markBounded attribute the source's work (see
-	// Collect): tables successfully resolved, and tables whose inexact
+	// Attribute): tables successfully resolved, and tables whose inexact
 	// bound was trimmed by marker evidence.
 	tablesResolved int
 	markBounded    int
 }
 
-// Kind implements Source.
-func (jt *JumpTables) Kind() SourceKind { return SourceJumpTable }
-
-// Collect implements Source: the jump-table source does its real work
-// during CFG construction (ResolveJump); Collect deposits the
-// attribution it accumulated into the evidence aggregate.
-func (jt *JumpTables) Collect(_ *bin.Binary, _ *cfg.Graph, ev *Evidence) error {
+// Attribute deposits the jump-table source's attribution into ev: the
+// source does its real work during CFG construction (ResolveJump), and
+// this records what it accumulated there.
+func (jt *JumpTables) Attribute(ev *Evidence) {
 	ev.Counts[SourceJumpTable] = jt.tablesResolved
 	ev.MarkBoundedTables = jt.markBounded
-	return nil
 }
 
 // UseMarks engages trusted landing-pad evidence for bound validation.

@@ -217,13 +217,17 @@ type Graph struct {
 	Binary *bin.Binary
 	Arch   arch.Arch
 	Funcs  []*Func // sorted by entry
-	byName map[string]*Func
 }
 
-// FuncByName returns the named function's CFG.
+// FuncByName returns the named function's CFG. It scans the functions;
+// the rewriter itself looks functions up by address.
 func (g *Graph) FuncByName(name string) (*Func, bool) {
-	f, ok := g.byName[name]
-	return f, ok
+	for _, f := range g.Funcs {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return nil, false
 }
 
 // FuncContaining returns the function covering addr.
@@ -298,14 +302,12 @@ func UnwindTable(b *bin.Binary) (*unwind.Table, error) {
 // Assemble builds a whole-binary Graph from individually constructed
 // functions: the seam the delta engine uses to mix freshly built
 // functions with units reused from a previous version of the binary.
-// The input slice is retained and re-sorted by entry address.
+// funcs must be in entry-address order — the order of
+// bin.Binary.FuncSymbols and DiscoverFunctions — and is retained as
+// Graph.Funcs, so callers may index the graph's functions by their
+// position in funcs.
 func Assemble(b *bin.Binary, funcs []*Func) *Graph {
-	g := &Graph{Binary: b, Arch: b.Arch, Funcs: funcs, byName: map[string]*Func{}}
-	sort.Slice(g.Funcs, func(i, j int) bool { return g.Funcs[i].Entry < g.Funcs[j].Entry })
-	for _, f := range g.Funcs {
-		g.byName[f.Name] = f
-	}
-	return g
+	return &Graph{Binary: b, Arch: b.Arch, Funcs: funcs}
 }
 
 // CatchPads returns the exception landing pads inside sym, in table

@@ -156,7 +156,7 @@ type Config struct {
 // locally; the rest forward to a healthy owner with failover. On a
 // local analysis miss the node asks the owning peer for its cached
 // function units before recomputing (the warm path), installed via the
-// server's WarmUnits hook.
+// server's SetWarmUnits hook.
 type Node struct {
 	router
 	cfg        Config
@@ -309,7 +309,7 @@ func (n *Node) handlePeerUnits(w http.ResponseWriter, r *http.Request) {
 }
 
 // warmUnits is the warm path's receiver side, installed as the
-// service's WarmUnits hook: on an analysis-store miss, ask the owning
+// service's SetWarmUnits hook: on an analysis-store miss, ask the owning
 // peers (in replica order) for their cached units and seed whatever
 // arrives into the unit store. Strictly best-effort under PeerTimeout;
 // the seeded units still face Analyze's full validation, so a stale

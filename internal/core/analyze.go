@@ -12,7 +12,6 @@ import (
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/cfg"
 	"icfgpatch/internal/dataflow"
-	"icfgpatch/internal/obs"
 	"icfgpatch/internal/profile"
 )
 
@@ -32,19 +31,13 @@ type AnalysisConfig struct {
 	// a CFI binary can differ from the conservative one, so the two must
 	// never share cache entries.
 	NoEvidence bool
-	// Trace, when non-nil, receives an "analyze" span with per-stage
-	// laps. It is NOT part of the analysis identity (Mode, Variant,
-	// NoEvidence): Analyze clears it before storing the config in the
-	// Analysis so a cached analysis never retains the first requester's
-	// span tree.
-	Trace *obs.Span
 	// Units, when non-nil, is the function-keyed second store level:
 	// Analyze pulls unchanged functions' units from it and deposits
 	// freshly computed ones, turning a whole-binary analysis of a new
-	// version into a delta over the previous one. Like Trace, it is NOT
-	// part of the analysis identity — the assembled Analysis is
-	// byte-for-byte the one a cold run would produce — and it is cleared
-	// before the config is retained.
+	// version into a delta over the previous one. It is NOT part of the
+	// analysis identity — the assembled Analysis is byte-for-byte the one
+	// a cold run would produce — and it is cleared before the config is
+	// retained.
 	Units *UnitStore
 }
 
@@ -71,13 +64,13 @@ type Analysis struct {
 	// Patch reports the timings of the cached analysis.
 	Metrics Metrics
 	// FuncUnits are the per-function analysis units the graph was
-	// assembled from, in symbol-table order.
+	// assembled from, in address order: FuncUnits[i].Fn is
+	// Graph.Funcs[i].
 	FuncUnits []*FuncUnit
 	// Delta reports how the assembly went: how many units were reused
 	// from the store versus recomputed.
 	Delta DeltaStats
 
-	unitOf map[*cfg.Func]*FuncUnit
 	// padding is the text's inter-function padding, which every Patch
 	// donates to the scratch pool; the sweep finds it.
 	padding [][2]uint64
@@ -118,10 +111,8 @@ type funcPlacement struct {
 func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 	mx := Metrics{}
 	clock := time.Now()
-	sp := cfgc.Trace.Start("analyze")
-	defer sp.End()
 	units := cfgc.Units
-	cfgc.Trace, cfgc.Units = nil, nil // never retained by the (cacheable) Analysis
+	cfgc.Units = nil // never retained by the (cacheable) Analysis
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("core: input binary invalid: %w", err)
 	}
@@ -213,7 +204,6 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 	// Pass 4: assemble units — reuse validated ones, recompute the rest.
 	funcs := make([]*cfg.Func, 0, len(table))
 	fus := make([]*FuncUnit, 0, len(table))
-	unitOf := make(map[*cfg.Func]*FuncUnit, len(table))
 	var delta DeltaStats
 	for _, fe := range table {
 		key := UnitKey{ID: fe.id, Arch: b.Arch, Mode: cfgc.Mode, Variant: cfgc.Variant}
@@ -248,7 +238,6 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 		}
 		funcs = append(funcs, u.Fn)
 		fus = append(fus, u)
-		unitOf[u.Fn] = u
 	}
 	g := cfg.Assemble(b, funcs)
 	if cfgc.Variant.FailOnAnyError {
@@ -259,7 +248,7 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 		}
 	}
 	mx.FuncsReused, mx.FuncsRecomputed = delta.Reused, delta.Recomputed
-	sp.Record(StageCFG, mx.lap(StageCFG, &clock))
+	mx.lap(StageCFG, &clock)
 
 	// Function pointer analysis gates func-ptr mode (Section 5.2): it is
 	// only safe when every pointer is identified precisely.
@@ -276,22 +265,23 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 	}
 	// Deposit the jump-table source's attribution (tables resolved,
 	// mark-bounded count) into the evidence layer.
-	_ = resolver.Collect(b, g, ev)
-	sp.Record(StageFuncPtr, mx.lap(StageFuncPtr, &clock))
+	resolver.Attribute(ev)
+	mx.lap(StageFuncPtr, &clock)
 
 	return &Analysis{
 		Binary: b, Config: cfgc, Graph: g, PtrSites: ptrSites, Metrics: mx,
-		Evidence: ev, FuncUnits: fus, Delta: delta, unitOf: unitOf, padding: padding,
+		Evidence: ev, FuncUnits: fus, Delta: delta, padding: padding,
 	}, nil
 }
 
-// placement returns the function's cached placement inputs, computing
-// them on first use. CFL sets, liveness, and superblocks depend only on
-// inputs folded into the unit identity — so the memo lives in the
-// function's unit and is shared read-only by every Patch on every
-// Analysis the unit is assembled into.
-func (an *Analysis) placement(f *cfg.Func) *funcPlacement {
-	p := &an.unitOf[f].place
+// placement returns the cached placement inputs of Graph.Funcs[i],
+// computing them on first use. CFL sets, liveness, and superblocks
+// depend only on inputs folded into the unit identity — so the memo
+// lives in the function's unit and is shared read-only by every Patch on
+// every Analysis the unit is assembled into.
+func (an *Analysis) placement(i int) *funcPlacement {
+	u := an.FuncUnits[i]
+	f, p := u.Fn, &u.place
 	p.once.Do(func() {
 		b, mode, v := an.Binary, an.Config.Mode, an.Config.Variant
 		cfl := cflSet(b, f, mode)

@@ -35,7 +35,6 @@ import (
 
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/instrument"
-	"icfgpatch/internal/obs"
 	"icfgpatch/internal/profile"
 )
 
@@ -115,14 +114,10 @@ type Options struct {
 	// ablation baselines and other request shapes ignore the profile's
 	// variant half but still use its trampoline ordering.
 	Profile *profile.Profile
-	// Trace, when non-nil, receives an "analyze"/"patch" span subtree
-	// with per-stage laps and the pipeline counters. Nil disables
-	// tracing at zero cost (obs spans are nil-receiver safe).
-	Trace *obs.Span
 }
 
 // AnalysisConfig returns o's analysis identity, the fields Analyze
-// consumes; callers set Trace and Units on the result.
+// consumes; callers set Units on the result.
 func (o Options) AnalysisConfig() AnalysisConfig {
 	return AnalysisConfig{Mode: o.Mode, Variant: o.Variant, NoEvidence: o.NoEvidence}
 }

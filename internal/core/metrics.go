@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"icfgpatch/internal/arch"
+	"icfgpatch/internal/obs"
 )
 
 // Pipeline stage names, in execution order. Every Rewrite records all of
@@ -66,14 +67,11 @@ type Metrics struct {
 	PatchFuncsReencoded int
 }
 
-// lap appends a stage timing measured since *last, advances *last, and
-// returns the duration so call sites can graft it onto a trace span.
-func (m *Metrics) lap(name string, last *time.Time) time.Duration {
+// lap appends a stage timing measured since *last and advances *last.
+func (m *Metrics) lap(name string, last *time.Time) {
 	now := time.Now()
-	d := now.Sub(*last)
-	m.Stages = append(m.Stages, StageMetric{Name: name, Wall: d})
+	m.Stages = append(m.Stages, StageMetric{Name: name, Wall: now.Sub(*last)})
 	*last = now
-	return d
 }
 
 // Add accumulates o into m so sweeps can aggregate per-cell metrics.
@@ -146,4 +144,46 @@ func (m Metrics) Render() string {
 		m.TrampolineTotal(), m.ClonedTables, m.AnalysisFailures, m.FuncsReused, m.FuncsRecomputed,
 		m.PatchFuncsReencoded)
 	return b.String()
+}
+
+// AddSpans renders m as a span subtree under sp, the -trace view of the
+// record: an "analyze" span holding the analysis stage laps (cfg,
+// funcptr-analysis) and a "patch" span holding the patch stage laps,
+// annotated with the pipeline counters. Each parent lasts the sum of its
+// laps. With analysisCached the analysis was built for an earlier
+// request, so "analyze" is a zero-length span marked cached=true and its
+// laps are left out. A nil sp renders nothing, so untraced callers pay
+// nothing.
+func (m Metrics) AddSpans(sp *obs.Span, analysisCached bool) {
+	if sp == nil {
+		return
+	}
+	var ana, pat []StageMetric
+	var anaWall, patWall time.Duration
+	for _, s := range m.Stages {
+		if s.Name == StageCFG || s.Name == StageFuncPtr {
+			ana, anaWall = append(ana, s), anaWall+s.Wall
+		} else {
+			pat, patWall = append(pat, s), patWall+s.Wall
+		}
+	}
+	if analysisCached {
+		sp.Record("analyze", 0).SetAttr("cached", "true")
+	} else {
+		a := sp.Record("analyze", anaWall)
+		for _, s := range ana {
+			a.Record(s.Name, s.Wall)
+		}
+	}
+	p := sp.Record("patch", patWall)
+	for _, s := range pat {
+		p.Record(s.Name, s.Wall)
+	}
+	p.SetInt("cfl-blocks", int64(m.CFLBlocks))
+	p.SetInt("scratch-blocks", int64(m.ScratchBlocks))
+	p.SetInt("scratch-bytes", int64(m.ScratchBytesHarvested))
+	p.SetInt("trampolines", int64(m.TrampolineTotal()))
+	p.SetInt("tables-cloned", int64(m.ClonedTables))
+	p.SetInt("analysis-failures", int64(m.AnalysisFailures))
+	p.SetInt("patch-funcs-reencoded", int64(m.PatchFuncsReencoded))
 }

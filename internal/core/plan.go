@@ -73,6 +73,7 @@ type planItem struct {
 // retained pointer.
 type planUnit struct {
 	fn    *cfg.Func
+	idx   int // fn's position in Graph.Funcs and Analysis.FuncUnits
 	items []planItem
 	cells []bin.AddrPair // instrumentation point -> counter cell, in insertion order
 	cell  uint64         // the unit's first counter cell
@@ -195,7 +196,7 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 	for i, f := range g.Funcs {
 		if f.Instrumentable() && p.req.Wants(f.Name) && len(f.Blocks) > 0 {
 			p.instrumented[i] = true
-			p.units = append(p.units, &planUnit{fn: f, varSlot: -1})
+			p.units = append(p.units, &planUnit{fn: f, idx: i, varSlot: -1})
 		}
 	}
 	// Collect jump table clones (jt and func-ptr modes).
@@ -271,7 +272,7 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 		f := p.units[i].fn
 		p.buildUnit(g, p.units[i])
 		if !p.variant.NoTrampolines {
-			pl := an.placement(f)
+			pl := an.placement(p.units[i].idx)
 			ft := funcTramp{fn: f, cflBlocks: len(pl.cfl), scratchBlocks: len(f.Blocks) - len(pl.cfl)}
 			for _, sb := range pl.sbs {
 				ft.jobs = append(ft.jobs, trampJob{sb: sb, scratch: pl.lv.DeadAt(sb.Block.Start)})

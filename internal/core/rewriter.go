@@ -20,9 +20,7 @@ import (
 // binary repeatedly with different instrumentation sets should run
 // Analyze once (or hit it in a store.Store) and Patch per request.
 func Rewrite(b *bin.Binary, opts Options) (*Result, error) {
-	cfgc := opts.AnalysisConfig()
-	cfgc.Trace = opts.Trace
-	an, err := Analyze(b, cfgc)
+	an, err := Analyze(b, opts.AnalysisConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -73,8 +71,6 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 		FuncsRecomputed: an.Metrics.FuncsRecomputed,
 	}
 	clock := time.Now()
-	sp := opts.Trace.Start("patch")
-	defer sp.End()
 
 	// Copy-on-write clone: section contents stay shared with the input
 	// until a write detaches them, so a patch that touches only .text
@@ -112,14 +108,14 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	if opts.Variant.ReverseFuncs {
 		p.reverseUnits()
 	}
-	sp.Record(StagePlan, mx.lap(StagePlan, &clock))
+	mx.lap(StagePlan, &clock)
 
 	// Stage 2: layout — section plan, clone placement, address fixpoint.
 	if err := p.layoutAll(opts); err != nil {
 		return nil, err
 	}
 	mx.ClonedTables = len(p.clones)
-	sp.Record(StageLayout, mx.lap(StageLayout, &clock))
+	mx.lap(StageLayout, &clock)
 
 	// Stage 3: emit — parallel per-unit encoding.
 	instrData, cloneData, raPairs, encoded, err := p.emit(opts.PatchJobs)
@@ -130,7 +126,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	// Nothing after the emit stage reads plan items; recycle the slabs
 	// for the next Patch.
 	p.release()
-	sp.Record(StageEmit, mx.lap(StageEmit, &clock))
+	mx.lap(StageEmit, &clock)
 
 	// Apply the section plan: move dynamic-linking sections, retiring
 	// the originals as scratch space (Section 3).
@@ -228,7 +224,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	for _, tp := range trapPairs {
 		trapSites = append(trapSites, tp.From)
 	}
-	sp.Record(StageTrampolines, mx.lap(StageTrampolines, &clock))
+	mx.lap(StageTrampolines, &clock)
 
 	// Function pointer rewriting (data slots and relocations).
 	for _, site := range ptrSites {
@@ -256,7 +252,7 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 			stats.RewrittenPtrs++ // patched during relocation
 		}
 	}
-	sp.Record(StagePointers, mx.lap(StagePointers, &clock))
+	mx.lap(StagePointers, &clock)
 
 	// New sections.
 	if p.nextCell > counterBase {
@@ -336,20 +332,10 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	if err := nb.Validate(); err != nil {
 		return nil, fmt.Errorf("core: rewritten binary invalid: %w", err)
 	}
-	sp.Record(StageFinalize, mx.lap(StageFinalize, &clock))
+	mx.lap(StageFinalize, &clock)
 	mx.ScratchBytesHarvested = pool.harvested
 	mx.ScratchBytesFree = pool.total()
 	mx.AnalysisFailures = len(stats.SkippedFuncs)
-	if sp != nil {
-		sp.SetInt("cfl-blocks", int64(mx.CFLBlocks))
-		sp.SetInt("scratch-blocks", int64(mx.ScratchBlocks))
-		sp.SetInt("scratch-bytes", int64(mx.ScratchBytesHarvested))
-		sp.SetInt("trampolines", int64(mx.TrampolineTotal()))
-		sp.SetInt("tables-cloned", int64(mx.ClonedTables))
-		sp.SetInt("analysis-failures", int64(mx.AnalysisFailures))
-		sp.SetInt("patch-jobs", int64(opts.PatchJobs))
-		sp.SetInt("patch-funcs-reencoded", int64(mx.PatchFuncsReencoded))
-	}
 	res := &Result{Binary: nb, Stats: stats, Metrics: mx, CounterCells: cells, TrapSites: trapSites, reloc: p.reloc}
 	res.pooled = append(res.pooled, instrData)
 	if len(cloneData) > 0 {

@@ -6,7 +6,6 @@ import (
 
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/core"
-	"icfgpatch/internal/obs"
 	"icfgpatch/internal/workload"
 )
 
@@ -61,14 +60,13 @@ func Ablation(a arch.Arch) (*AblationResult, error) {
 		row := AblationRow{Name: cfgv.name, Total: len(suite)}
 		var ovh, cov []float64
 		for _, p := range suite {
-			r := runOne(cfgv.name, p, func(p *workload.Program, tr *obs.Span) (*core.Result, error) {
+			r := runOne(cfgv.name, p, func(p *workload.Program) (*core.Result, error) {
 				return core.Rewrite(p.Binary, core.Options{
 					Mode:     core.ModeJT,
 					Request:  blockEmpty(),
 					Verify:   true,
 					InstrGap: gap,
 					Variant:  cfgv.v,
-					Trace:    tr,
 				})
 			})
 			if r.Coverage >= 0 {

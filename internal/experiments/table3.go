@@ -11,7 +11,6 @@ import (
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/emu"
 	"icfgpatch/internal/instrument"
-	"icfgpatch/internal/obs"
 	"icfgpatch/internal/workload"
 )
 
@@ -66,10 +65,8 @@ func blockEmpty() instrument.Request {
 	return instrument.Request{Where: instrument.BlockEntry, Payload: instrument.PayloadEmpty}
 }
 
-// rewriteFn rewrites one benchmark program under one approach. tr is
-// the cell's trace span (nil unless -trace); approaches built on
-// core.Rewrite thread it through Options, baselines may ignore it.
-type rewriteFn func(p *workload.Program, tr *obs.Span) (*core.Result, error)
+// rewriteFn rewrites one benchmark program under one approach.
+type rewriteFn func(p *workload.Program) (*core.Result, error)
 
 // table3Spec is one approach row of the sweep: the approaches are fixed
 // up front so the serial and parallel runners execute identical cells.
@@ -88,23 +85,23 @@ func table3Specs(a arch.Arch) []table3Spec {
 		gap = ppcInstrGap
 	}
 	specs := []table3Spec{
-		{"SRBI", false, func(p *workload.Program, _ *obs.Span) (*core.Result, error) {
+		{"SRBI", false, func(p *workload.Program) (*core.Result, error) {
 			return baseline.SRBI(p.Binary, baseline.SRBIOptions{Request: blockEmpty(), Verify: true, InstrGap: gap})
 		}},
-		{"dir", false, func(p *workload.Program, tr *obs.Span) (*core.Result, error) {
-			return core.Rewrite(p.Binary, core.Options{Mode: core.ModeDir, Request: blockEmpty(), Verify: true, InstrGap: gap, Trace: tr})
+		{"dir", false, func(p *workload.Program) (*core.Result, error) {
+			return core.Rewrite(p.Binary, core.Options{Mode: core.ModeDir, Request: blockEmpty(), Verify: true, InstrGap: gap})
 		}},
-		{"jt", false, func(p *workload.Program, tr *obs.Span) (*core.Result, error) {
-			return core.Rewrite(p.Binary, core.Options{Mode: core.ModeJT, Request: blockEmpty(), Verify: true, InstrGap: gap, Trace: tr})
+		{"jt", false, func(p *workload.Program) (*core.Result, error) {
+			return core.Rewrite(p.Binary, core.Options{Mode: core.ModeJT, Request: blockEmpty(), Verify: true, InstrGap: gap})
 		}},
-		{"func-ptr", false, func(p *workload.Program, tr *obs.Span) (*core.Result, error) {
-			return core.Rewrite(p.Binary, core.Options{Mode: core.ModeFuncPtr, Request: blockEmpty(), Verify: true, InstrGap: gap, Trace: tr})
+		{"func-ptr", false, func(p *workload.Program) (*core.Result, error) {
+			return core.Rewrite(p.Binary, core.Options{Mode: core.ModeFuncPtr, Request: blockEmpty(), Verify: true, InstrGap: gap})
 		}},
 	}
 	if a == arch.X64 {
 		// IR lowering requires PIE; the paper compiled the benchmarks
 		// with -pie for Egalito.
-		specs = append(specs, table3Spec{"IR lowering", true, func(p *workload.Program, _ *obs.Span) (*core.Result, error) {
+		specs = append(specs, table3Spec{"IR lowering", true, func(p *workload.Program) (*core.Result, error) {
 			return baseline.IRLower(p.Binary, baseline.IRLowerOptions{Request: blockEmpty()})
 		}})
 	}
@@ -213,7 +210,10 @@ func runOne(label string, p *workload.Program, rewrite rewriteFn) (out Table3Run
 		return out
 	}
 	sp := traceRun(label, p.Profile.Name)
-	rw, err := rewrite(p, sp)
+	rw, err := rewrite(p)
+	if err == nil {
+		rw.Metrics.AddSpans(sp, false)
+	}
 	emitTrace(sp)
 	if err != nil {
 		out.Reason = "rewrite failed: " + err.Error()

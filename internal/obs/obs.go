@@ -3,9 +3,12 @@
 // rendered in the Prometheus text exposition format.
 //
 // Both halves are built for the rewrite daemon's constraints. Spans cost
-// nothing when disabled: every method is nil-receiver safe, so the
-// pipeline threads a *Trace through unconditionally and callers that
-// want no tracing pass nil. The registry serves the same counters the
+// nothing when disabled: every method is nil-receiver safe, so callers
+// render into a root span unconditionally and pass nil for no tracing.
+// The rewrite pipeline itself never holds a span: it keeps one record
+// per rewrite (core.Metrics), and the span tree is rendered from that
+// record after the fact (core.Metrics.AddSpans), so the two cannot
+// disagree. The registry serves the same counters the
 // service already keeps (request outcomes, cache paths, store
 // hit/miss/eviction) plus per-stage latency histograms, so a running
 // icfg-serve can be read from the outside — the observable-failure-mode
@@ -30,9 +33,10 @@ type Attr struct {
 }
 
 // Span is one timed region of a request, with children for the regions
-// it contains. A nil *Span is a valid no-op span: every method returns
-// without doing work, so instrumented code never branches on "is
-// tracing enabled".
+// it contains. A root span times itself from NewTrace to End; children
+// are recorded with durations measured elsewhere. A nil *Span is a
+// valid no-op span: every method returns without doing work, so callers
+// never branch on "is tracing enabled".
 type Span struct {
 	mu       sync.Mutex
 	name     string
@@ -46,18 +50,6 @@ type Span struct {
 // NewTrace starts a root span for one request or run.
 func NewTrace(name string) *Span {
 	return &Span{name: name, start: time.Now(), running: true}
-}
-
-// Start begins a child span. It returns nil when s is nil.
-func (s *Span) Start(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	c := &Span{name: name, start: time.Now(), running: true}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-	return c
 }
 
 // End finishes the span, fixing its duration. Ending twice keeps the
@@ -101,6 +93,21 @@ func (s *Span) SetAttr(key, val string) {
 // SetInt annotates the span with an integer value.
 func (s *Span) SetInt(key string, v int64) {
 	s.SetAttr(key, fmt.Sprintf("%d", v))
+}
+
+// Attr returns the value of the span's first attribute named key.
+func (s *Span) Attr(key string) (string, bool) {
+	if s == nil {
+		return "", false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, a := range s.attrs {
+		if a.Key == key {
+			return a.Val, true
+		}
+	}
+	return "", false
 }
 
 // Dur returns the span's duration; for a still-running span, the time

@@ -9,15 +9,14 @@ import (
 
 func TestNilSpanIsSafe(t *testing.T) {
 	var s *Span
-	c := s.Start("child")
-	if c != nil {
-		t.Fatal("nil span produced a child")
-	}
 	s.End()
 	s.SetAttr("k", "v")
 	s.SetInt("n", 3)
 	if s.Record("lap", time.Millisecond) != nil {
 		t.Fatal("nil span recorded a lap")
+	}
+	if _, ok := s.Attr("k"); ok {
+		t.Fatal("nil span returned an attribute")
 	}
 	if s.Render() != "" || s.Dur() != 0 || s.Name() != "" || s.Find("x") != nil {
 		t.Fatal("nil span leaked state")
@@ -27,13 +26,11 @@ func TestNilSpanIsSafe(t *testing.T) {
 func TestSpanTree(t *testing.T) {
 	root := NewTrace("request")
 	root.SetAttr("path", "cold")
-	an := root.Start("analyze")
+	an := root.Record("analyze", 3*time.Millisecond)
 	an.Record("cfg", 2*time.Millisecond)
 	an.Record("funcptr-analysis", time.Millisecond)
-	an.End()
-	pt := root.Start("patch")
+	pt := root.Record("patch", time.Millisecond)
 	pt.SetInt("trampolines", 12)
-	pt.End()
 	root.End()
 
 	if root.Find("cfg") == nil || root.Find("patch") == nil {
@@ -41,6 +38,9 @@ func TestSpanTree(t *testing.T) {
 	}
 	if root.Find("cfg").Dur() != 2*time.Millisecond {
 		t.Fatalf("recorded lap duration %v", root.Find("cfg").Dur())
+	}
+	if v, ok := root.Find("patch").Attr("trampolines"); !ok || v != "12" {
+		t.Fatalf("patch attr trampolines = %q, %v", v, ok)
 	}
 	out := root.Render()
 	for _, want := range []string{"request", "path=cold", "  analyze", "    cfg 2ms", "  patch", "trampolines=12"} {
@@ -60,9 +60,8 @@ func TestSpanConcurrentChildren(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := root.Start("c")
+			c := root.Record("c", time.Millisecond)
 			c.SetAttr("k", "v")
-			c.End()
 		}()
 	}
 	wg.Wait()

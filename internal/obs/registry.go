@@ -18,8 +18,8 @@ import (
 // registration order, series sorted by label value).
 //
 // The implementation is deliberately small: the daemon needs counters,
-// gauges read at scrape time, and fixed-bucket histograms — nothing
-// else — and the container must not grow dependencies.
+// counters and gauges read at scrape time, and fixed-bucket histograms —
+// nothing else — and the container must not grow dependencies.
 type Registry struct {
 	mu   sync.Mutex
 	fams []*family
@@ -121,7 +121,18 @@ func (v *CounterVec) Value(value string) uint64 {
 // and value may be empty for an unlabeled gauge; calling again with the
 // same name and a new value adds a series to the family.
 func (r *Registry) GaugeFunc(name, help, label, value string, fn func() float64) {
-	f := r.family(name, help, "gauge", label)
+	r.funcSeries(name, help, "gauge", label, value, fn)
+}
+
+// CounterFunc registers a counter series evaluated at scrape time: a
+// cumulative total kept elsewhere (a store's hit count), which fn must
+// only ever report as non-decreasing. Labels work as in GaugeFunc.
+func (r *Registry) CounterFunc(name, help, label, value string, fn func() float64) {
+	r.funcSeries(name, help, "counter", label, value, fn)
+}
+
+func (r *Registry) funcSeries(name, help, typ, label, value string, fn func() float64) {
+	f := r.family(name, help, typ, label)
 	f.mu.Lock()
 	f.series[value] = fn
 	f.mu.Unlock()

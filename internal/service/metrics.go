@@ -1,8 +1,8 @@
 // Service metrics: every counter the daemon already keeps, plus the
 // per-stage latency distributions, rendered by internal/obs as a
 // Prometheus /metrics endpoint. The registry is per-Server so tests can
-// assert on isolated counters; gauges read live server state at scrape
-// time.
+// assert on isolated counters; store totals and gauges read live server
+// state at scrape time.
 package service
 
 import (
@@ -35,7 +35,8 @@ const (
 )
 
 // metrics is one Server's instrumentation: outcome/cache-path counters,
-// latency histograms, and scrape-time gauges over the queue and stores.
+// latency histograms, scrape-time gauges over the queue, and scrape-time
+// counters over the stores.
 type metrics struct {
 	reg       *obs.Registry
 	requests  *obs.CounterVec   // by outcome
@@ -81,44 +82,45 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.pool.BatchQueued()) })
 	reg.GaugeFunc("icfg_batch_queue_capacity", "batch-lane queue capacity", "", "",
 		func() float64 { return float64(s.pool.BatchQueueCap()) })
-	registerStoreGauges(reg, "analysis", func() store.Stats { return s.stores.Analyses.Stats() })
+	registerStoreCounters(reg, "analysis", func() store.Stats { return s.stores.Analyses.Stats() })
 	if s.results != nil {
-		registerStoreGauges(reg, "result", func() store.Stats { return s.results.Stats() })
+		registerStoreCounters(reg, "result", func() store.Stats { return s.results.Stats() })
 	}
 	if s.stores.Units != nil {
 		units := s.stores.Units
-		registerStoreGauges(reg, "funcs", func() store.Stats { return units.Stats() })
+		registerStoreCounters(reg, "funcs", func() store.Stats { return units.Stats() })
 		reg.GaugeFunc("icfg_store_entries", "entries held by store", "store", "funcs",
 			func() float64 { return float64(units.Len()) })
 	}
-	registerCacheGauges(reg, "icfg_workload_cache", "workload generation cache",
+	registerCacheCounters(reg, "icfg_workload_cache", "workload generation cache",
 		func() store.Stats { return workload.CacheStats() })
 	return m
 }
 
-// registerStoreGauges exposes one store's cumulative counters as a
-// labeled series per store (analysis, result).
-func registerStoreGauges(reg *obs.Registry, name string, stats func() store.Stats) {
-	reg.GaugeFunc("icfg_store_hits", "cache hits by store", "store", name,
+// registerStoreCounters exposes one store's cumulative totals as
+// counters, one labeled series per store (analysis, result, funcs), so
+// rate() works on them.
+func registerStoreCounters(reg *obs.Registry, name string, stats func() store.Stats) {
+	reg.CounterFunc("icfg_store_hits", "cache hits by store", "store", name,
 		func() float64 { return float64(stats().Hits) })
-	reg.GaugeFunc("icfg_store_misses", "cache misses by store", "store", name,
+	reg.CounterFunc("icfg_store_misses", "cache misses by store", "store", name,
 		func() float64 { return float64(stats().Misses) })
-	reg.GaugeFunc("icfg_store_evictions", "cache evictions by store", "store", name,
+	reg.CounterFunc("icfg_store_evictions", "cache evictions by store", "store", name,
 		func() float64 { return float64(stats().Evictions) })
-	reg.GaugeFunc("icfg_store_disk_hits", "artifacts warmed from disk by store", "store", name,
+	reg.CounterFunc("icfg_store_disk_hits", "artifacts warmed from disk by store", "store", name,
 		func() float64 { return float64(stats().DiskHits) })
-	reg.GaugeFunc("icfg_store_peer_hits", "artifacts seeded from cluster peers by store", "store", name,
+	reg.CounterFunc("icfg_store_peer_hits", "artifacts seeded from cluster peers by store", "store", name,
 		func() float64 { return float64(stats().PeerHits) })
-	reg.GaugeFunc("icfg_store_persist_failures", "failed disk persists by store", "store", name,
+	reg.CounterFunc("icfg_store_persist_failures", "failed disk persists by store", "store", name,
 		func() float64 { return float64(stats().PersistFailures) })
 }
 
-// registerCacheGauges exposes a process-global cache's counters as
-// unlabeled gauges under a distinct prefix.
-func registerCacheGauges(reg *obs.Registry, prefix, what string, stats func() store.Stats) {
-	reg.GaugeFunc(prefix+"_hits", what+" hits", "", "",
+// registerCacheCounters exposes a process-global cache's totals as
+// unlabeled counters under a distinct prefix.
+func registerCacheCounters(reg *obs.Registry, prefix, what string, stats func() store.Stats) {
+	reg.CounterFunc(prefix+"_hits", what+" hits", "", "",
 		func() float64 { return float64(stats().Hits) })
-	reg.GaugeFunc(prefix+"_misses", what+" misses", "", "",
+	reg.CounterFunc(prefix+"_misses", what+" misses", "", "",
 		func() float64 { return float64(stats().Misses) })
 }
 
@@ -182,9 +184,8 @@ func (m *metrics) observeFailed(err error) {
 	}
 }
 
-// traceFor starts the request's span tree when tracing is requested.
-// It returns nil otherwise, which disables every downstream span at
-// zero cost.
+// traceFor starts the request's root span when tracing is requested,
+// or returns nil.
 func traceFor(req *Request) *obs.Span {
 	if !req.Trace {
 		return nil
@@ -194,11 +195,16 @@ func traceFor(req *Request) *obs.Span {
 	return sp
 }
 
-// finishTrace closes the request's root span, stamps the cache path,
-// and attaches the tree to the response.
+// finishTrace renders the response's record under the request's root
+// span, stamps the cache path, closes the span, and attaches the tree to
+// the response. A result-cache replay ran no pipeline, so its root span
+// has no children.
 func finishTrace(sp *obs.Span, resp *Response) {
 	if sp == nil || resp == nil {
 		return
+	}
+	if !resp.ResultHit {
+		resp.Metrics.AddSpans(sp, resp.AnalysisHit)
 	}
 	sp.SetAttr("path", ReplyCachePath(&resp.Reply))
 	sp.End()

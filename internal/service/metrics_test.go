@@ -13,15 +13,18 @@ import (
 	"testing"
 	"time"
 
+	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/core"
+	"icfgpatch/internal/workload"
 )
 
 // TestMetricsEndpoint drives the full scrape path: three requests with
 // distinct cache paths (cold, result-cache, warm-analysis) against a
 // server whose result-cache directory is unwritable, then asserts the
 // /metrics text carries the outcome counters, cache-path counters,
-// latency histograms, gauges, and the persist-failure count.
+// latency histograms, gauges, the persist-failure count, and the TYPE
+// of each store total (counter) and level (gauge).
 func TestMetricsEndpoint(t *testing.T) {
 	raw := testBinaryRaw(t)
 	img, err := bin.Unmarshal(raw)
@@ -95,6 +98,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		`icfg_store_persist_failures{store="result"} 3`,
 		`icfg_store_persist_failures{store="analysis"} 0`,
 		"icfg_workload_cache_misses",
+		// Cumulative totals are counters, so rate() works on them;
+		// levels stay gauges.
+		"# TYPE icfg_store_hits counter",
+		"# TYPE icfg_store_misses counter",
+		"# TYPE icfg_store_evictions counter",
+		"# TYPE icfg_store_disk_hits counter",
+		"# TYPE icfg_store_peer_hits counter",
+		"# TYPE icfg_store_persist_failures counter",
+		"# TYPE icfg_workload_cache_hits counter",
+		"# TYPE icfg_workload_cache_misses counter",
+		"# TYPE icfg_store_entries gauge",
+		"# TYPE icfg_queue_depth gauge",
+		"# TYPE icfg_batch_queue_depth gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -338,5 +354,101 @@ func TestTraceRoundTripOverHTTP(t *testing.T) {
 	}
 	if !strings.Contains(reply3.TraceText, "cached=true") {
 		t.Errorf("warm trace not marked cached:\n%s", reply3.TraceText)
+	}
+}
+
+// TestTraceMatchesRecord checks that a traced request's span tree is a
+// rendering of its record, along the cold, result-cache, warm-analysis
+// and delta paths: each stage span lasts exactly the record's lap for
+// that stage and each parent the sum of its laps, the patch span carries
+// the record's counters, cached=true marks exactly the analysis hits,
+// and a result hit has no pipeline children.
+func TestTraceMatchesRecord(t *testing.T) {
+	p, err := workload.Generate(arch.X64, false, testProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := p.Binary
+	v2, _, err := workload.MutateVersion(v1, 2, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, ResultEntries: 8})
+	defer s.Shutdown(context.Background())
+
+	full := core.Options{Mode: core.ModeJT, Request: blockEmpty()}
+	verify := full
+	verify.Verify = true
+	for _, step := range []struct {
+		b    *bin.Binary
+		opts core.Options
+		path string
+	}{
+		{v1, full, PathCold},
+		{v1, full, PathResultCache},
+		{v1, verify, PathWarmAnalysis},
+		{v2, full, PathDelta},
+	} {
+		resp, err := s.Submit(context.Background(), Request{Binary: step.b, Opts: step.opts, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &resp.Reply
+		if got := ReplyCachePath(rec); got != step.path {
+			t.Fatalf("cache path = %s, want %s", got, step.path)
+		}
+		root := resp.Trace
+		if v, _ := root.Attr("path"); v != step.path {
+			t.Errorf("%s: root path=%q", step.path, v)
+		}
+		ana, pat := root.Find("analyze"), root.Find("patch")
+		if rec.ResultHit {
+			if ana != nil || pat != nil {
+				t.Errorf("%s: replay rendered pipeline spans:\n%s", step.path, root.Render())
+			}
+			continue
+		}
+		if ana == nil || pat == nil {
+			t.Fatalf("%s: missing analyze/patch span:\n%s", step.path, root.Render())
+		}
+		if cached, _ := ana.Attr("cached"); (cached == "true") != rec.AnalysisHit {
+			t.Errorf("%s: cached=%q with AnalysisHit=%v", step.path, cached, rec.AnalysisHit)
+		}
+		var anaSum, patSum time.Duration
+		for _, st := range rec.Metrics.Stages {
+			analysisStage := st.Name == core.StageCFG || st.Name == core.StageFuncPtr
+			sp := root.Find(st.Name)
+			if analysisStage && rec.AnalysisHit {
+				if sp != nil {
+					t.Errorf("%s: cached analysis rendered its %s lap", step.path, st.Name)
+				}
+				continue
+			}
+			if sp == nil || sp.Dur() != st.Wall {
+				t.Errorf("%s: stage %s span %v, record %v", step.path, st.Name, sp.Dur(), st.Wall)
+			}
+			if analysisStage {
+				anaSum += st.Wall
+			} else {
+				patSum += st.Wall
+			}
+		}
+		if ana.Dur() != anaSum || pat.Dur() != patSum {
+			t.Errorf("%s: analyze %v / patch %v, laps sum to %v / %v", step.path, ana.Dur(), pat.Dur(), anaSum, patSum)
+		}
+		m := rec.Metrics
+		for key, want := range map[string]int{
+			"cfl-blocks":            m.CFLBlocks,
+			"scratch-blocks":        m.ScratchBlocks,
+			"scratch-bytes":         int(m.ScratchBytesHarvested),
+			"trampolines":           m.TrampolineTotal(),
+			"tables-cloned":         m.ClonedTables,
+			"analysis-failures":     m.AnalysisFailures,
+			"patch-funcs-reencoded": m.PatchFuncsReencoded,
+		} {
+			if v, ok := pat.Attr(key); !ok || v != strconv.Itoa(want) {
+				t.Errorf("%s: patch %s=%q, record %d", step.path, key, v, want)
+			}
+		}
 	}
 }

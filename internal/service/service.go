@@ -20,7 +20,7 @@
 // byte-identical repeat requests without patching at all.
 //
 // The cluster (internal/cluster) plugs into the storage layer through
-// Stores and the WarmUnits hook — a node that misses its analysis store
+// Stores and the SetWarmUnits hook — a node that misses its analysis store
 // can fetch the owning peer's cached function units before recomputing
 // — and into the transport layer through ServeRewrite and Registry,
 // without touching scheduling.
@@ -93,13 +93,6 @@ type Config struct {
 	// Timeout bounds each request's processing time, measured from
 	// dequeue; 0 means no server-side limit.
 	Timeout time.Duration
-	// WarmUnits, when set, runs on an analysis-store miss before
-	// core.Analyze, with the missing key. The cluster installs the peer
-	// warm path here: fetch the owning peer's cached function units and
-	// seed them into the unit store so the analysis becomes a pure delta.
-	// The hook must be best-effort — failures mean a cold analysis, not
-	// a failed request. SetWarmUnits installs it after construction.
-	WarmUnits func(ctx context.Context, key storage.AnalysisKey)
 }
 
 // Request is one rewrite submission. Either Binary or Raw (a serialised
@@ -195,7 +188,7 @@ type Server struct {
 
 // New creates a Server and starts its workers.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, warmUnits: cfg.WarmUnits}
+	s := &Server{cfg: cfg}
 	s.stores = storage.New(storage.Config{
 		AnalysisEntries: cfg.AnalysisEntries,
 		FuncEntries:     cfg.FuncEntries,
@@ -258,9 +251,14 @@ func (s *Server) Stores() *storage.Stores { return s.stores }
 // endpoint.
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 
-// SetWarmUnits installs (or clears) the analysis-miss warm hook after
-// construction — the cluster needs the server to exist before it can
-// build the peering that the hook consults.
+// SetWarmUnits installs (or clears) the analysis-miss warm hook. The
+// hook runs on an analysis-store miss before core.Analyze, with the
+// missing key. The cluster installs the peer warm path here: fetch the
+// owning peer's cached function units and seed them into the unit store
+// so the analysis becomes a pure delta. The hook must be best-effort —
+// failures mean a cold analysis, not a failed request. It is installed
+// after construction because the cluster needs the server to exist
+// before it can build the peering that the hook consults.
 func (s *Server) SetWarmUnits(fn func(ctx context.Context, key storage.AnalysisKey)) {
 	s.warmMu.Lock()
 	s.warmUnits = fn
@@ -358,7 +356,6 @@ func (s *Server) process(ctx context.Context, req *Request) (*Response, error) {
 		defer cancel()
 	}
 	sp := traceFor(req)
-	req.Opts.Trace = sp
 	start := time.Now()
 	resp, err := s.handle(ctx, req)
 	if err != nil {
@@ -429,21 +426,15 @@ func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*Response, 
 		if warm := s.warmHook(); warm != nil {
 			warm(ctx, req.analysisKey)
 		}
-		// The requester's trace rides into Analyze but is never part of
-		// the analysis identity; waiters sharing this single-flighted
-		// build see the cached result without the builder's spans.
 		// The function-unit store turns an analysis-store miss for a new
 		// version of a known binary into a delta: unchanged functions'
 		// units are pulled instead of recomputed.
 		cfgc := req.Opts.AnalysisConfig()
-		cfgc.Trace, cfgc.Units = req.Opts.Trace, s.stores.Units
+		cfgc.Units = s.stores.Units
 		return core.Analyze(req.Binary, cfgc)
 	})
 	if err != nil {
 		return nil, err
-	}
-	if hit {
-		req.Opts.Trace.Record("analyze", 0).SetAttr("cached", "true")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -20,7 +20,7 @@ import (
 // request shapes share one analysis.
 func TestOptionIdentityComplete(t *testing.T) {
 	const hash = "0123abcd"
-	nonIdentity := map[string]bool{"PatchJobs": true, "Trace": true}
+	nonIdentity := map[string]bool{"PatchJobs": true}
 	analysisRows := map[string]bool{"mode": true, "no-evidence": true}
 
 	base := core.Options{Mode: core.ModeJT}

@@ -9,11 +9,12 @@ import (
 	"icfgpatch/internal/workload"
 )
 
-// TestObsOverheadGuard enforces the observability budget: tracing a
-// warm Patch of the libxul-like workload must cost no more than 2%
-// over the untraced run. The span tree is priced per request (one
-// NewTrace, ~10 child spans, a dozen attributes), so a regression here
-// means instrumentation crept into a hot loop.
+// TestObsOverheadGuard enforces the observability budget: a traced warm
+// Patch of the libxul-like workload must cost no more than 2% over the
+// untraced run. The traced path is Patch plus rendering the span tree
+// from the result's Metrics (one NewTrace, ~10 child spans, seven
+// attributes, the text rendering), so a regression here means the
+// rendering grew or measurement crept into a hot loop.
 //
 // Timing comparisons are noisy, so the guard takes the best of several
 // rounds: a single round within budget proves the instrumentation
@@ -42,14 +43,17 @@ func TestObsOverheadGuard(t *testing.T) {
 	measure := func(trace bool) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				o := opts
+				var sp *obs.Span
 				if trace {
-					o.Trace = obs.NewTrace("rewrite")
+					sp = obs.NewTrace("rewrite")
 				}
-				if _, err := an.Patch(o); err != nil {
+				res, err := an.Patch(opts)
+				if err != nil {
 					b.Fatal(err)
 				}
-				o.Trace.End()
+				res.Metrics.AddSpans(sp, false)
+				sp.End()
+				_ = sp.Render()
 			}
 		})
 		return float64(r.NsPerOp())
