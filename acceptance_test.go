@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -117,4 +119,36 @@ func testFuncs(t *testing.T, dir string) map[string]bool {
 		}
 	}
 	return names
+}
+
+// TestServiceStackImports keeps the daemon free of the evaluation
+// harness: no non-test file of the service stack may import the
+// fixture generator (internal/workload) or the experiments, which a
+// deployed icfg-serve never runs.
+func TestServiceStackImports(t *testing.T) {
+	forbidden := map[string]bool{
+		"icfgpatch/internal/workload":    true,
+		"icfgpatch/internal/experiments": true,
+	}
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal/service", "internal/cluster", "internal/store", "cmd/icfg-serve", "cmd/icfg-gateway"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); forbidden[p] {
+					t.Errorf("%s imports %s", path, p)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -416,7 +416,7 @@ func BenchmarkDeltaVsCold(b *testing.B) {
 			if i == 0 {
 				// Later iterations find v2's own units already stored; the
 				// first is the real v1 -> v2 delta.
-				reused, recomputed = an.Delta.Reused, an.Delta.Recomputed
+				reused, recomputed = an.Metrics.FuncsReused, an.Metrics.FuncsRecomputed
 			}
 			if deltaImg == nil {
 				// StopTimer, not post-loop marshalling: the first iteration

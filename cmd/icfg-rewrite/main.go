@@ -50,9 +50,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/url"
 	"os"
-	"strconv"
 	"strings"
 
 	"icfgpatch/internal/bin"
@@ -71,20 +69,16 @@ import (
 const checkMaxInstrs = 200_000_000
 
 func main() {
-	mode := flag.String("mode", "jt", "rewriting mode: dir, jt, func-ptr")
-	where := flag.String("where", "block", "instrumentation point: block, func")
-	payload := flag.String("payload", "empty", "payload: empty, counter")
-	funcs := flag.String("funcs", "", "comma-separated function subset (default: all)")
-	verify := flag.Bool("verify", false, "overwrite stale original code with illegal instructions")
+	// The option flags are the wire codec's rows, so the CLI and the
+	// service share one vocabulary and one validation.
+	parseOptions := wire.RegisterFlags(flag.CommandLine)
 	check := flag.Bool("check", false, "run original and rewritten binaries in the emulator and compare outputs")
 	metrics := flag.Bool("metrics", false, "print per-pass rewrite metrics")
 	trace := flag.Bool("trace", false, "print the rewrite's span tree (stage timings and counters)")
-	gap := flag.Uint64("gap", 0, "force a gap (bytes) before the relocated code section")
 	patchJobs := flag.Int("patch-jobs", 0, "worker pool for the local plan and emit stages (<=1: serial; output is byte-identical either way; with -remote the daemon's -patch-jobs governs)")
 	remote := flag.String("remote", "", "rewrite via an icfg-serve daemon at this base URL instead of locally")
 	retries := flag.Int("retries", 2, "with -remote: retries for transient connection failures (refused/reset/EOF before headers)")
 	batchFile := flag.String("batch", "", "with -remote: submit this JSON manifest as one batch job with live progress")
-	noEvidence := flag.Bool("no-evidence", false, "disable the landing-pad evidence layer: func-ptr mode takes the conservative path even on CFI builds")
 	profileIn := flag.String("profile", "", "block-heat profile artifact guiding the rewrite (hot functions get the fast multi-version path)")
 	profileOut := flag.String("profile-out", "", "run the input binary under the emulator with heat capture and write the profile artifact here")
 	out := flag.String("o", "", "output path (required)")
@@ -98,18 +92,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The flag surface is exactly the service wire surface, so the CLI
-	// reuses its parser: one set of validation for both paths.
-	v := url.Values{"mode": {*mode}, "where": {*where}, "payload": {*payload},
-		"verify": {strconv.FormatBool(*verify)}, "gap": {strconv.FormatUint(*gap, 10)},
-		"no-evidence": {strconv.FormatBool(*noEvidence)}}
-	if *funcs != "" {
-		v.Set("funcs", *funcs)
-	}
 	// A bad mode/where/payload string is a usage error, reported with
 	// the flag reference — not a runtime failure (and never a panic in
 	// the arch layer, which only sees validated values).
-	opts, err := wire.ParseOptions(v)
+	opts, err := parseOptions()
 	if err != nil {
 		usage(err)
 	}

@@ -103,10 +103,7 @@ func main() {
 	// wrap both. /batch jobs therefore always run on the node that
 	// accepted them (the gateway picks that node by manifest hash), and
 	// each item routes to its binary's hash owner via InstallBatch.
-	mgr, err := batch.New(s, batch.Config{
-		Dir:             *batchDir,
-		MaxRequestBytes: *maxBody,
-	})
+	mgr, err := batch.New(s, batch.Config{Dir: *batchDir})
 	if err != nil {
 		fatal(err)
 	}

@@ -24,11 +24,6 @@ type GatewayConfig struct {
 	// Replicas must match the nodes' replication factor so the gateway's
 	// failover candidates are exactly the peers that hold the caches.
 	Replicas int
-	// VNodes must match the nodes' setting (default DefaultVNodes).
-	VNodes int
-	// DownTTL is how long a failed peer stays marked down (default
-	// DefaultDownTTL).
-	DownTTL time.Duration
 	// MaxRequestBytes caps /rewrite and /batch POST bodies (0:
 	// wire.DefaultMaxBody; negative: unbounded), the same contract as
 	// service.Config.MaxRequestBytes. The gateway is the outermost door,
@@ -63,7 +58,7 @@ const maxJobOwners = 4096
 
 // NewGateway builds a gateway over the peer set.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
-	ring, err := NewRing(cfg.Peers, cfg.VNodes)
+	ring, err := NewRing(cfg.Peers, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +70,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		hc = http.DefaultClient
 	}
 	g := &Gateway{
-		router:   router{ring: ring, health: NewHealth(cfg.DownTTL), hc: hc, replicas: cfg.Replicas},
+		router:   router{ring: ring, health: NewHealth(), hc: hc, replicas: cfg.Replicas},
 		cfg:      cfg,
 		reg:      obs.NewRegistry(),
 		jobOwner: map[string]string{},

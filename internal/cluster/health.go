@@ -22,18 +22,13 @@ const DefaultDownTTL = 5 * time.Second
 // Probe sweeps of /healthz. Mark-downs expire after a TTL so a peer
 // that comes back is rediscovered without any coordination.
 type Health struct {
-	ttl time.Duration
-
 	mu   sync.Mutex
 	down map[string]time.Time
 }
 
-// NewHealth creates a tracker; ttl<=0 selects DefaultDownTTL.
-func NewHealth(ttl time.Duration) *Health {
-	if ttl <= 0 {
-		ttl = DefaultDownTTL
-	}
-	return &Health{ttl: ttl, down: make(map[string]time.Time)}
+// NewHealth creates a tracker whose mark-downs last DefaultDownTTL.
+func NewHealth() *Health {
+	return &Health{down: make(map[string]time.Time)}
 }
 
 // MarkDown records a failed interaction with peer.
@@ -59,7 +54,7 @@ func (h *Health) Healthy(peer string) bool {
 	if !ok {
 		return true
 	}
-	if time.Since(at) > h.ttl {
+	if time.Since(at) > DefaultDownTTL {
 		delete(h.down, peer)
 		return true
 	}

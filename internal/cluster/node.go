@@ -15,7 +15,6 @@ import (
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/obs"
 	"icfgpatch/internal/service"
-	"icfgpatch/internal/service/storage"
 	"icfgpatch/internal/service/wire"
 	"icfgpatch/internal/store"
 )
@@ -132,20 +131,15 @@ type Config struct {
 	// Self is this node's base URL exactly as it appears in Peers.
 	Self string
 	// Peers is the full cluster membership, self included. Every member
-	// must agree on this set (and VNodes) for routing to agree.
+	// must agree on this set for routing to agree.
 	Peers []string
 	// Replicas is the replication factor: how many distinct peers own
 	// each content hash (default DefaultReplicas).
 	Replicas int
-	// VNodes is the per-peer virtual node count (default DefaultVNodes).
-	VNodes int
 	// PeerTimeout bounds the warm path's unit fetch from the owning peer
 	// (default DefaultPeerTimeout). On expiry the analysis recomputes —
 	// the warm path is strictly best-effort.
 	PeerTimeout time.Duration
-	// DownTTL is how long a failed peer stays marked down (default
-	// DefaultDownTTL).
-	DownTTL time.Duration
 	// HTTPClient overrides http.DefaultClient for forwards, peer
 	// fetches, and probes.
 	HTTPClient *http.Client
@@ -168,7 +162,7 @@ type Node struct {
 // NewNode builds the node around srv, registers the cluster metrics on
 // srv's registry, and installs the peer warm path.
 func NewNode(srv *service.Server, cfg Config) (*Node, error) {
-	ring, err := NewRing(cfg.Peers, cfg.VNodes)
+	ring, err := NewRing(cfg.Peers, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +187,7 @@ func NewNode(srv *service.Server, cfg Config) (*Node, error) {
 		hc = http.DefaultClient
 	}
 	n := &Node{
-		router: router{ring: ring, health: NewHealth(cfg.DownTTL), hc: hc, replicas: cfg.Replicas},
+		router: router{ring: ring, health: NewHealth(), hc: hc, replicas: cfg.Replicas},
 		cfg:    cfg,
 		srv:    srv,
 	}
@@ -286,7 +280,7 @@ func (n *Node) handleRewrite(w http.ResponseWriter, r *http.Request) {
 // peer traffic never perturbs local cache behaviour.
 func (n *Node) handlePeerUnits(w http.ResponseWriter, r *http.Request) {
 	opts, t, err := wire.SplitQuery(r.URL.Query(), "hash")
-	_, key, kerr := storage.Keys(t["hash"], opts)
+	_, key, kerr := service.Keys(t["hash"], opts)
 	if key.Hash == "" {
 		kerr = errors.New("missing hash")
 	}
@@ -294,7 +288,7 @@ func (n *Node) handlePeerUnits(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	units := n.srv.Stores().CachedUnits(key)
+	units := n.srv.CachedUnits(key)
 	if len(units) == 0 {
 		http.Error(w, "no cached analysis", http.StatusNotFound)
 		return
@@ -314,7 +308,7 @@ func (n *Node) handlePeerUnits(w http.ResponseWriter, r *http.Request) {
 // arrives into the unit store. Strictly best-effort under PeerTimeout;
 // the seeded units still face Analyze's full validation, so a stale
 // peer answer costs a recompute, never a wrong reuse.
-func (n *Node) warmUnits(ctx context.Context, key storage.AnalysisKey) {
+func (n *Node) warmUnits(ctx context.Context, key service.AnalysisKey) {
 	ctx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
 	defer cancel()
 	attempted := false
@@ -333,7 +327,7 @@ func (n *Node) warmUnits(ctx context.Context, key storage.AnalysisKey) {
 		if len(units) == 0 {
 			continue // peer answered but has nothing for this key
 		}
-		if n.srv.Stores().SeedUnits(units) > 0 {
+		if n.srv.SeedUnits(units) > 0 {
 			n.peerHits.Inc()
 			return
 		}
@@ -352,7 +346,7 @@ func (n *Node) warmUnits(ctx context.Context, key storage.AnalysisKey) {
 // fetchUnits asks one peer for its cached units. A 404 is a clean
 // "don't have it" (nil, nil); transport errors propagate for health
 // accounting.
-func (n *Node) fetchUnits(ctx context.Context, owner string, key storage.AnalysisKey) ([]*core.FuncUnit, error) {
+func (n *Node) fetchUnits(ctx context.Context, owner string, key service.AnalysisKey) ([]*core.FuncUnit, error) {
 	u := strings.TrimSuffix(owner, "/") + "/peer/units?hash=" + url.QueryEscape(key.Hash) + "&" + key.Opts
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {

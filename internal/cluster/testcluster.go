@@ -22,8 +22,6 @@ type TestClusterConfig struct {
 	Service service.Config
 	// PeerTimeout bounds each node's warm-path fetch.
 	PeerTimeout time.Duration
-	// DownTTL overrides the health mark-down TTL.
-	DownTTL time.Duration
 	// WrapNode, when set, wraps node i's handler — fault-injection
 	// middleware for tests (delays, drops).
 	WrapNode func(i int, h http.Handler) http.Handler
@@ -85,7 +83,6 @@ func NewTestCluster(t testing.TB, cfg TestClusterConfig) *TestCluster {
 			Peers:       tc.URLs,
 			Replicas:    cfg.Replicas,
 			PeerTimeout: cfg.PeerTimeout,
-			DownTTL:     cfg.DownTTL,
 		})
 		if err != nil {
 			t.Fatalf("cluster node %d: %v", i, err)
@@ -94,7 +91,7 @@ func NewTestCluster(t testing.TB, cfg TestClusterConfig) *TestCluster {
 		tc.Nodes = append(tc.Nodes, node)
 		h := node.Handler()
 		if cfg.Batch {
-			mgr, err := batch.New(srv, batch.Config{MaxRequestBytes: cfg.Service.MaxRequestBytes})
+			mgr, err := batch.New(srv, batch.Config{})
 			if err != nil {
 				t.Fatalf("batch manager %d: %v", i, err)
 			}
@@ -115,7 +112,6 @@ func NewTestCluster(t testing.TB, cfg TestClusterConfig) *TestCluster {
 	gw, err := NewGateway(GatewayConfig{
 		Peers:           tc.URLs,
 		Replicas:        cfg.Replicas,
-		DownTTL:         cfg.DownTTL,
 		MaxRequestBytes: cfg.Service.MaxRequestBytes,
 	})
 	if err != nil {

@@ -67,9 +67,12 @@ type Analysis struct {
 	// assembled from, in address order: FuncUnits[i].Fn is
 	// Graph.Funcs[i].
 	FuncUnits []*FuncUnit
-	// Delta reports how the assembly went: how many units were reused
-	// from the store versus recomputed.
-	Delta DeltaStats
+	// RecomputedNames lists the functions this analysis recomputed
+	// rather than reused from the unit store, in symbol-table order —
+	// the delta engine's audit trail: tests assert it stays within
+	// changed functions plus dependents. The counts are
+	// Metrics.FuncsReused and Metrics.FuncsRecomputed.
+	RecomputedNames []string
 
 	// padding is the text's inter-function padding, which every Patch
 	// donates to the scratch pool; the sweep finds it.
@@ -204,7 +207,7 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 	// Pass 4: assemble units — reuse validated ones, recompute the rest.
 	funcs := make([]*cfg.Func, 0, len(table))
 	fus := make([]*FuncUnit, 0, len(table))
-	var delta DeltaStats
+	var recomputed []string
 	for _, fe := range table {
 		key := UnitKey{ID: fe.id, Arch: b.Arch, Mode: cfgc.Mode, Variant: cfgc.Variant}
 		var u *FuncUnit
@@ -213,7 +216,7 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 				return c.validFor(b, resolver, idByName)
 			}); ok {
 				u = cand
-				delta.Reused++
+				mx.FuncsReused++
 			}
 		}
 		if u == nil {
@@ -230,8 +233,8 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 			}
 			u = &FuncUnit{Key: key, Name: fe.sym.Name, Fn: f, Reads: rec}
 			u.Deps = callDeps(f, rec, symAt, idByName)
-			delta.Recomputed++
-			delta.RecomputedNames = append(delta.RecomputedNames, fe.sym.Name)
+			mx.FuncsRecomputed++
+			recomputed = append(recomputed, fe.sym.Name)
 			if units != nil {
 				units.m.Put(key, u)
 			}
@@ -247,7 +250,6 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 			}
 		}
 	}
-	mx.FuncsReused, mx.FuncsRecomputed = delta.Reused, delta.Recomputed
 	mx.lap(StageCFG, &clock)
 
 	// Function pointer analysis gates func-ptr mode (Section 5.2): it is
@@ -270,7 +272,7 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 
 	return &Analysis{
 		Binary: b, Config: cfgc, Graph: g, PtrSites: ptrSites, Metrics: mx,
-		Evidence: ev, FuncUnits: fus, Delta: delta, padding: padding,
+		Evidence: ev, FuncUnits: fus, RecomputedNames: recomputed, padding: padding,
 	}, nil
 }
 

@@ -91,18 +91,6 @@ func (u *FuncUnit) validFor(b *bin.Binary, jt *analysis.JumpTables, idByName map
 	return u.Reads.ValidFor(b, jt)
 }
 
-// DeltaStats reports how an Analysis was assembled: how many functions
-// were pulled unchanged from the unit store versus recomputed. Without
-// a unit store every function counts as recomputed.
-type DeltaStats struct {
-	Reused     int
-	Recomputed int
-	// RecomputedNames lists the recomputed functions in symbol-table
-	// order — the delta engine's audit trail: tests and the make-check
-	// gate assert it stays within changed functions plus dependents.
-	RecomputedNames []string
-}
-
 // UnitStore is the function-keyed second store level. One store serves
 // every binary the process analyses: units are content-addressed, so
 // versions of the same program share whatever functions survived the

@@ -131,8 +131,8 @@ func TestDeltaCFIRewriteMatchesCold(t *testing.T) {
 			if !an1.Evidence.Trusted || !an2.Evidence.Trusted {
 				t.Fatalf("%s: evidence trusted v1=%v v2=%v, want both", name, an1.Evidence.Trusted, an2.Evidence.Trusted)
 			}
-			if an2.Delta.Reused == 0 || an2.Delta.Recomputed == 0 {
-				t.Errorf("%s: v2 delta = %d reused, %d recomputed; want both > 0", name, an2.Delta.Reused, an2.Delta.Recomputed)
+			if an2.Metrics.FuncsReused == 0 || an2.Metrics.FuncsRecomputed == 0 {
+				t.Errorf("%s: v2 delta = %d reused, %d recomputed; want both > 0", name, an2.Metrics.FuncsReused, an2.Metrics.FuncsRecomputed)
 			}
 		}
 	})
@@ -145,8 +145,8 @@ func TestDeltaCFIRewriteMatchesCold(t *testing.T) {
 			t.Fatalf("v1: trusted=%v mark-bounded=%d, want trusted with one trimmed table", an1.Evidence.Trusted, an1.Evidence.MarkBoundedTables)
 		}
 		an2 := deltaMatchesCold(t, v2, core.ModeFuncPtr, units)
-		if !an2.Evidence.Trusted || an2.Delta.Reused != 1 || an2.Delta.RecomputedNames[0] != "victim" {
-			t.Fatalf("v2: trusted=%v delta=%+v, want trusted with only victim recomputed", an2.Evidence.Trusted, an2.Delta)
+		if !an2.Evidence.Trusted || an2.Metrics.FuncsReused != 1 || an2.RecomputedNames[0] != "victim" {
+			t.Fatalf("v2: trusted=%v delta=%+v, want trusted with only victim recomputed", an2.Evidence.Trusted, deltaSummary(an2))
 		}
 
 		an3 := deltaMatchesCold(t, planted, core.ModeFuncPtr, units)
@@ -154,15 +154,15 @@ func TestDeltaCFIRewriteMatchesCold(t *testing.T) {
 			t.Fatalf("planted: trusted=%v corrupt=%v mark-bounded=%d, want corrupt and untrimmed",
 				an3.Evidence.Trusted, an3.Evidence.Corrupt, an3.Evidence.MarkBoundedTables)
 		}
-		if an3.Delta.Reused != 0 || an3.Delta.Recomputed != len(an3.FuncUnits) {
-			t.Fatalf("planted: delta = %+v, want every unit recomputed across the trust fork", an3.Delta)
+		if an3.Metrics.FuncsReused != 0 || an3.Metrics.FuncsRecomputed != len(an3.FuncUnits) {
+			t.Fatalf("planted: delta = %+v, want every unit recomputed across the trust fork", deltaSummary(an3))
 		}
 
 		jt := core.NewUnitStore(0)
 		deltaMatchesCold(t, v1, core.ModeJT, jt)
 		anJT := deltaMatchesCold(t, planted, core.ModeJT, jt)
-		if anJT.Delta.Reused != 1 || anJT.Delta.RecomputedNames[0] != "victim" {
-			t.Fatalf("planted, jt mode: delta = %+v, want only victim recomputed", anJT.Delta)
+		if anJT.Metrics.FuncsReused != 1 || anJT.RecomputedNames[0] != "victim" {
+			t.Fatalf("planted, jt mode: delta = %+v, want only victim recomputed", deltaSummary(anJT))
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -65,8 +66,8 @@ func TestDeltaRewriteMatchesCold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if an1.Delta.Reused != 0 || an1.Delta.Recomputed != len(an1.FuncUnits) {
-					t.Fatalf("v1 delta = %+v, want all %d recomputed", an1.Delta, len(an1.FuncUnits))
+				if an1.Metrics.FuncsReused != 0 || an1.Metrics.FuncsRecomputed != len(an1.FuncUnits) {
+					t.Fatalf("v1 delta = %+v, want all %d recomputed", deltaSummary(an1), len(an1.FuncUnits))
 				}
 				cold1, err := core.Rewrite(v1, opts)
 				if err != nil {
@@ -87,22 +88,22 @@ func TestDeltaRewriteMatchesCold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if an2.Delta.Reused == 0 {
-					t.Fatalf("v2 delta = %+v: nothing reused", an2.Delta)
+				if an2.Metrics.FuncsReused == 0 {
+					t.Fatalf("v2 delta = %+v: nothing reused", deltaSummary(an2))
 				}
-				if an2.Delta.Reused+an2.Delta.Recomputed != len(an2.FuncUnits) {
-					t.Fatalf("v2 delta = %+v does not cover %d funcs", an2.Delta, len(an2.FuncUnits))
+				if an2.Metrics.FuncsReused+an2.Metrics.FuncsRecomputed != len(an2.FuncUnits) {
+					t.Fatalf("v2 delta = %+v does not cover %d funcs", deltaSummary(an2), len(an2.FuncUnits))
 				}
 				for _, name := range mutated {
 					found := false
-					for _, rn := range an2.Delta.RecomputedNames {
+					for _, rn := range an2.RecomputedNames {
 						if rn == name {
 							found = true
 							break
 						}
 					}
 					if !found {
-						t.Errorf("mutated function %s was not recomputed (recomputed: %v)", name, an2.Delta.RecomputedNames)
+						t.Errorf("mutated function %s was not recomputed (recomputed: %v)", name, an2.RecomputedNames)
 					}
 				}
 				changed := changedByHash(v1, v2)
@@ -113,7 +114,7 @@ func TestDeltaRewriteMatchesCold(t *testing.T) {
 				for _, n := range core.Dependents(an1.FuncUnits, changed) {
 					allowed[n] = true
 				}
-				for _, rn := range an2.Delta.RecomputedNames {
+				for _, rn := range an2.RecomputedNames {
 					if !allowed[rn] {
 						t.Errorf("recomputed %s, which neither changed nor depends on a change", rn)
 					}
@@ -166,11 +167,11 @@ func TestDeltaStrippedRewriteMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if an2.Delta.Reused == 0 {
-				t.Fatalf("stripped v2 delta = %+v: nothing reused", an2.Delta)
+			if an2.Metrics.FuncsReused == 0 {
+				t.Fatalf("stripped v2 delta = %+v: nothing reused", deltaSummary(an2))
 			}
-			if an2.Delta.Recomputed == 0 {
-				t.Fatalf("stripped v2 delta = %+v: mutation invisible", an2.Delta)
+			if an2.Metrics.FuncsRecomputed == 0 {
+				t.Fatalf("stripped v2 delta = %+v: mutation invisible", deltaSummary(an2))
 			}
 			cold2, err := core.Rewrite(s2, opts)
 			if err != nil {
@@ -318,7 +319,7 @@ func TestDeltaJumpTableNeighbourInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := append([]string(nil), an2.Delta.RecomputedNames...)
+	got := append([]string(nil), an2.RecomputedNames...)
 	sort.Strings(got)
 	want := []string{"alpha", "beta", "main"}
 	if len(got) != len(want) {
@@ -329,8 +330,8 @@ func TestDeltaJumpTableNeighbourInvalidation(t *testing.T) {
 			t.Fatalf("recomputed %v, want %v", got, want)
 		}
 	}
-	if an2.Delta.Reused != 2 {
-		t.Fatalf("reused = %d, want 2 (the leaves)", an2.Delta.Reused)
+	if an2.Metrics.FuncsReused != 2 {
+		t.Fatalf("reused = %d, want 2 (the leaves)", an2.Metrics.FuncsReused)
 	}
 
 	cold2, err := core.Rewrite(v2, opts)
@@ -380,16 +381,21 @@ func TestDeltaRecomputeBound(t *testing.T) {
 	}
 	deps := core.Dependents(an1.FuncUnits, changed)
 	bound := len(changed) + len(deps)
-	if an2.Delta.Recomputed > bound {
+	if an2.Metrics.FuncsRecomputed > bound {
 		t.Fatalf("recomputed %d funcs (%v), bound is %d changed + %d dependents",
-			an2.Delta.Recomputed, an2.Delta.RecomputedNames, len(changed), len(deps))
+			an2.Metrics.FuncsRecomputed, an2.RecomputedNames, len(changed), len(deps))
 	}
-	if an2.Delta.Reused != len(an2.FuncUnits)-an2.Delta.Recomputed {
-		t.Fatalf("reused = %d, recomputed = %d, funcs = %d", an2.Delta.Reused, an2.Delta.Recomputed, len(an2.FuncUnits))
+	if an2.Metrics.FuncsReused != len(an2.FuncUnits)-an2.Metrics.FuncsRecomputed {
+		t.Fatalf("reused = %d, recomputed = %d, funcs = %d", an2.Metrics.FuncsReused, an2.Metrics.FuncsRecomputed, len(an2.FuncUnits))
 	}
-	if an2.Delta.Reused == 0 {
+	if an2.Metrics.FuncsReused == 0 {
 		t.Fatal("nothing reused")
 	}
 	t.Logf("N=%d K=%d changed=%d dependents=%d recomputed=%d reused=%d",
-		len(an2.FuncUnits), k, len(changed), len(deps), an2.Delta.Recomputed, an2.Delta.Reused)
+		len(an2.FuncUnits), k, len(changed), len(deps), an2.Metrics.FuncsRecomputed, an2.Metrics.FuncsReused)
+}
+
+// deltaSummary renders an analysis's delta split for failure messages.
+func deltaSummary(an *core.Analysis) string {
+	return fmt.Sprintf("%d reused, %d recomputed %v", an.Metrics.FuncsReused, an.Metrics.FuncsRecomputed, an.RecomputedNames)
 }

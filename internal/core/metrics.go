@@ -23,6 +23,11 @@ const (
 	StageFinalize    = "finalize"
 )
 
+// AnalysisStage reports whether a stage belongs to Analyze (cfg,
+// funcptr-analysis) rather than Patch. A Patch against a cached analysis
+// carries the analysis stages' laps from the run that built it.
+func AnalysisStage(name string) bool { return name == StageCFG || name == StageFuncPtr }
+
 // StageMetric is the wall-clock cost of one rewrite pass.
 type StageMetric struct {
 	Name string
@@ -161,7 +166,7 @@ func (m Metrics) AddSpans(sp *obs.Span, analysisCached bool) {
 	var ana, pat []StageMetric
 	var anaWall, patWall time.Duration
 	for _, s := range m.Stages {
-		if s.Name == StageCFG || s.Name == StageFuncPtr {
+		if AnalysisStage(s.Name) {
 			ana, anaWall = append(ana, s), anaWall+s.Wall
 		} else {
 			pat, patWall = append(pat, s), patWall+s.Wall

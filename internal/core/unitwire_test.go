@@ -80,12 +80,12 @@ func TestUnitWireRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if anB.Delta.Recomputed != 0 {
+			if anB.Metrics.FuncsRecomputed != 0 {
 				t.Fatalf("seeded analysis recomputed %d funcs (%v), want 0",
-					anB.Delta.Recomputed, anB.Delta.RecomputedNames)
+					anB.Metrics.FuncsRecomputed, anB.RecomputedNames)
 			}
-			if anB.Delta.Reused != len(decoded) {
-				t.Fatalf("seeded analysis reused %d of %d units", anB.Delta.Reused, len(decoded))
+			if anB.Metrics.FuncsReused != len(decoded) {
+				t.Fatalf("seeded analysis reused %d of %d units", anB.Metrics.FuncsReused, len(decoded))
 			}
 
 			res, err := anB.Patch(opts)
@@ -291,8 +291,8 @@ func TestOldPeerUnitsRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if an.Delta.Reused != 0 || an.Delta.Recomputed != len(units) {
-		t.Fatalf("delta = %d reused, %d recomputed; want all %d recomputed", an.Delta.Reused, an.Delta.Recomputed, len(units))
+	if an.Metrics.FuncsReused != 0 || an.Metrics.FuncsRecomputed != len(units) {
+		t.Fatalf("delta = %d reused, %d recomputed; want all %d recomputed", an.Metrics.FuncsReused, an.Metrics.FuncsRecomputed, len(units))
 	}
 	res, err := an.Patch(opts)
 	if err != nil {

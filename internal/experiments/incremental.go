@@ -94,8 +94,8 @@ func Incremental(a arch.Arch) (*IncrementalResult, error) {
 			res.Cells = append(res.Cells, cell)
 			continue
 		}
-		cell.Recomputed = an2.Delta.Recomputed
-		cell.Reused = an2.Delta.Reused
+		cell.Recomputed = an2.Metrics.FuncsRecomputed
+		cell.Reused = an2.Metrics.FuncsReused
 		cell.Identical = string(cold.Binary.Marshal()) == string(delta.Binary.Marshal())
 		if !cell.Identical {
 			cell.Err = "delta output differs from cold rewrite"

@@ -96,24 +96,22 @@ type Job struct {
 	doneCh chan struct{}
 }
 
-// Config configures a Manager. Zero values select the documented
-// defaults.
+// Config configures a Manager.
 type Config struct {
 	// Dir enables job-state persistence (and therefore resume); jobs
 	// are memory-only without it.
 	Dir string
-	// Entries bounds the in-memory job store (default 256). Evicted
-	// finished jobs remain on disk when Dir is set.
-	Entries int
-	// Parallel bounds each job's concurrently in-flight items (default
-	// 4). The scheduler's batch lane is the real throttle — this only
-	// bounds how much of the batch queue one job can occupy.
-	Parallel int
-	// MaxRequestBytes caps the /batch manifest POST body (0:
-	// wire.DefaultMaxBody; negative: unbounded), matching the /rewrite
-	// doors.
-	MaxRequestBytes int64
 }
+
+const (
+	// jobEntries bounds the in-memory job store. Evicted finished jobs
+	// remain on disk when Config.Dir is set.
+	jobEntries = 256
+	// jobParallel bounds each job's concurrently in-flight items. The
+	// scheduler's batch lane is the real throttle — this only bounds how
+	// much of the batch queue one job can occupy.
+	jobParallel = 4
+)
 
 // Manager owns batch jobs for one server: submission, execution,
 // events, persistence, resume.
@@ -147,12 +145,6 @@ const jobSuffix = ".job"
 // registry, and — when cfg.Dir holds records of unfinished jobs from a
 // previous process — resumes them immediately.
 func New(srv *service.Server, cfg Config) (*Manager, error) {
-	if cfg.Entries <= 0 {
-		cfg.Entries = 256
-	}
-	if cfg.Parallel <= 0 {
-		cfg.Parallel = 4
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		srv:     srv,
@@ -163,7 +155,7 @@ func New(srv *service.Server, cfg Config) (*Manager, error) {
 	}
 	m.exec = m.execLocal
 	m.records = store.New(store.Config[string, *record]{
-		MaxEntries: cfg.Entries,
+		MaxEntries: jobEntries,
 		Dir:        cfg.Dir,
 		KeyPath:    func(id string) string { return id + jobSuffix },
 		Encode:     encodeRecord,
@@ -296,13 +288,13 @@ func (m *Manager) resume() error {
 	return nil
 }
 
-// run drives one job: pending items fan out up to cfg.Parallel wide,
+// run drives one job: pending items fan out up to jobParallel wide,
 // each through the (possibly cluster-routing) executor on the batch
 // lane, with the record re-persisted and events emitted as each item
 // lands.
 func (m *Manager) run(job *Job) {
 	m.emit(job, wire.BatchEvent{Type: wire.EventJobStart, Item: -1})
-	sem := make(chan struct{}, m.cfg.Parallel)
+	sem := make(chan struct{}, jobParallel)
 	var wg sync.WaitGroup
 	for i := range job.rec.Items {
 		job.mu.Lock()

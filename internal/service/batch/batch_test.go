@@ -391,9 +391,7 @@ func TestBatchSSEClientDisconnect(t *testing.T) {
 // each draw 413, and one byte under the cap does not.
 func TestBatchBodyCap(t *testing.T) {
 	const cap = 4096
-	srv, mgr := newTestManager(t,
-		service.Config{MaxRequestBytes: cap},
-		Config{MaxRequestBytes: cap})
+	srv, mgr := newTestManager(t, service.Config{MaxRequestBytes: cap}, Config{})
 	ts := httptest.NewServer(mgr.Handler(srv.Handler()))
 	defer ts.Close()
 

@@ -34,9 +34,9 @@ func (m *Manager) Handler(base http.Handler) http.Handler {
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// The manifest door gets the same OOM guard as /rewrite: over-cap
-	// POSTs draw 413 before the body is read into memory.
-	body, ok := wire.ReadBody(w, r, m.cfg.MaxRequestBytes)
+	// The manifest door gets the server's /rewrite cap: over-cap POSTs
+	// draw 413 before the body is read into memory.
+	body, ok := wire.ReadBody(w, r, m.srv.MaxRequestBytes())
 	if !ok {
 		return
 	}

@@ -9,9 +9,9 @@ import (
 	"context"
 	"errors"
 
+	"icfgpatch/internal/core"
 	"icfgpatch/internal/obs"
 	"icfgpatch/internal/store"
-	"icfgpatch/internal/workload"
 )
 
 // Request outcome labels for icfg_requests_total. Every submission ends
@@ -82,18 +82,15 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.pool.BatchQueued()) })
 	reg.GaugeFunc("icfg_batch_queue_capacity", "batch-lane queue capacity", "", "",
 		func() float64 { return float64(s.pool.BatchQueueCap()) })
-	registerStoreCounters(reg, "analysis", func() store.Stats { return s.stores.Analyses.Stats() })
+	registerStoreCounters(reg, "analysis", func() store.Stats { return s.analyses.Stats() })
 	if s.results != nil {
 		registerStoreCounters(reg, "result", func() store.Stats { return s.results.Stats() })
 	}
-	if s.stores.Units != nil {
-		units := s.stores.Units
+	if units := s.units; units != nil {
 		registerStoreCounters(reg, "funcs", func() store.Stats { return units.Stats() })
 		reg.GaugeFunc("icfg_store_entries", "entries held by store", "store", "funcs",
 			func() float64 { return float64(units.Len()) })
 	}
-	registerCacheCounters(reg, "icfg_workload_cache", "workload generation cache",
-		func() store.Stats { return workload.CacheStats() })
 	return m
 }
 
@@ -115,19 +112,11 @@ func registerStoreCounters(reg *obs.Registry, name string, stats func() store.St
 		func() float64 { return float64(stats().PersistFailures) })
 }
 
-// registerCacheCounters exposes a process-global cache's totals as
-// unlabeled counters under a distinct prefix.
-func registerCacheCounters(reg *obs.Registry, prefix, what string, stats func() store.Stats) {
-	reg.CounterFunc(prefix+"_hits", what+" hits", "", "",
-		func() float64 { return float64(stats().Hits) })
-	reg.CounterFunc(prefix+"_misses", what+" misses", "", "",
-		func() float64 { return float64(stats().Misses) })
-}
-
 // observeServed records a successfully served response: its cache path,
-// end-to-end latency, and — unless the response is a result-cache
-// replay, whose stage timings belong to the run that produced it — the
-// per-stage histogram samples.
+// end-to-end latency, and the per-stage histogram samples of the stages
+// this request ran. A result-cache replay ran none; a warm-analysis
+// request ran only the patch stages, since its analysis laps are the
+// cached analysis's, already observed by the request that built it.
 func (m *metrics) observeServed(resp *Response) {
 	m.requests.With(outcomeOK).Inc()
 	m.cachePath.With(ReplyCachePath(&resp.Reply)).Inc()
@@ -145,7 +134,9 @@ func (m *metrics) observeServed(resp *Response) {
 	// was cached, so its encoded units are always this request's work.
 	m.patchReencoded.Add(uint64(resp.Metrics.PatchFuncsReencoded))
 	for _, st := range resp.Metrics.Stages {
-		m.stage.With(st.Name).Observe(st.Wall.Seconds())
+		if !resp.AnalysisHit || !core.AnalysisStage(st.Name) {
+			m.stage.With(st.Name).Observe(st.Wall.Seconds())
+		}
 	}
 }
 

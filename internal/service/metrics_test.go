@@ -83,21 +83,21 @@ func TestMetricsEndpoint(t *testing.T) {
 		`icfg_cache_path_total{path="warm-analysis"} 2`,
 		`icfg_request_seconds_count 4`,
 		`icfg_queue_wait_seconds_count 4`,
-		// Stage histograms exclude the result-cache replay: the cold and
-		// both warm requests each contribute one sample per stage (a warm
-		// request's analysis stages replay the cached analysis's
-		// timings — see Response.Metrics).
+		// Stage histograms count stage runs. The cold and both warm
+		// requests each ran the patch stages once; only the cold one
+		// ran cfg (a warm request's analysis laps are the cached
+		// analysis's — see Response.Metrics), and the result-cache
+		// replay ran nothing.
 		`icfg_stage_seconds_bucket{stage="plan",le="+Inf"} 3`,
 		`icfg_stage_seconds_bucket{stage="layout",le="+Inf"} 3`,
 		`icfg_stage_seconds_bucket{stage="emit",le="+Inf"} 3`,
-		`icfg_stage_seconds_bucket{stage="cfg",le="+Inf"} 3`,
+		`icfg_stage_seconds_bucket{stage="cfg",le="+Inf"} 1`,
 		`icfg_queue_depth 0`,
 		`icfg_workers 2`,
 		`icfg_store_hits{store="analysis"} 2`,
 		`icfg_store_misses{store="analysis"} 1`,
 		`icfg_store_persist_failures{store="result"} 3`,
 		`icfg_store_persist_failures{store="analysis"} 0`,
-		"icfg_workload_cache_misses",
 		// Cumulative totals are counters, so rate() works on them;
 		// levels stay gauges.
 		"# TYPE icfg_store_hits counter",
@@ -106,8 +106,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE icfg_store_disk_hits counter",
 		"# TYPE icfg_store_peer_hits counter",
 		"# TYPE icfg_store_persist_failures counter",
-		"# TYPE icfg_workload_cache_hits counter",
-		"# TYPE icfg_workload_cache_misses counter",
 		"# TYPE icfg_store_entries gauge",
 		"# TYPE icfg_queue_depth gauge",
 		"# TYPE icfg_batch_queue_depth gauge",
@@ -193,7 +191,7 @@ func TestTimeoutMidPipelineCountsTimeout(t *testing.T) {
 	key := jtKey(t, raw)
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	go s.stores.Analyses.GetOrCreate(key, func() (*core.Analysis, error) {
+	go s.analyses.GetOrCreate(key, func() (*core.Analysis, error) {
 		close(started)
 		<-gate
 		return core.Analyze(img, core.AnalysisConfig{Mode: core.ModeJT})
@@ -246,7 +244,7 @@ func TestDisconnectDuringQueueWaitCountsCanceled(t *testing.T) {
 	key := jtKey(t, raw)
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	go s.stores.Analyses.GetOrCreate(key, func() (*core.Analysis, error) {
+	go s.analyses.GetOrCreate(key, func() (*core.Analysis, error) {
 		close(started)
 		<-gate
 		return core.Analyze(img, core.AnalysisConfig{Mode: core.ModeJT})
@@ -314,6 +312,36 @@ func TestOutcomeSnapshotInStats(t *testing.T) {
 	}
 	if st.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", st.Failed)
+	}
+}
+
+// TestStatsMatchOutcomes checks that /stats and icfg_requests_total are
+// one count: a request refused at the door after Shutdown is Rejected
+// as well as outcome="shutdown", and Served+Failed+Rejected is every
+// finished submission.
+func TestStatsMatchOutcomes(t *testing.T) {
+	raw := testBinaryRaw(t)
+	s := New(Config{Workers: 1})
+	opts := core.Options{Mode: core.ModeJT, Request: blockEmpty()}
+	if _, err := s.Submit(context.Background(), Request{Raw: raw, Opts: opts}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(context.Background(), Request{Raw: raw, Opts: opts}); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("err = %v, want ErrShuttingDown", err)
+	}
+	st := s.Stats()
+	if st.Rejected != 1 || st.Outcomes[outcomeShutdown] != 1 {
+		t.Errorf("rejected = %d, outcomes = %v; want the shutdown rejection in both", st.Rejected, st.Outcomes)
+	}
+	var sum uint64
+	for _, n := range st.Outcomes {
+		sum += n
+	}
+	if got := st.Served + st.Failed + st.Rejected; got != sum {
+		t.Errorf("served+failed+rejected = %d, outcomes sum to %d (%v)", got, sum, st.Outcomes)
 	}
 }
 

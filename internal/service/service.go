@@ -1,10 +1,9 @@
-// Package service turns the rewriter into a daemon. It is deliberately
-// thin: three layers compose here and each lives in its own package —
+// Package service turns the rewriter into a daemon. It owns the
+// service's caches, settings and counters; two layers it composes live
+// in their own packages —
 //
 //   - internal/service/sched — the bounded worker pool and
 //     backpressured queue (knows nothing about rewriting);
-//   - internal/service/storage — the analysis / function-unit cache
-//     bundle and the key vocabulary of every cache level;
 //   - internal/service/wire — the /rewrite option encoding and reply
 //     frame shared by servers, clients, gateways, and peers. Its Reply
 //     is the one record of a rewrite: the service's response, the
@@ -15,15 +14,17 @@
 // binary with different instrumentation sets (the Diogenes §9 loop)
 // pays for CFG, jump-table, and function-pointer analysis once per
 // (binary hash, arch, mode, variant) and then runs only core.Patch per
-// request. An optional second-level result cache — keyed additionally
-// by the full instrumentation request, persistable to disk — serves
-// byte-identical repeat requests without patching at all.
+// request. Three caches back that, all held by Server: the analysis
+// store (keyed by AnalysisKey), the function-unit store the delta engine
+// shares across analyses, and an optional result cache — keyed by the
+// full request, persistable to disk — that serves byte-identical repeat
+// requests without patching at all. Keys builds both request keys.
 //
-// The cluster (internal/cluster) plugs into the storage layer through
-// Stores and the SetWarmUnits hook — a node that misses its analysis store
-// can fetch the owning peer's cached function units before recomputing
-// — and into the transport layer through ServeRewrite and Registry,
-// without touching scheduling.
+// The cluster (internal/cluster) plugs into the caches through
+// CachedUnits, SeedUnits and the SetWarmUnits hook — a node that misses
+// its analysis store can fetch the owning peer's cached function units
+// before recomputing — and into the transport layer through ServeRewrite
+// and Registry, without touching scheduling.
 package service
 
 import (
@@ -33,14 +34,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/obs"
 	"icfgpatch/internal/service/sched"
-	"icfgpatch/internal/service/storage"
 	"icfgpatch/internal/service/wire"
 	"icfgpatch/internal/store"
 )
@@ -110,7 +109,34 @@ type Request struct {
 
 	// The cache keys, filled by normalize.
 	resultKey   string
-	analysisKey storage.AnalysisKey
+	analysisKey AnalysisKey
+}
+
+// AnalysisKey addresses one cached analysis: the content hash of the
+// serialised binary (which covers the arch) plus the analysis rows of
+// the request's wire encoding (wire.AnalysisQuery).
+type AnalysisKey struct {
+	Hash string
+	Opts string
+}
+
+// Keys builds one request's two cache keys from a single encoding of
+// its options. The result key is a hash of a versioned string of the
+// content address, the request's wire encoding and the profile's
+// content hash (a nil profile hashes to "", so degraded guided requests
+// share the unguided entry). The analysis key keeps only the analysis
+// rows, so requests that differ only in their instrumentation share one
+// analysis. Options the wire cannot express are refused, so neither key
+// ever renders them.
+func Keys(hash string, o core.Options) (string, AnalysisKey, error) {
+	prof := o.Profile
+	o.Profile = nil
+	v, err := wire.EncodeOptions(o)
+	if err != nil {
+		return "", AnalysisKey{}, err
+	}
+	result := store.Hash([]byte("opts1\n" + hash + "\n" + v.Encode() + "\n" + prof.Hash()))
+	return result, AnalysisKey{Hash: hash, Opts: wire.AnalysisQuery(v)}, nil
 }
 
 // Response is one completed rewrite: the image and its record.
@@ -142,11 +168,13 @@ type ServerStats struct {
 	// FuncsHeld is the number of distinct function identities currently
 	// in the unit store.
 	FuncsHeld int
-	Served    uint64
-	Failed    uint64
-	Rejected  uint64
-	Queued    int
-	QueueCap  int
+	// Served, Failed and Rejected are read from Outcomes: ok;
+	// error+timeout+canceled; queue_full+shutdown.
+	Served   uint64
+	Failed   uint64
+	Rejected uint64
+	Queued   int
+	QueueCap int
 	// BatchQueued / BatchQueueCap describe the scheduler's batch lane.
 	BatchQueued   int
 	BatchQueueCap int
@@ -171,28 +199,38 @@ func (s ServerStats) String() string {
 // Server is the rewrite daemon. Create with New, submit with Submit
 // (or the HTTP handler), stop with Shutdown.
 type Server struct {
-	cfg    Config
-	stores *storage.Stores
+	cfg Config
+	// analyses single-flights whole-binary analyses by AnalysisKey.
+	analyses *store.Store[AnalysisKey, *core.Analysis]
+	// units is the delta engine's function-keyed cache, shared by every
+	// analysis the server runs; nil when disabled.
+	units *core.UnitStore
 	// results serves byte-identical repeat requests by result key; nil
 	// when disabled. Its entries are records without a trace.
 	results *store.Store[string, *Response]
 	pool    *sched.Pool
 
 	warmMu    sync.RWMutex
-	warmUnits func(ctx context.Context, key storage.AnalysisKey)
-
-	served, failed, rejected atomic.Uint64
+	warmUnits func(ctx context.Context, key AnalysisKey)
 
 	metrics *metrics
 }
 
 // New creates a Server and starts its workers.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg}
-	s.stores = storage.New(storage.Config{
-		AnalysisEntries: cfg.AnalysisEntries,
-		FuncEntries:     cfg.FuncEntries,
-	})
+	if cfg.AnalysisEntries <= 0 {
+		cfg.AnalysisEntries = 32
+	}
+	if cfg.FuncEntries == 0 {
+		cfg.FuncEntries = 4096
+	}
+	s := &Server{
+		cfg:      cfg,
+		analyses: store.New(store.Config[AnalysisKey, *core.Analysis]{MaxEntries: cfg.AnalysisEntries}),
+	}
+	if cfg.FuncEntries > 0 {
+		s.units = core.NewUnitStore(cfg.FuncEntries)
+	}
 	if cfg.ResultEntries > 0 {
 		s.results = store.New(store.Config[string, *Response]{
 			MaxEntries: cfg.ResultEntries,
@@ -215,10 +253,7 @@ func New(cfg Config) *Server {
 				testHookDequeue()
 			}
 		},
-		Dropped: func() {
-			s.rejected.Add(1)
-			s.metrics.requests.With(outcomeShutdown).Inc()
-		},
+		Dropped: func() { s.metrics.requests.With(outcomeShutdown).Inc() },
 	})
 	s.metrics = newMetrics(s)
 	return s
@@ -242,9 +277,23 @@ func decodeResult(data []byte) (*Response, error) {
 	return &Response{Image: image, Reply: *rep}, nil
 }
 
-// Stores exposes the cache bundle — the seam the cluster's federated
-// unit store reads from (CachedUnits) and writes into (SeedUnits).
-func (s *Server) Stores() *storage.Stores { return s.stores }
+// CachedUnits returns the function units of an already-completed
+// analysis for key, or nil when this server has none. It is the owner
+// side of the cluster's peer warm path: a side-effect-free read (no hit
+// accounting, no LRU promotion, no single-flight join) so serving a
+// peer never distorts the local cache's behaviour.
+func (s *Server) CachedUnits(key AnalysisKey) []*core.FuncUnit {
+	an, ok := s.analyses.Peek(key)
+	if !ok || an == nil {
+		return nil
+	}
+	return an.FuncUnits
+}
+
+// SeedUnits deposits peer-fetched units into the unit store (the
+// receiver side of the warm path), returning the number seeded. The
+// units still face Analyze's full validation before any reuse.
+func (s *Server) SeedUnits(us []*core.FuncUnit) int { return s.units.Seed(us) }
 
 // Registry exposes the server's metrics registry so embedders (the
 // cluster node) can register their own series on the same /metrics
@@ -259,13 +308,13 @@ func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 // failures mean a cold analysis, not a failed request. It is installed
 // after construction because the cluster needs the server to exist
 // before it can build the peering that the hook consults.
-func (s *Server) SetWarmUnits(fn func(ctx context.Context, key storage.AnalysisKey)) {
+func (s *Server) SetWarmUnits(fn func(ctx context.Context, key AnalysisKey)) {
 	s.warmMu.Lock()
 	s.warmUnits = fn
 	s.warmMu.Unlock()
 }
 
-func (s *Server) warmHook() func(ctx context.Context, key storage.AnalysisKey) {
+func (s *Server) warmHook() func(ctx context.Context, key AnalysisKey) {
 	s.warmMu.RLock()
 	fn := s.warmUnits
 	s.warmMu.RUnlock()
@@ -305,7 +354,6 @@ func (s *Server) submit(ctx context.Context, req Request, do func(context.Contex
 	case err == nil:
 		return resp, nil
 	case errors.Is(err, ErrQueueFull):
-		s.rejected.Add(1)
 		s.metrics.requests.With(outcomeQueueFull).Inc()
 	case err == ErrShuttingDown:
 		// At-the-door rejection. Drained-from-queue tasks are counted by
@@ -338,7 +386,7 @@ func normalize(req *Request) error {
 		}
 	}
 	var err error
-	if req.resultKey, req.analysisKey, err = storage.Keys(req.Hash, req.Opts); err != nil {
+	if req.resultKey, req.analysisKey, err = Keys(req.Hash, req.Opts); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	return nil
@@ -359,13 +407,11 @@ func (s *Server) process(ctx context.Context, req *Request) (*Response, error) {
 	start := time.Now()
 	resp, err := s.handle(ctx, req)
 	if err != nil {
-		s.failed.Add(1)
 		s.metrics.observeFailed(err)
 		return nil, err
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
 	finishTrace(sp, resp)
-	s.served.Add(1)
 	s.metrics.observeServed(resp)
 	return resp, nil
 }
@@ -418,7 +464,7 @@ func (s *Server) rewriteOnce(ctx context.Context, req *Request) (*Response, erro
 // for the same binary), then a per-request patch. It builds the
 // rewrite's record.
 func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*Response, error) {
-	an, hit, err := s.stores.Analyses.GetOrCreate(req.analysisKey, func() (*core.Analysis, error) {
+	an, hit, err := s.analyses.GetOrCreate(req.analysisKey, func() (*core.Analysis, error) {
 		// An analysis-store miss is the cluster's warm-path moment: ask
 		// the owning peer for this binary's cached function units before
 		// recomputing. Best-effort by contract — on any failure the
@@ -430,7 +476,7 @@ func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*Response, 
 		// version of a known binary into a delta: unchanged functions'
 		// units are pulled instead of recomputed.
 		cfgc := req.Opts.AnalysisConfig()
-		cfgc.Units = s.stores.Units
+		cfgc.Units = s.units
 		return core.Analyze(req.Binary, cfgc)
 	})
 	if err != nil {
@@ -468,21 +514,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.pool.Shutdown(ctx)
 }
 
-// Stats snapshots the service counters.
+// Stats snapshots the service counters. Served, Failed and Rejected are
+// sums over the icfg_requests_total outcomes, so /stats and /metrics
+// cannot disagree.
 func (s *Server) Stats() ServerStats {
+	out := s.metrics.requests.Snapshot()
 	st := ServerStats{
-		Analyses:      s.stores.Analyses.Stats(),
-		Funcs:         s.stores.Units.Stats(),
-		FuncsHeld:     s.stores.Units.Len(),
-		Served:        s.served.Load(),
-		Failed:        s.failed.Load(),
-		Rejected:      s.rejected.Load(),
+		Analyses:      s.analyses.Stats(),
+		Funcs:         s.units.Stats(),
+		FuncsHeld:     s.units.Len(),
+		Served:        out[outcomeOK],
+		Failed:        out[outcomeError] + out[outcomeTimeout] + out[outcomeCanceled],
+		Rejected:      out[outcomeQueueFull] + out[outcomeShutdown],
 		Queued:        s.pool.Queued(),
 		QueueCap:      s.pool.QueueCap(),
 		BatchQueued:   s.pool.BatchQueued(),
 		BatchQueueCap: s.pool.BatchQueueCap(),
 		Workers:       s.pool.Workers(),
-		Outcomes:      s.metrics.requests.Snapshot(),
+		Outcomes:      out,
 	}
 	if s.results != nil {
 		st.Results = s.results.Stats()

@@ -18,7 +18,6 @@ import (
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/instrument"
-	"icfgpatch/internal/service/storage"
 	"icfgpatch/internal/store"
 	"icfgpatch/internal/workload"
 )
@@ -140,7 +139,7 @@ func TestQueueFullRejection(t *testing.T) {
 	key := jtKey(t, raw)
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	go s.stores.Analyses.GetOrCreate(key, func() (*core.Analysis, error) {
+	go s.analyses.GetOrCreate(key, func() (*core.Analysis, error) {
 		close(started)
 		<-gate
 		return core.Analyze(img, core.AnalysisConfig{Mode: core.ModeJT})
@@ -215,7 +214,7 @@ func TestGracefulShutdown(t *testing.T) {
 	buildDone := make(chan struct{})
 	go func() {
 		defer close(buildDone)
-		_, _, err := s.stores.Analyses.GetOrCreate(key, func() (*core.Analysis, error) {
+		_, _, err := s.analyses.GetOrCreate(key, func() (*core.Analysis, error) {
 			close(started)
 			<-gate
 			return core.Analyze(img, core.AnalysisConfig{Mode: core.ModeJT})
@@ -413,7 +412,7 @@ func TestResultCachePersistence(t *testing.T) {
 		t.Fatalf("disk hit still ran analysis: %s", st.Analyses)
 	}
 
-	key, _, err := storage.Keys(store.Hash(raw), opts)
+	key, _, err := Keys(store.Hash(raw), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,9 +443,9 @@ func TestResultCachePersistence(t *testing.T) {
 
 // jtKey is the analysis key the service computes for a jt request on
 // raw.
-func jtKey(t *testing.T, raw []byte) storage.AnalysisKey {
+func jtKey(t *testing.T, raw []byte) AnalysisKey {
 	t.Helper()
-	_, key, err := storage.Keys(store.Hash(raw), core.Options{Mode: core.ModeJT})
+	_, key, err := Keys(store.Hash(raw), core.Options{Mode: core.ModeJT})
 	if err != nil {
 		t.Fatal(err)
 	}

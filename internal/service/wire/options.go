@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"net/url"
 	"reflect"
@@ -14,14 +15,16 @@ import (
 )
 
 // option is one row of the option codec: a query key, the core.Options
-// field it carries, and whether it is part of the analysis identity
-// (core.AnalysisConfig) as well as the result identity. The rows are the
+// field it carries, whether it is part of the analysis identity
+// (core.AnalysisConfig) as well as the result identity, and the help
+// text of the CLI flag it registers (RegisterFlags). The rows are the
 // only place an identity option is named.
 type option struct {
 	key      string
 	analysis bool
 	field    func(o *core.Options) any // a pointer to the field
 	names    []string                  // an enumeration's values, by field value
+	help     string
 }
 
 var modeNames = []string{core.ModeDir: "dir", core.ModeJT: "jt", core.ModeFuncPtr: "func-ptr"}
@@ -30,13 +33,20 @@ var modeNames = []string{core.ModeDir: "dir", core.ModeJT: "jt", core.ModeFuncPt
 // block entry, empty payload, every function, no verify, no gap,
 // evidence on.
 var options = []option{
-	{"mode", true, func(o *core.Options) any { return &o.Mode }, modeNames},
-	{"where", false, func(o *core.Options) any { return &o.Request.Where }, []string{instrument.BlockEntry: "block", instrument.FuncEntry: "func"}},
-	{"payload", false, func(o *core.Options) any { return &o.Request.Payload }, []string{instrument.PayloadEmpty: "empty", instrument.PayloadCounter: "counter"}},
-	{"funcs", false, func(o *core.Options) any { return &o.Request.Funcs }, nil},
-	{"verify", false, func(o *core.Options) any { return &o.Verify }, nil},
-	{"gap", false, func(o *core.Options) any { return &o.InstrGap }, nil},
-	{"no-evidence", true, func(o *core.Options) any { return &o.NoEvidence }, nil},
+	{"mode", true, func(o *core.Options) any { return &o.Mode }, modeNames,
+		"rewriting mode: dir, jt, func-ptr"},
+	{"where", false, func(o *core.Options) any { return &o.Request.Where }, []string{instrument.BlockEntry: "block", instrument.FuncEntry: "func"},
+		"instrumentation point: block, func"},
+	{"payload", false, func(o *core.Options) any { return &o.Request.Payload }, []string{instrument.PayloadEmpty: "empty", instrument.PayloadCounter: "counter"},
+		"payload: empty, counter"},
+	{"funcs", false, func(o *core.Options) any { return &o.Request.Funcs }, nil,
+		"comma-separated function subset (default: all)"},
+	{"verify", false, func(o *core.Options) any { return &o.Verify }, nil,
+		"overwrite stale original code with illegal instructions"},
+	{"gap", false, func(o *core.Options) any { return &o.InstrGap }, nil,
+		"force a gap (bytes) before the relocated code section"},
+	{"no-evidence", true, func(o *core.Options) any { return &o.NoEvidence }, nil,
+		"disable the landing-pad evidence layer: func-ptr mode takes the conservative path even on CFI builds"},
 }
 
 // render returns the row's value in o, "" to leave the key out (the
@@ -162,6 +172,36 @@ func ParseOptions(v url.Values) (core.Options, error) {
 		}
 	}
 	return o, nil
+}
+
+// RegisterFlags declares one flag per codec row on fs, named by its key
+// and carrying its help text: a bool flag for a bool field, a uint flag
+// for a byte count, a string flag defaulting to ParseOptions' value for
+// the rest. The returned function, called after fs.Parse, parses the
+// flags that were set with ParseOptions, so a flag takes exactly the
+// values its query key does.
+func RegisterFlags(fs *flag.FlagSet) func() (core.Options, error) {
+	def := core.Options{Mode: core.ModeJT}
+	for _, row := range options {
+		switch row.field(&def).(type) {
+		case *bool:
+			fs.Bool(row.key, false, row.help)
+		case *uint64:
+			fs.Uint64(row.key, 0, row.help)
+		default:
+			s, _ := row.render(&def) // the defaults are expressible
+			fs.String(row.key, s, row.help)
+		}
+	}
+	return func() (core.Options, error) {
+		v := url.Values{}
+		fs.Visit(func(f *flag.Flag) {
+			if slices.ContainsFunc(options, func(row option) bool { return row.key == f.Name }) {
+				v.Set(f.Name, f.Value.String())
+			}
+		})
+		return ParseOptions(v)
+	}
 }
 
 // set applies parse to a key's one value; a repeated key is an error.

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/json"
+	"flag"
+	"io"
 	"net/url"
 	"reflect"
 	"runtime"
@@ -155,6 +158,40 @@ func TestParseRewriteQuery(t *testing.T) {
 	}
 }
 
+// TestRegisterFlags checks that the codec's flags parse like its query
+// keys: unset flags take ParseOptions' defaults, set ones their key's
+// value, and a malformed value is refused.
+func TestRegisterFlags(t *testing.T) {
+	for args, query := range map[string]string{
+		"": "",
+		"-mode func-ptr -where func -payload counter -funcs a,b -verify -gap 4096 -no-evidence": "mode=func-ptr&where=func&payload=counter&funcs=a,b&verify=1&gap=4096&no-evidence=1",
+		"-mode funcptr -verify=false -gap 0":                                                    "mode=func-ptr",
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		parse := RegisterFlags(fs)
+		if err := fs.Parse(strings.Fields(args)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := parse()
+		if err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		v, _ := url.ParseQuery(query)
+		if want, _ := ParseOptions(v); !reflect.DeepEqual(got, want) {
+			t.Errorf("%q parsed to %+v, want %+v (%q)", args, got, want, query)
+		}
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	parse := RegisterFlags(fs)
+	if err := fs.Parse([]string{"-where", "loop"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parse(); err == nil {
+		t.Error("-where loop was accepted")
+	}
+}
+
 // FuzzOptionsCodec pins the codec's two properties. Any query that
 // parses encodes back to a query that parses to equal options and
 // re-encodes byte-identically; and a parsed query stays refused once
@@ -270,6 +307,78 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, reply) || !bytes.Equal(img2, image) {
 			t.Fatalf("re-encoding changed the frame: %+v -> %+v", reply, back)
+		}
+	})
+}
+
+// FuzzSplitProfile: SplitProfile reads the profile=1 body a client
+// sent, so no input may panic it, and a body it accepts must re-frame
+// to the same bytes — the split loses nothing and invents nothing.
+func FuzzSplitProfile(f *testing.F) {
+	prof := (&profile.Profile{BinaryHash: "0123abcd", Arch: arch.X64, TotalCount: 7, Funcs: []profile.FuncHeat{{Name: "main", Count: 7}}}).Encode()
+	prefix := func(declared uint64, body string) []byte {
+		return append(binary.LittleEndian.AppendUint64(nil, declared), body...)
+	}
+	for _, seed := range [][]byte{
+		FrameProfile(prof, []byte("image")),
+		FrameProfile(nil, []byte("image")),
+		FrameProfile(prof, nil),
+		nil,
+		[]byte("short"),                // shorter than the prefix
+		prefix(6, "abc"),               // declares more than present
+		prefix(3, "abc"),               // profile only
+		prefix(^uint64(0), "abc"),      // a length that overflows int
+		prefix(^uint64(0)-7, "abcdef"), // wraps to small on 8+n
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		pb, bb, err := SplitProfile(body)
+		if err != nil {
+			return
+		}
+		if back := FrameProfile(pb, bb); !bytes.Equal(back, body) {
+			t.Fatalf("split %d+%d bytes re-frame to %x, want %x", len(pb), len(bb), back, body)
+		}
+	})
+}
+
+// FuzzBatchManifest: a /batch body is decoded and validated at the
+// door, so no input may panic either step, and a manifest that
+// validates must re-marshal to one that validates to the same items.
+func FuzzBatchManifest(f *testing.F) {
+	for _, seed := range []string{
+		`{"items":[{"binary":"aWNmZw=="}]}`,
+		`{"items":[{"name":"a","opts":"mode=dir&where=func","binary":"aWNmZw=="},{"opts":"funcs=f,g&verify=1","binary":"AA=="}]}`,
+		`{"items":[]}`,
+		`{"items":[{"binary":""}]}`,
+		`{"items":[{"opts":"verfy=1","binary":"AA=="}]}`,
+		`{"items":[{"opts":"%zz","binary":"AA=="}]}`,
+		`{"items":[{"name":"\ud800","binary":"AA=="}]}`,
+		`{"items":null}`,
+		`[]`,
+		`{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var m BatchManifest
+		if json.Unmarshal(body, &m) != nil || m.Validate() != nil {
+			return
+		}
+		data, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatalf("accepted manifest does not marshal: %v", err)
+		}
+		var back BatchManifest
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("re-marshalled manifest %s does not decode: %v", data, err)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("re-marshalled manifest %s does not validate: %v", data, err)
+		}
+		if !reflect.DeepEqual(back.Items, m.Items) {
+			t.Fatalf("round trip changed the items: %+v -> %+v", m.Items, back.Items)
 		}
 	})
 }

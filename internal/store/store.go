@@ -79,25 +79,6 @@ type Config[K comparable, V any] struct {
 	// corrupt-artifact path: deleted, and the artifact rebuilt, instead
 	// of being slurped into memory whole before Decode can object.
 	MaxArtifactBytes int64
-	// EvictDisk makes LRU eviction also remove the evicted entry's
-	// persisted artifact, bounding the persistence directory to
-	// MaxEntries files (cluster nodes want bounded disk; a single
-	// restartable daemon usually prefers the default, which keeps
-	// evicted artifacts on disk as a warm-restart source).
-	//
-	// Deletion ordering is the subtle part. All disk I/O for a key
-	// happens while that key has an in-memory entry (GetOrCreate inserts
-	// the entry slot before loadDisk/saveDisk run), and eviction deletes
-	// a file only inside the same critical section that removes the
-	// entry — so an eviction can never delete an artifact out from under
-	// a concurrent load, and a concurrent Get either sees the entry
-	// (pre-evict) or cleanly misses and rebuilds. The one unlockable
-	// window — a builder's saveDisk racing an eviction of its own
-	// freshly completed entry — is closed on the saveDisk side: after
-	// the rename, the builder re-checks under the lock that its entry
-	// still exists and deletes the orphan file if it was evicted
-	// meanwhile.
-	EvictDisk bool
 }
 
 // DefaultMaxArtifactBytes bounds persisted-artifact reads when
@@ -132,9 +113,6 @@ type Store[K comparable, V any] struct {
 func New[K comparable, V any](cfg Config[K, V]) *Store[K, V] {
 	if cfg.Dir != "" && (cfg.KeyPath == nil || cfg.Encode == nil || cfg.Decode == nil) {
 		panic("store: Dir requires KeyPath, Encode, and Decode")
-	}
-	if cfg.EvictDisk && cfg.Dir == "" {
-		panic("store: EvictDisk requires Dir")
 	}
 	return &Store[K, V]{cfg: cfg, entries: map[K]*entry[V]{}, lru: list.New()}
 }
@@ -267,15 +245,8 @@ func (s *Store[K, V]) Get(key K) (V, bool) {
 
 // evictLocked drops least-recently-used completed entries until the
 // store fits MaxEntries. Entries still building are skipped: their
-// builder will re-check on completion.
-//
-// With EvictDisk, the evicted artifact's file is removed inside this
-// same critical section. Holding the lock across the unlink is the
-// point, not an accident: every load/save for a key runs while that key
-// has an in-memory entry, so deleting only entry-less keys under the
-// lock means no concurrent Get or GetOrCreate can be mid-read on the
-// file being removed — the race window where a reader observes a
-// half-evicted artifact never opens.
+// builder will re-check on completion. Evicted artifacts stay on disk
+// as a warm-restart source.
 func (s *Store[K, V]) evictLocked() {
 	if s.cfg.MaxEntries <= 0 {
 		return
@@ -287,9 +258,6 @@ func (s *Store[K, V]) evictLocked() {
 			s.lru.Remove(el)
 			delete(s.entries, key)
 			s.evictions.Add(1)
-			if s.cfg.EvictDisk {
-				os.Remove(filepath.Join(s.cfg.Dir, s.cfg.KeyPath(key)))
-			}
 		}
 		el = prev
 	}
@@ -361,19 +329,6 @@ func (s *Store[K, V]) saveDisk(key K, v V) error {
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("store: persist %v: %w", key, err)
-	}
-	if s.cfg.EvictDisk {
-		// The builder's own entry may have been evicted between build
-		// completion and this persist (another builder's evictLocked ran
-		// in between). Without this re-check the freshly renamed file
-		// would outlive its entry forever — the stale-evict leak the
-		// EvictDisk ordering contract promises away.
-		s.mu.Lock()
-		_, present := s.entries[key]
-		s.mu.Unlock()
-		if !present {
-			os.Remove(path)
-		}
 	}
 	return nil
 }
