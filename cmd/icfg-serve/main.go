@@ -11,8 +11,7 @@
 //	           [-analyses N] [-results N] [-funcs N] [-disk dir]
 //	           [-batch-dir dir] [-max-body N] [-timeout dur]
 //	           [-patch-jobs N]
-//	           [-self URL -peers URL,URL,...] [-replicas N]
-//	           [-peer-timeout dur] [-probe dur]
+//	           [-self URL -peers URL,URL,...] [-replicas N] [-probe dur]
 //
 // /batch accepts a JSON manifest of binaries and rewrite options,
 // returns a job ID, and streams per-binary progress over SSE at
@@ -31,10 +30,9 @@
 //
 // With -self and -peers the daemon joins a rewrite cluster
 // (internal/cluster): requests route by binary content hash over a
-// consistent-hash ring, non-owned requests forward to a healthy owner,
-// and analysis misses first ask the owning peer for its cached function
-// units (the warm path) before recomputing. Front the peer set with
-// icfg-gateway for a single client-facing address.
+// consistent-hash ring and non-owned requests forward to a healthy
+// owner; a node that misses its analysis cache analyses locally. Front
+// the peer set with icfg-gateway for a single client-facing address.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight rewrites complete, queued
 // requests are rejected with 503, and the final cache statistics are
@@ -75,7 +73,6 @@ func main() {
 	self := flag.String("self", "", "cluster: this node's base URL as listed in -peers")
 	peers := flag.String("peers", "", "cluster: comma-separated base URLs of all nodes, self included")
 	replicas := flag.Int("replicas", 0, "cluster: replication factor (default 2)")
-	peerTimeout := flag.Duration("peer-timeout", 0, "cluster: budget for warm-path unit fetches from peers (default 2s)")
 	probe := flag.Duration("probe", 0, "cluster: active /healthz probe interval (0: passive health only)")
 	flag.Parse()
 
@@ -110,10 +107,9 @@ func main() {
 	handler := mgr.Handler(s.Handler())
 	if *self != "" {
 		node, err := cluster.NewNode(s, cluster.Config{
-			Self:        *self,
-			Peers:       strings.Split(*peers, ","),
-			Replicas:    *replicas,
-			PeerTimeout: *peerTimeout,
+			Self:     *self,
+			Peers:    strings.Split(*peers, ","),
+			Replicas: *replicas,
 		})
 		if err != nil {
 			fatal(err)

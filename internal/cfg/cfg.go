@@ -772,9 +772,10 @@ func (f *Func) computeGaps(a arch.Arch, text *bin.Section) {
 // every block is non-empty, inside [Entry, End), and its Start and End
 // agree with its first and last instruction, which run contiguously;
 // blocks are in address order and share no instruction (see Blocks);
-// every successor and predecessor is a block start. A graph from
-// outside the process (a peer's unit) must pass it before use: BlockAt
-// searches the sorted Blocks, and Block.Last indexes Instrs.
+// every successor and predecessor is a block start. BlockAt searches
+// the sorted Blocks and Block.Last indexes Instrs, so a graph that fails
+// it misleads or crashes the rewriter; the builder's fuzz and pin tests
+// hold every graph BuildFunc makes to it.
 func (f *Func) Check() error {
 	for i, blk := range f.Blocks {
 		if blk == nil || len(blk.Instrs) == 0 {

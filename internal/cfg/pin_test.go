@@ -169,3 +169,69 @@ func TestCFGDumpDigests(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckRejectsMalformedGraphs pins Check's rejection paths, so the
+// oracle the fuzz and pin tests hold built graphs to cannot go blind:
+// each structural defect, applied to a copy of a built function, fails
+// Check with a cfg error, while the undamaged copy passes.
+func TestCheckRejectsMalformedGraphs(t *testing.T) {
+	g, err := withTables(specGCC(arch.X64), false)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orig *cfg.Func
+	for _, f := range g.Funcs {
+		if len(f.Blocks) >= 2 && len(f.Blocks[0].Succs) > 0 && len(f.Blocks[0].Instrs) >= 2 {
+			orig = f
+			break
+		}
+	}
+	if orig == nil {
+		t.Fatal("no function with a multi-instruction entry block and successors")
+	}
+	// clone copies orig deeply enough that damaging a block leaves the
+	// built graph untouched.
+	clone := func() *cfg.Func {
+		fc := *orig
+		fc.Blocks = make([]*cfg.Block, len(orig.Blocks))
+		for k, blk := range orig.Blocks {
+			bc := *blk
+			bc.Instrs = append([]arch.Instr(nil), blk.Instrs...)
+			bc.Succs = append([]cfg.Edge(nil), blk.Succs...)
+			bc.Preds = append([]uint64(nil), blk.Preds...)
+			fc.Blocks[k] = &bc
+		}
+		return &fc
+	}
+	if err := clone().Check(); err != nil {
+		t.Fatalf("undamaged copy fails Check: %v", err)
+	}
+	defects := []struct {
+		name string
+		brk  func(f *cfg.Func)
+	}{
+		{"empty block", func(f *cfg.Func) { f.Blocks[0].Instrs = nil }},
+		{"blocks out of order", func(f *cfg.Func) { f.Blocks[0], f.Blocks[1] = f.Blocks[1], f.Blocks[0] }},
+		{"duplicate block", func(f *cfg.Func) { f.Blocks[1] = f.Blocks[0] }},
+		{"block before entry", func(f *cfg.Func) { f.Entry = f.Blocks[0].Start + 1 }},
+		{"block past end", func(f *cfg.Func) { f.End = f.Blocks[len(f.Blocks)-1].End - 1 }},
+		{"start off its first instruction", func(f *cfg.Func) { f.Blocks[0].Start++ }},
+		{"end off its last instruction", func(f *cfg.Func) { f.Blocks[0].End++ }},
+		{"hole between instructions", func(f *cfg.Func) {
+			f.Blocks[0].Instrs = append(f.Blocks[0].Instrs[:1:1], f.Blocks[0].Instrs[2:]...)
+		}},
+		{"successor not a block start", func(f *cfg.Func) { f.Blocks[0].Succs[0].To++ }},
+		{"predecessor not a block start", func(f *cfg.Func) { f.Blocks[1].Preds = append(f.Blocks[1].Preds, f.Blocks[1].Start+1) }},
+	}
+	for _, d := range defects {
+		t.Run(d.name, func(t *testing.T) {
+			f := clone()
+			d.brk(f)
+			if err := f.Check(); err == nil {
+				t.Fatal("Check accepted a damaged graph")
+			} else if !strings.HasPrefix(err.Error(), "cfg: ") {
+				t.Fatalf("error %q does not come from the graph check", err)
+			}
+		})
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
@@ -77,8 +76,7 @@ func scrape(t *testing.T, base string) string {
 // arches and all three modes, must emit bytes identical to a
 // single-process core rewrite. With replicas == N every node is an
 // owner and serves locally, so each node's full local pipeline is
-// exercised — including the peer warm path, since later nodes seed
-// their unit stores from whichever node analyzed the binary first.
+// exercised.
 func TestClusterByteEquivalence(t *testing.T) {
 	tc := NewTestCluster(t, TestClusterConfig{Nodes: 3, Replicas: 3})
 	for _, a := range clusterArches {
@@ -177,96 +175,6 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
-// TestClusterPeerWarmPath pins the federated unit store: after node A
-// analyzes a binary, node B's first request for it must fetch A's
-// function units instead of recomputing — FuncsRecomputed == 0 on B,
-// with the units attributed as peer hits (not disk hits) in B's stats.
-func TestClusterPeerWarmPath(t *testing.T) {
-	tc := NewTestCluster(t, TestClusterConfig{Nodes: 3, Replicas: 3})
-	raw := clusterBinary(t, arch.X64, 23)
-	opts := clusterOpts(core.ModeJT)
-
-	_, cold, err := tc.NodeClient(0).Rewrite(context.Background(), raw, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Metrics.FuncsRecomputed == 0 {
-		t.Fatal("cold rewrite recomputed nothing; test premise broken")
-	}
-
-	_, warm, err := tc.NodeClient(1).Rewrite(context.Background(), raw, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Metrics.FuncsRecomputed != 0 {
-		t.Fatalf("peer-warmed rewrite recomputed %d funcs, want 0", warm.Metrics.FuncsRecomputed)
-	}
-	if warm.Metrics.FuncsReused != cold.Metrics.FuncsRecomputed {
-		t.Fatalf("peer-warmed rewrite reused %d funcs, want %d", warm.Metrics.FuncsReused, cold.Metrics.FuncsRecomputed)
-	}
-
-	st, err := tc.NodeClient(1).Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Funcs.PeerHits == 0 {
-		t.Fatalf("node 1 unit store reports no peer hits: %+v", st.Funcs)
-	}
-	if st.Funcs.DiskHits != 0 {
-		t.Fatalf("peer units misattributed as disk hits: %+v", st.Funcs)
-	}
-
-	metrics := scrape(t, tc.URLs[1])
-	if !strings.Contains(metrics, "icfg_cluster_peer_hits_total 1") {
-		t.Fatalf("node 1 metrics missing peer hit:\n%s", metrics)
-	}
-}
-
-// TestClusterPeerTimeout: a peer that cannot answer the unit fetch
-// within PeerTimeout is treated as a miss — the analysis recomputes
-// locally and the request still succeeds with identical bytes.
-func TestClusterPeerTimeout(t *testing.T) {
-	tc := NewTestCluster(t, TestClusterConfig{
-		Nodes: 3, Replicas: 3, PeerTimeout: 50 * time.Millisecond,
-		WrapNode: func(i int, h http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/peer/units" {
-					time.Sleep(300 * time.Millisecond)
-				}
-				h.ServeHTTP(w, r)
-			})
-		},
-	})
-	raw := clusterBinary(t, arch.A64, 24)
-	opts := clusterOpts(core.ModeJT)
-	want := localWant(t, raw, core.ModeJT)
-
-	if _, _, err := tc.NodeClient(0).Rewrite(context.Background(), raw, opts); err != nil {
-		t.Fatal(err)
-	}
-	got, reply, err := tc.NodeClient(1).Rewrite(context.Background(), raw, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("timeout-fallback rewrite diverged")
-	}
-	if reply.Metrics.FuncsRecomputed == 0 {
-		t.Fatal("node 1 claims reuse although the peer fetch should have timed out")
-	}
-	st, err := tc.NodeClient(1).Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Funcs.PeerHits != 0 {
-		t.Fatalf("peer hits recorded despite timeout: %+v", st.Funcs)
-	}
-	metrics := scrape(t, tc.URLs[1])
-	if !strings.Contains(metrics, "icfg_cluster_peer_misses_total 1") {
-		t.Fatalf("node 1 metrics missing peer miss:\n%s", metrics)
-	}
-}
-
 // TestClusterMetricsScrape checks the cluster series on the wire: a
 // non-owner node's forward increments icfg_cluster_forwards_total, the
 // healthy gauge counts the full membership, and the gateway exposes its
@@ -297,8 +205,6 @@ func TestClusterMetricsScrape(t *testing.T) {
 	for _, line := range []string{
 		"icfg_cluster_forwards_total 1",
 		"icfg_cluster_peers_healthy 3",
-		"icfg_cluster_peer_hits_total 0",
-		"icfg_cluster_peer_misses_total 0",
 	} {
 		if !strings.Contains(metrics, line) {
 			t.Errorf("node metrics missing %q", line)

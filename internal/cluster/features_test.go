@@ -73,17 +73,6 @@ func TestUnknownOptionsRejectedAtEveryDoor(t *testing.T) {
 			t.Fatalf("%s door: no-evidence=1 got %d (%s), want 200", d.name, status, strings.TrimSpace(body))
 		}
 	}
-
-	// The peer-to-peer door holds the same line.
-	resp, err := http.Get(tc.URLs[0] + "/peer/units?hash=abc&mode=jt&bogus=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"bogus"`) {
-		t.Fatalf("peer units door: bogus=1 got %d (%s), want 400 naming the key", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
 }
 
 // TestNoEvidenceFeatureEndToEnd drives the evidence axis over HTTP: the

@@ -4,15 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
-	"icfgpatch/internal/core"
 	"icfgpatch/internal/obs"
 	"icfgpatch/internal/service"
 	"icfgpatch/internal/service/wire"
@@ -24,15 +21,6 @@ import (
 // views (mid-rollout config skew) degrade to one extra hop, never a
 // forwarding loop.
 const RoutedHeader = "X-Icfg-Routed"
-
-// maxUnitsPayload bounds a peer's unit payload (the same defensive cap
-// idea as wire.MaxReplyHeader, sized for unit bundles).
-const maxUnitsPayload = 256 << 20
-
-// DefaultPeerTimeout bounds the warm path's peer fetch. The whole point
-// of asking a peer is to beat recomputation, so a slow peer is treated
-// as a miss quickly.
-const DefaultPeerTimeout = 2 * time.Second
 
 // router is the routing core Node and Gateway share: ring + health +
 // the forwarding loop.
@@ -136,31 +124,23 @@ type Config struct {
 	// Replicas is the replication factor: how many distinct peers own
 	// each content hash (default DefaultReplicas).
 	Replicas int
-	// PeerTimeout bounds the warm path's unit fetch from the owning peer
-	// (default DefaultPeerTimeout). On expiry the analysis recomputes —
-	// the warm path is strictly best-effort.
-	PeerTimeout time.Duration
-	// HTTPClient overrides http.DefaultClient for forwards, peer
-	// fetches, and probes.
+	// HTTPClient overrides http.DefaultClient for forwards and probes.
 	HTTPClient *http.Client
 }
 
 // Node wraps one service.Server with cluster routing: requests whose
 // content hash this node owns (or that arrive pre-routed) are served
-// locally; the rest forward to a healthy owner with failover. On a
-// local analysis miss the node asks the owning peer for its cached
-// function units before recomputing (the warm path), installed via the
-// server's SetWarmUnits hook.
+// locally; the rest forward to a healthy owner with failover. A node
+// that misses its analysis store analyses locally: peers share no
+// analysis state, only routing.
 type Node struct {
 	router
-	cfg        Config
-	srv        *service.Server
-	peerHits   *obs.Counter
-	peerMisses *obs.Counter
+	cfg Config
+	srv *service.Server
 }
 
-// NewNode builds the node around srv, registers the cluster metrics on
-// srv's registry, and installs the peer warm path.
+// NewNode builds the node around srv and registers the cluster metrics
+// on srv's registry.
 func NewNode(srv *service.Server, cfg Config) (*Node, error) {
 	ring, err := NewRing(cfg.Peers, DefaultVNodes)
 	if err != nil {
@@ -179,9 +159,6 @@ func NewNode(srv *service.Server, cfg Config) (*Node, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = DefaultReplicas
 	}
-	if cfg.PeerTimeout <= 0 {
-		cfg.PeerTimeout = DefaultPeerTimeout
-	}
 	hc := cfg.HTTPClient
 	if hc == nil {
 		hc = http.DefaultClient
@@ -192,17 +169,12 @@ func NewNode(srv *service.Server, cfg Config) (*Node, error) {
 		srv:    srv,
 	}
 	reg := srv.Registry()
-	n.peerHits = reg.Counter("icfg_cluster_peer_hits_total",
-		"analysis misses warmed with function units fetched from the owning peer")
-	n.peerMisses = reg.Counter("icfg_cluster_peer_misses_total",
-		"analysis misses no peer could warm (recomputed locally)")
 	n.forwards = reg.Counter("icfg_cluster_forwards_total",
 		"rewrite requests forwarded to an owning peer")
 	n.relayTruncated = reg.Counter("icfg_cluster_relay_truncated_total",
 		"forwarded responses whose relay to the client died mid-body")
 	reg.GaugeFunc("icfg_cluster_peers_healthy", "cluster peers currently believed reachable", "", "",
 		func() float64 { return float64(n.health.CountHealthy(n.ring.peers)) })
-	srv.SetWarmUnits(n.warmUnits)
 	return n, nil
 }
 
@@ -219,9 +191,9 @@ func (n *Node) StartProbes(ctx context.Context, interval time.Duration) {
 }
 
 // Handler wraps the service's HTTP surface with the cluster endpoints:
-// /rewrite gains routing, /peer/units serves the warm path, /cluster
-// reports membership; everything else (/stats, /healthz, /metrics,
-// pprof) passes through to the service handler.
+// /rewrite gains routing and /cluster reports membership; everything
+// else (/stats, /healthz, /metrics, pprof) passes through to the
+// service handler.
 func (n *Node) Handler() http.Handler {
 	return n.HandlerWith(n.srv.Handler())
 }
@@ -233,7 +205,6 @@ func (n *Node) Handler() http.Handler {
 func (n *Node) HandlerWith(base http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/rewrite", n.handleRewrite)
-	mux.HandleFunc("/peer/units", n.handlePeerUnits)
 	mux.HandleFunc("/cluster", n.handleInfo)
 	mux.Handle("/", base)
 	return mux
@@ -271,104 +242,6 @@ func (n *Node) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	// output is byte-identical anywhere — routing is a cache-locality
 	// policy, and availability wins when the policy can't be satisfied.
 	n.srv.ServeRewrite(w, r, raw)
-}
-
-// handlePeerUnits is the warm path's owner side: GET
-// /peer/units?hash=H&<analysis options, as strict as /rewrite> returns
-// the gob unit bundle of the matching completed analysis, 404 when this
-// node has none. The read is side-effect-free (store.Peek underneath) so
-// peer traffic never perturbs local cache behaviour.
-func (n *Node) handlePeerUnits(w http.ResponseWriter, r *http.Request) {
-	opts, t, err := wire.SplitQuery(r.URL.Query(), "hash")
-	_, key, kerr := service.Keys(t["hash"], opts)
-	if key.Hash == "" {
-		kerr = errors.New("missing hash")
-	}
-	if err = errors.Join(err, kerr); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	units := n.srv.CachedUnits(key)
-	if len(units) == 0 {
-		http.Error(w, "no cached analysis", http.StatusNotFound)
-		return
-	}
-	data, err := core.MarshalUnits(units)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
-}
-
-// warmUnits is the warm path's receiver side, installed as the
-// service's SetWarmUnits hook: on an analysis-store miss, ask the owning
-// peers (in replica order) for their cached units and seed whatever
-// arrives into the unit store. Strictly best-effort under PeerTimeout;
-// the seeded units still face Analyze's full validation, so a stale
-// peer answer costs a recompute, never a wrong reuse.
-func (n *Node) warmUnits(ctx context.Context, key service.AnalysisKey) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
-	defer cancel()
-	attempted := false
-	for _, o := range n.ring.Owners(key.Hash, n.cfg.Replicas) {
-		if o == n.cfg.Self || !n.health.Healthy(o) {
-			continue
-		}
-		attempted = true
-		units, err := n.fetchUnits(ctx, o, key)
-		if err != nil {
-			if service.Transient(err) {
-				n.health.MarkDown(o)
-			}
-			continue
-		}
-		if len(units) == 0 {
-			continue // peer answered but has nothing for this key
-		}
-		if n.srv.SeedUnits(units) > 0 {
-			n.peerHits.Inc()
-			return
-		}
-	}
-	// A miss means "asked and came up empty", so only count it when a
-	// fetch was actually attempted. When this node owns the hash itself
-	// (the common case under routed traffic — that is why it is doing
-	// the analysis) or every peer is marked down, no peer was asked and
-	// nothing missed; counting those walked the miss rate toward 100%
-	// on a healthy cluster and buried the real signal.
-	if attempted {
-		n.peerMisses.Inc()
-	}
-}
-
-// fetchUnits asks one peer for its cached units. A 404 is a clean
-// "don't have it" (nil, nil); transport errors propagate for health
-// accounting.
-func (n *Node) fetchUnits(ctx context.Context, owner string, key service.AnalysisKey) ([]*core.FuncUnit, error) {
-	u := strings.TrimSuffix(owner, "/") + "/peer/units?hash=" + url.QueryEscape(key.Hash) + "&" + key.Opts
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: peer units: %s", resp.Status)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxUnitsPayload))
-	if err != nil {
-		return nil, err
-	}
-	return core.UnmarshalUnits(data)
 }
 
 // Info is the /cluster endpoint's JSON body.

@@ -1,14 +1,15 @@
 // Package cluster turns independent icfg-serve daemons into a rewrite
 // cluster. A consistent-hash ring routes each request by the content
-// hash of its input binary, so every version of a binary lands on the
-// same owning nodes — exactly where the incremental caches (analysis
-// store, function-unit store) accumulate. Three pieces compose:
+// hash of its input binary, so every request for the same bytes lands
+// on the same owning nodes — exactly where the result and analysis
+// caches hold its work. (Each version of a binary hashes differently,
+// so versions do not follow one another to a node.) Three pieces
+// compose:
 //
 //   - Ring (this file): the hash ring, mapping a content hash to its
 //     ordered replica set;
 //   - Node: a routing wrapper around one service.Server — serves
-//     requests it owns, forwards the rest, and warms its unit store
-//     from the owning peer on an analysis miss;
+//     requests it owns and forwards the rest;
 //   - Gateway: the thin stateless front door that load-balances onto
 //     the ring with health-checked failover.
 //

@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"icfgpatch/internal/service"
 	"icfgpatch/internal/service/batch"
@@ -20,8 +19,6 @@ type TestClusterConfig struct {
 	// Service is the per-node service config (each node gets its own
 	// Server built from a copy).
 	Service service.Config
-	// PeerTimeout bounds each node's warm-path fetch.
-	PeerTimeout time.Duration
 	// WrapNode, when set, wraps node i's handler — fault-injection
 	// middleware for tests (delays, drops).
 	WrapNode func(i int, h http.Handler) http.Handler
@@ -36,7 +33,7 @@ type TestClusterConfig struct {
 // service.Servers, each wrapped in a cluster Node behind its own
 // httptest listener, plus a Gateway fronting them all. Everything runs
 // over real HTTP on the loopback interface, so routing, forwarding,
-// failover, and the peer warm path are exercised end to end — only the
+// and failover are exercised end to end — only the
 // machines are missing.
 type TestCluster struct {
 	Nodes   []*Node
@@ -78,12 +75,7 @@ func NewTestCluster(t testing.TB, cfg TestClusterConfig) *TestCluster {
 	}
 	for i := 0; i < n; i++ {
 		srv := service.New(cfg.Service)
-		node, err := NewNode(srv, Config{
-			Self:        tc.URLs[i],
-			Peers:       tc.URLs,
-			Replicas:    cfg.Replicas,
-			PeerTimeout: cfg.PeerTimeout,
-		})
+		node, err := NewNode(srv, Config{Self: tc.URLs[i], Peers: tc.URLs, Replicas: cfg.Replicas})
 		if err != nil {
 			t.Fatalf("cluster node %d: %v", i, err)
 		}

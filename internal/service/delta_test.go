@@ -72,9 +72,9 @@ func TestDeltaMetricsScrape(t *testing.T) {
 		`icfg_cache_path_total{path="delta"} 1`,
 		fmt.Sprintf("icfg_analysis_funcs_reused_total %d", reply1.Metrics.FuncsReused+reply2.Metrics.FuncsReused),
 		fmt.Sprintf("icfg_analysis_funcs_recomputed_total %d", reply1.Metrics.FuncsRecomputed+reply2.Metrics.FuncsRecomputed),
-		fmt.Sprintf(`icfg_store_hits{store="funcs"} %d`, reply2.Metrics.FuncsReused),
-		`icfg_store_disk_hits{store="funcs"} 0`,
-		`icfg_store_misses{store="analysis"} 2`,
+		fmt.Sprintf(`icfg_store_hits_total{store="funcs"} %d`, reply2.Metrics.FuncsReused),
+		`icfg_store_disk_hits_total{store="funcs"} 0`,
+		`icfg_store_misses_total{store="analysis"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -95,9 +95,9 @@ func TestOptionIdentityComplete(t *testing.T) {
 	}
 }
 
-func keys(t *testing.T, hash string, o core.Options) (string, AnalysisKey) {
+func keys(t *testing.T, hash string, o core.Options) (string, analysisKey) {
 	t.Helper()
-	fp, ak, err := Keys(hash, o)
+	fp, ak, err := requestKeys(hash, o)
 	if err != nil {
 		t.Fatal(err)
 	}

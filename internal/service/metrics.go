@@ -98,17 +98,15 @@ func newMetrics(s *Server) *metrics {
 // counters, one labeled series per store (analysis, result, funcs), so
 // rate() works on them.
 func registerStoreCounters(reg *obs.Registry, name string, stats func() store.Stats) {
-	reg.CounterFunc("icfg_store_hits", "cache hits by store", "store", name,
+	reg.CounterFunc("icfg_store_hits_total", "cache hits by store", "store", name,
 		func() float64 { return float64(stats().Hits) })
-	reg.CounterFunc("icfg_store_misses", "cache misses by store", "store", name,
+	reg.CounterFunc("icfg_store_misses_total", "cache misses by store", "store", name,
 		func() float64 { return float64(stats().Misses) })
-	reg.CounterFunc("icfg_store_evictions", "cache evictions by store", "store", name,
+	reg.CounterFunc("icfg_store_evictions_total", "cache evictions by store", "store", name,
 		func() float64 { return float64(stats().Evictions) })
-	reg.CounterFunc("icfg_store_disk_hits", "artifacts warmed from disk by store", "store", name,
+	reg.CounterFunc("icfg_store_disk_hits_total", "artifacts warmed from disk by store", "store", name,
 		func() float64 { return float64(stats().DiskHits) })
-	reg.CounterFunc("icfg_store_peer_hits", "artifacts seeded from cluster peers by store", "store", name,
-		func() float64 { return float64(stats().PeerHits) })
-	reg.CounterFunc("icfg_store_persist_failures", "failed disk persists by store", "store", name,
+	reg.CounterFunc("icfg_store_persist_failures_total", "failed disk persists by store", "store", name,
 		func() float64 { return float64(stats().PersistFailures) })
 }
 

@@ -94,18 +94,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		`icfg_stage_seconds_bucket{stage="cfg",le="+Inf"} 1`,
 		`icfg_queue_depth 0`,
 		`icfg_workers 2`,
-		`icfg_store_hits{store="analysis"} 2`,
-		`icfg_store_misses{store="analysis"} 1`,
-		`icfg_store_persist_failures{store="result"} 3`,
-		`icfg_store_persist_failures{store="analysis"} 0`,
-		// Cumulative totals are counters, so rate() works on them;
-		// levels stay gauges.
-		"# TYPE icfg_store_hits counter",
-		"# TYPE icfg_store_misses counter",
-		"# TYPE icfg_store_evictions counter",
-		"# TYPE icfg_store_disk_hits counter",
-		"# TYPE icfg_store_peer_hits counter",
-		"# TYPE icfg_store_persist_failures counter",
+		`icfg_store_hits_total{store="analysis"} 2`,
+		`icfg_store_misses_total{store="analysis"} 1`,
+		`icfg_store_persist_failures_total{store="result"} 3`,
+		`icfg_store_persist_failures_total{store="analysis"} 0`,
+		// Cumulative totals are counters with the _total suffix, so
+		// rate() works on them; levels stay gauges.
+		"# TYPE icfg_store_hits_total counter",
+		"# TYPE icfg_store_misses_total counter",
+		"# TYPE icfg_store_evictions_total counter",
+		"# TYPE icfg_store_disk_hits_total counter",
+		"# TYPE icfg_store_persist_failures_total counter",
 		"# TYPE icfg_store_entries gauge",
 		"# TYPE icfg_queue_depth gauge",
 		"# TYPE icfg_batch_queue_depth gauge",

@@ -15,16 +15,15 @@
 // pays for CFG, jump-table, and function-pointer analysis once per
 // (binary hash, arch, mode, variant) and then runs only core.Patch per
 // request. Three caches back that, all held by Server: the analysis
-// store (keyed by AnalysisKey), the function-unit store the delta engine
-// shares across analyses, and an optional result cache — keyed by the
-// full request, persistable to disk — that serves byte-identical repeat
-// requests without patching at all. Keys builds both request keys.
+// store (keyed by analysisKey), the function-unit store the delta
+// engine shares across analyses, and an optional result cache — keyed
+// by the full request, persistable to disk — that serves byte-identical
+// repeat requests without patching at all. requestKeys builds both
+// request keys.
 //
-// The cluster (internal/cluster) plugs into the caches through
-// CachedUnits, SeedUnits and the SetWarmUnits hook — a node that misses
-// its analysis store can fetch the owning peer's cached function units
-// before recomputing — and into the transport layer through ServeRewrite
-// and Registry, without touching scheduling.
+// The cluster (internal/cluster) plugs into the transport layer through
+// ServeRewrite and Registry, without touching caches or scheduling: a
+// node that misses its analysis store analyses locally.
 package service
 
 import (
@@ -33,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"icfgpatch/internal/bin"
@@ -109,34 +107,34 @@ type Request struct {
 
 	// The cache keys, filled by normalize.
 	resultKey   string
-	analysisKey AnalysisKey
+	analysisKey analysisKey
 }
 
-// AnalysisKey addresses one cached analysis: the content hash of the
+// analysisKey addresses one cached analysis: the content hash of the
 // serialised binary (which covers the arch) plus the analysis rows of
 // the request's wire encoding (wire.AnalysisQuery).
-type AnalysisKey struct {
+type analysisKey struct {
 	Hash string
 	Opts string
 }
 
-// Keys builds one request's two cache keys from a single encoding of
-// its options. The result key is a hash of a versioned string of the
-// content address, the request's wire encoding and the profile's
-// content hash (a nil profile hashes to "", so degraded guided requests
-// share the unguided entry). The analysis key keeps only the analysis
-// rows, so requests that differ only in their instrumentation share one
-// analysis. Options the wire cannot express are refused, so neither key
-// ever renders them.
-func Keys(hash string, o core.Options) (string, AnalysisKey, error) {
+// requestKeys builds one request's two cache keys from a single
+// encoding of its options. The result key is a hash of a versioned
+// string of the content address, the request's wire encoding and the
+// profile's content hash (a nil profile hashes to "", so degraded guided
+// requests share the unguided entry). The analysis key keeps only the
+// analysis rows, so requests that differ only in their instrumentation
+// share one analysis. Options the wire cannot express are refused, so
+// neither key ever renders them.
+func requestKeys(hash string, o core.Options) (string, analysisKey, error) {
 	prof := o.Profile
 	o.Profile = nil
 	v, err := wire.EncodeOptions(o)
 	if err != nil {
-		return "", AnalysisKey{}, err
+		return "", analysisKey{}, err
 	}
 	result := store.Hash([]byte("opts1\n" + hash + "\n" + v.Encode() + "\n" + prof.Hash()))
-	return result, AnalysisKey{Hash: hash, Opts: wire.AnalysisQuery(v)}, nil
+	return result, analysisKey{Hash: hash, Opts: wire.AnalysisQuery(v)}, nil
 }
 
 // Response is one completed rewrite: the image and its record.
@@ -162,8 +160,7 @@ type ServerStats struct {
 	Analyses store.Stats
 	Results  store.Stats
 	// Funcs is the function-unit store's counters: hits are per-function
-	// reuses across binary versions, misses are recomputed functions,
-	// peer-hits are units seeded from cluster peers.
+	// reuses across binary versions, misses are recomputed functions.
 	Funcs store.Stats
 	// FuncsHeld is the number of distinct function identities currently
 	// in the unit store.
@@ -200,8 +197,8 @@ func (s ServerStats) String() string {
 // (or the HTTP handler), stop with Shutdown.
 type Server struct {
 	cfg Config
-	// analyses single-flights whole-binary analyses by AnalysisKey.
-	analyses *store.Store[AnalysisKey, *core.Analysis]
+	// analyses single-flights whole-binary analyses by analysisKey.
+	analyses *store.Store[analysisKey, *core.Analysis]
 	// units is the delta engine's function-keyed cache, shared by every
 	// analysis the server runs; nil when disabled.
 	units *core.UnitStore
@@ -209,10 +206,6 @@ type Server struct {
 	// when disabled. Its entries are records without a trace.
 	results *store.Store[string, *Response]
 	pool    *sched.Pool
-
-	warmMu    sync.RWMutex
-	warmUnits func(ctx context.Context, key AnalysisKey)
-
 	metrics *metrics
 }
 
@@ -226,7 +219,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		analyses: store.New(store.Config[AnalysisKey, *core.Analysis]{MaxEntries: cfg.AnalysisEntries}),
+		analyses: store.New(store.Config[analysisKey, *core.Analysis]{MaxEntries: cfg.AnalysisEntries}),
 	}
 	if cfg.FuncEntries > 0 {
 		s.units = core.NewUnitStore(cfg.FuncEntries)
@@ -277,49 +270,10 @@ func decodeResult(data []byte) (*Response, error) {
 	return &Response{Image: image, Reply: *rep}, nil
 }
 
-// CachedUnits returns the function units of an already-completed
-// analysis for key, or nil when this server has none. It is the owner
-// side of the cluster's peer warm path: a side-effect-free read (no hit
-// accounting, no LRU promotion, no single-flight join) so serving a
-// peer never distorts the local cache's behaviour.
-func (s *Server) CachedUnits(key AnalysisKey) []*core.FuncUnit {
-	an, ok := s.analyses.Peek(key)
-	if !ok || an == nil {
-		return nil
-	}
-	return an.FuncUnits
-}
-
-// SeedUnits deposits peer-fetched units into the unit store (the
-// receiver side of the warm path), returning the number seeded. The
-// units still face Analyze's full validation before any reuse.
-func (s *Server) SeedUnits(us []*core.FuncUnit) int { return s.units.Seed(us) }
-
 // Registry exposes the server's metrics registry so embedders (the
 // cluster node) can register their own series on the same /metrics
 // endpoint.
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
-
-// SetWarmUnits installs (or clears) the analysis-miss warm hook. The
-// hook runs on an analysis-store miss before core.Analyze, with the
-// missing key. The cluster installs the peer warm path here: fetch the
-// owning peer's cached function units and seed them into the unit store
-// so the analysis becomes a pure delta. The hook must be best-effort —
-// failures mean a cold analysis, not a failed request. It is installed
-// after construction because the cluster needs the server to exist
-// before it can build the peering that the hook consults.
-func (s *Server) SetWarmUnits(fn func(ctx context.Context, key AnalysisKey)) {
-	s.warmMu.Lock()
-	s.warmUnits = fn
-	s.warmMu.Unlock()
-}
-
-func (s *Server) warmHook() func(ctx context.Context, key AnalysisKey) {
-	s.warmMu.RLock()
-	fn := s.warmUnits
-	s.warmMu.RUnlock()
-	return fn
-}
 
 // Submit enqueues one request and waits for its response. It returns
 // ErrQueueFull immediately when the queue is at capacity (the caller
@@ -386,7 +340,7 @@ func normalize(req *Request) error {
 		}
 	}
 	var err error
-	if req.resultKey, req.analysisKey, err = Keys(req.Hash, req.Opts); err != nil {
+	if req.resultKey, req.analysisKey, err = requestKeys(req.Hash, req.Opts); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	return nil
@@ -465,13 +419,6 @@ func (s *Server) rewriteOnce(ctx context.Context, req *Request) (*Response, erro
 // rewrite's record.
 func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*Response, error) {
 	an, hit, err := s.analyses.GetOrCreate(req.analysisKey, func() (*core.Analysis, error) {
-		// An analysis-store miss is the cluster's warm-path moment: ask
-		// the owning peer for this binary's cached function units before
-		// recomputing. Best-effort by contract — on any failure the
-		// analysis below simply runs colder.
-		if warm := s.warmHook(); warm != nil {
-			warm(ctx, req.analysisKey)
-		}
 		// The function-unit store turns an analysis-store miss for a new
 		// version of a known binary into a delta: unchanged functions'
 		// units are pulled instead of recomputed.

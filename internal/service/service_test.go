@@ -412,7 +412,7 @@ func TestResultCachePersistence(t *testing.T) {
 		t.Fatalf("disk hit still ran analysis: %s", st.Analyses)
 	}
 
-	key, _, err := Keys(store.Hash(raw), opts)
+	key, _, err := requestKeys(store.Hash(raw), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,9 +443,9 @@ func TestResultCachePersistence(t *testing.T) {
 
 // jtKey is the analysis key the service computes for a jt request on
 // raw.
-func jtKey(t *testing.T, raw []byte) AnalysisKey {
+func jtKey(t *testing.T, raw []byte) analysisKey {
 	t.Helper()
-	_, key, err := Keys(store.Hash(raw), core.Options{Mode: core.ModeJT})
+	_, key, err := requestKeys(store.Hash(raw), core.Options{Mode: core.ModeJT})
 	if err != nil {
 		t.Fatal(err)
 	}

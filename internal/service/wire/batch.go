@@ -199,8 +199,18 @@ type BatchEvent struct {
 	Total int `json:"total,omitempty"`
 }
 
-// WriteSSE writes one event in the text/event-stream framing.
+// MaxSSEEvent bounds one SSE line and one event's accumulated data, so
+// a stream that never sends the blank line ending an event cannot grow
+// the reader's memory without bound.
+const MaxSSEEvent = 4 << 20
+
+// WriteSSE writes one event in the text/event-stream framing. A type
+// with a line break is refused: written as the event: line, it would
+// split the frame and let the rest of the type inject fields.
 func WriteSSE(w io.Writer, ev BatchEvent) error {
+	if strings.ContainsAny(ev.Type, "\r\n") {
+		return fmt.Errorf("wire: SSE event type %q contains a line break", ev.Type)
+	}
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return err
@@ -213,10 +223,11 @@ func WriteSSE(w io.Writer, ev BatchEvent) error {
 // each. It returns nil when the stream ends cleanly (EOF after a
 // job-done/job-failed event or fn returning false), the read error
 // otherwise. Comment lines and unknown fields are skipped per the SSE
-// grammar.
+// grammar. A line or an event's data longer than MaxSSEEvent is an
+// error.
 func ReadSSE(r io.Reader, fn func(BatchEvent) bool) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), MaxSSEEvent)
 	var data strings.Builder
 	flush := func() (bool, error) {
 		if data.Len() == 0 {
@@ -242,7 +253,11 @@ func ReadSSE(r io.Reader, fn func(BatchEvent) bool) error {
 				return nil
 			}
 		case strings.HasPrefix(line, "data:"):
-			data.WriteString(strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " "))
+			d := strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")
+			if data.Len()+len(d) > MaxSSEEvent {
+				return fmt.Errorf("wire: SSE event data over %d bytes", MaxSSEEvent)
+			}
+			data.WriteString(d)
 		default:
 			// id:/event:/comment lines — the JSON body carries seq and
 			// type, so the framing copies are informational.

@@ -138,8 +138,7 @@ func EncodeOptions(o core.Options) (url.Values, error) {
 }
 
 // AnalysisQuery renders only the analysis rows of an EncodeOptions
-// encoding: the identity the analysis store and the peer-units query
-// key on.
+// encoding: the identity the analysis store keys on.
 func AnalysisQuery(v url.Values) string {
 	var b strings.Builder
 	for _, row := range options {
@@ -216,13 +215,15 @@ func set(key string, vs []string, parse func(string) error) error {
 	return nil
 }
 
-// SplitQuery splits a door's transport keys — at most one value each,
-// and not part of the request identity — off q, and parses the rest
-// with ParseOptions.
-func SplitQuery(q url.Values, transport ...string) (core.Options, map[string]string, error) {
+// ParseRewriteQuery is the /rewrite door's parse, shared by the serve
+// door and the gateway. It splits off the door's transport keys — at
+// most one value each, and not part of the request identity: profile=1
+// (FrameProfile body), trace=1 (span tree in the reply) and lane=batch
+// (batch lane) — and parses the rest with ParseOptions.
+func ParseRewriteQuery(q url.Values) (core.Options, map[string]string, error) {
 	rest, t := url.Values{}, map[string]string{}
 	for k, vs := range q {
-		if !slices.Contains(transport, k) {
+		if k != "profile" && k != "trace" && k != "lane" {
 			rest[k] = vs
 		} else if err := set(k, vs, func(s string) error { t[k] = s; return nil }); err != nil {
 			return core.Options{}, nil, err
@@ -230,11 +231,4 @@ func SplitQuery(q url.Values, transport ...string) (core.Options, map[string]str
 	}
 	o, err := ParseOptions(rest)
 	return o, t, err
-}
-
-// ParseRewriteQuery is the /rewrite door's parse, shared by the serve
-// door and the gateway. Its transport keys are profile=1 (FrameProfile
-// body), trace=1 (span tree in the reply) and lane=batch (batch lane).
-func ParseRewriteQuery(q url.Values) (core.Options, map[string]string, error) {
-	return SplitQuery(q, "profile", "trace", "lane")
 }

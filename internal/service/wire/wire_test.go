@@ -382,3 +382,74 @@ func FuzzBatchManifest(f *testing.F) {
 		}
 	})
 }
+
+// TestReadSSECapsEventData: data lines that never reach the blank line
+// ending an event stop at MaxSSEEvent bytes with an error, instead of
+// accumulating without bound.
+func TestReadSSECapsEventData(t *testing.T) {
+	line := "data: " + strings.Repeat("x", 1<<20) + "\n"
+	stream := strings.Repeat(line, MaxSSEEvent>>20+1)
+	called := false
+	err := ReadSSE(strings.NewReader(stream), func(BatchEvent) bool { called = true; return true })
+	if err == nil || !strings.Contains(err.Error(), "over") {
+		t.Fatalf("ReadSSE of %d bytes of unterminated data: err = %v", len(stream), err)
+	}
+	if called {
+		t.Fatal("ReadSSE delivered an event from an over-cap stream")
+	}
+}
+
+// FuzzReadSSE: ReadSSE reads the event stream a batch client follows
+// from a server, so no input may panic it, and every event it accepts
+// must survive WriteSSE and ReadSSE again unchanged. WriteSSE refuses
+// only a type with a line break.
+func FuzzReadSSE(f *testing.F) {
+	var valid bytes.Buffer
+	for _, ev := range []BatchEvent{
+		{Seq: 1, Type: EventItemStage, Item: 0, Name: "a", Stage: "cfg", WallUS: 12},
+		{Seq: 2, Type: EventJobDone, Item: -1, Done: 1, Total: 1},
+	} {
+		if err := WriteSSE(&valid, ev); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, seed := range []string{
+		valid.String(),
+		": keep-alive\r\nid: 1\r\nevent: job-done\r\ndata: {\"seq\":1,\"type\":\"job-done\",\"item\":-1}\r\n\r\n",
+		"data: {\"seq\":3,\"type\":\"item-done\"}",                    // no blank line before EOF
+		"data: {\"seq\":1,\n" + "data: \"type\":\"item-failed\"}\n\n", // data split over two lines
+		"data:{\"seq\":1}\n\n",    // no space after the colon
+		"data: {\"seq\":1}{}\n\n", // trailing JSON
+		"data: {]\n\n",
+		"data: {\"type\":\"x\\n\\ndata: {}\"}\n\n", // a type WriteSSE refuses
+		"data: {\"seq\":\"1\"}\n\n",                // wrong JSON type
+		"\n\n\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	collect := func(r io.Reader) ([]BatchEvent, error) {
+		var evs []BatchEvent
+		err := ReadSSE(r, func(ev BatchEvent) bool { evs = append(evs, ev); return true })
+		return evs, err
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		evs, _ := collect(bytes.NewReader(stream))
+		for _, ev := range evs {
+			var buf bytes.Buffer
+			if err := WriteSSE(&buf, ev); err != nil {
+				if strings.ContainsAny(ev.Type, "\r\n") {
+					continue
+				}
+				t.Fatalf("accepted event %+v does not write: %v", ev, err)
+			}
+			back, err := collect(&buf)
+			if err != nil {
+				t.Fatalf("written event %q does not read back: %v", buf.String(), err)
+			}
+			if len(back) != 1 || back[0] != ev {
+				t.Fatalf("round trip changed the event: %+v -> %+v", ev, back)
+			}
+		}
+	})
+}

@@ -22,7 +22,7 @@ type Multi[K comparable, V any] struct {
 	entries map[K]*multiEntry[K, V]
 	lru     *list.List // of *multiEntry; front is most recently used
 
-	hits, misses, evictions, peerHits atomic.Uint64
+	hits, misses, evictions atomic.Uint64
 }
 
 // multiEntry is one key's candidates and its place in the LRU order.
@@ -103,14 +103,6 @@ func (m *Multi[K, V]) Put(key K, v V) {
 	}
 }
 
-// NotePeer records n values obtained from a cluster peer rather than
-// computed locally. The values themselves enter the store through Put;
-// this only attributes them, so Stats can distinguish the peer warm
-// path from disk warms and plain memory hits.
-func (m *Multi[K, V]) NotePeer(n uint64) {
-	m.peerHits.Add(n)
-}
-
 // Len returns the number of keys currently held.
 func (m *Multi[K, V]) Len() int {
 	m.mu.Lock()
@@ -124,6 +116,5 @@ func (m *Multi[K, V]) Stats() Stats {
 		Hits:      m.hits.Load(),
 		Misses:    m.misses.Load(),
 		Evictions: m.evictions.Load(),
-		PeerHits:  m.peerHits.Load(),
 	}
 }

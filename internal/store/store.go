@@ -35,11 +35,6 @@ type Stats struct {
 	// DiskHits counts artifacts decoded from the persistence directory
 	// on a memory miss — disk warms, not memory hits.
 	DiskHits uint64
-	// PeerHits counts artifacts obtained from a cluster peer instead of
-	// recomputed (the peer warm path). They are deliberately distinct
-	// from DiskHits: a disk hit is this process's own past work, a peer
-	// hit is work shipped over the wire from the owning node.
-	PeerHits uint64
 	// PersistFailures counts artifacts that could not be spilled to disk.
 	// The in-memory copy stays authoritative, so a persist failure does
 	// not fail the request — but a store that silently stops persisting
@@ -49,8 +44,8 @@ type Stats struct {
 
 // String renders the counters as a stable one-line summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("hits=%d disk-hits=%d peer-hits=%d misses=%d evictions=%d persist-failures=%d",
-		s.Hits, s.DiskHits, s.PeerHits, s.Misses, s.Evictions, s.PersistFailures)
+	return fmt.Sprintf("hits=%d disk-hits=%d misses=%d evictions=%d persist-failures=%d",
+		s.Hits, s.DiskHits, s.Misses, s.Evictions, s.PersistFailures)
 }
 
 // Hash returns the content address of a byte string: a hex sha256,
@@ -202,23 +197,6 @@ func (s *Store[K, V]) Put(key K, v V) error {
 		return err
 	}
 	return nil
-}
-
-// Peek returns the artifact for key if present and fully built, with
-// no side effects: no LRU promotion, no counter movement, no disk
-// probe, and no waiting on an in-flight build. It is the read the
-// cluster peer endpoints use — answering another node's warm-path
-// probe should not perturb this node's own eviction order or stats.
-func (s *Store[K, V]) Peek(key K) (V, bool) {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	done := ok && e.done
-	s.mu.Unlock()
-	if !done || e.err != nil {
-		var zero V
-		return zero, false
-	}
-	return e.val, true
 }
 
 // Get returns the artifact for key if present and built, without
