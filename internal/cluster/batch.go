@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 
 	"icfgpatch/internal/service"
@@ -31,29 +32,19 @@ func (n *Node) InstallBatch(mgr *batch.Manager) {
 	local := mgr.LocalExec()
 	mgr.SetExec(func(ctx context.Context, it *batch.Item) (*service.Response, error) {
 		owners := n.ring.Owners(it.Hash, n.cfg.Replicas)
-		for _, o := range owners {
-			if o == n.cfg.Self {
-				return local(ctx, it)
-			}
+		if slices.Contains(owners, n.cfg.Self) {
+			return local(ctx, it)
 		}
-		for _, o := range owners {
-			if !n.health.Healthy(o) {
-				continue
-			}
-			res, err := n.execItemAt(ctx, o, it)
-			if err != nil {
-				if service.Transient(err) {
-					n.health.MarkDown(o)
-				}
-				continue
-			}
-			n.health.MarkUp(o)
-			n.forwards.Inc()
+		var res *service.Response
+		if n.tryOwners(owners, func(o string) (err error) {
+			res, err = n.execItemAt(ctx, o, it)
+			return err
+		}) {
 			return res, nil
 		}
-		// Every owner failed or is marked down. Run the item here: a
-		// rewrite is byte-identical anywhere, and a deterministic input
-		// error will fail locally exactly as it failed remotely.
+		// Every owner failed. Run the item here: a rewrite is
+		// byte-identical anywhere, and a deterministic input error will
+		// fail locally exactly as it failed remotely.
 		return local(ctx, it)
 	})
 }

@@ -131,7 +131,7 @@ func (g *Gateway) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	owners := g.ring.Owners(store.Hash(raw), g.replicas)
 	// No routed-by marker: the target is an owner under the shared ring
 	// config, and if views skew it may re-route exactly once itself.
-	if g.tryOwners(w, r, raw, owners, "", "") {
+	if g.tryOwners(owners, func(o string) error { return g.forwardRewrite(w, r, o, raw, "") }) {
 		return
 	}
 	http.Error(w, "cluster: no owning peer reachable", http.StatusBadGateway)
@@ -149,47 +149,42 @@ func (g *Gateway) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	owners := g.ring.Owners(store.Hash(body), g.replicas)
-	for pass := 0; pass < 2; pass++ {
-		for _, o := range owners {
-			if (pass == 0) != g.health.Healthy(o) {
-				continue // pass 0 healthy owners, pass 1 the marked-down rest
-			}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-				strings.TrimSuffix(o, "/")+"/batch", bytes.NewReader(body))
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			resp, err := g.hc.Do(req)
-			if err != nil {
-				if service.Transient(err) {
-					g.health.MarkDown(o)
-				}
-				continue
-			}
-			respBody, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			if err != nil {
-				continue
-			}
-			g.health.MarkUp(o)
-			g.forwards.Inc()
-			if resp.StatusCode == http.StatusAccepted {
-				var acc wire.BatchAccepted
-				if json.Unmarshal(respBody, &acc) == nil && acc.ID != "" {
-					g.learnJob(acc.ID, o)
-				}
-			}
-			if ct := resp.Header.Get("Content-Type"); ct != "" {
-				w.Header().Set("Content-Type", ct)
-			}
-			w.WriteHeader(resp.StatusCode)
-			w.Write(respBody)
-			return
+	if !g.tryOwners(owners, func(o string) error { return g.submitBatch(r.Context(), w, o, body) }) {
+		http.Error(w, "cluster: no peer accepted the batch", http.StatusBadGateway)
+	}
+}
+
+// submitBatch posts the manifest to one peer and, once the peer has
+// answered, relays its reply and learns the job's owner. An error means
+// nothing was written to w.
+func (g *Gateway) submitBatch(ctx context.Context, w http.ResponseWriter, peer string, body []byte) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		strings.TrimSuffix(peer, "/")+"/batch", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := g.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode == http.StatusAccepted {
+		var acc wire.BatchAccepted
+		if json.Unmarshal(respBody, &acc) == nil && acc.ID != "" {
+			g.learnJob(acc.ID, peer)
 		}
 	}
-	http.Error(w, "cluster: no peer accepted the batch", http.StatusBadGateway)
+	if ct := resp.Header.Get("Content-Type"); ct != "" {
+		w.Header().Set("Content-Type", ct)
+	}
+	w.WriteHeader(resp.StatusCode)
+	w.Write(respBody)
+	return nil
 }
 
 // handleBatchFollow proxies the job-scoped GETs — /batch/{id},

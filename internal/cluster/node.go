@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,15 +76,15 @@ func (rt *router) forwardRewrite(w http.ResponseWriter, r *http.Request, target 
 	return nil
 }
 
-// tryOwners walks the replica set looking for a peer that answers:
+// tryOwners walks the replica set until try succeeds on a peer:
 // healthy owners first in replica order, then — because a health mark
 // is a belief, not a fact — one second pass over the owners the first
-// pass skipped. Transient failures mark the peer down and fail over;
-// an answered request (any status) ends the search. Returns false if
-// no owner answered.
-func (rt *router) tryOwners(w http.ResponseWriter, r *http.Request, raw []byte, owners []string, self, routedBy string) bool {
-	try := func(o string) (answered bool) {
-		if err := rt.forwardRewrite(w, r, o, raw, routedBy); err != nil {
+// pass skipped. A transient failure marks the peer down; any failure
+// moves on to the next owner. A success marks the peer up, counts a
+// forward and ends the walk. Returns false if no owner succeeded.
+func (rt *router) tryOwners(owners []string, try func(peer string) error) bool {
+	attempt := func(o string) bool {
+		if err := try(o); err != nil {
 			if service.Transient(err) {
 				rt.health.MarkDown(o)
 			}
@@ -95,19 +96,19 @@ func (rt *router) tryOwners(w http.ResponseWriter, r *http.Request, raw []byte, 
 	}
 	tried := make(map[string]bool, len(owners))
 	for _, o := range owners {
-		if o == self || !rt.health.Healthy(o) {
+		if !rt.health.Healthy(o) {
 			continue
 		}
 		tried[o] = true
-		if try(o) {
+		if attempt(o) {
 			return true
 		}
 	}
 	for _, o := range owners {
-		if o == self || tried[o] {
+		if tried[o] {
 			continue
 		}
-		if try(o) {
+		if attempt(o) {
 			return true
 		}
 	}
@@ -229,13 +230,13 @@ func (n *Node) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	owners := n.ring.Owners(store.Hash(raw), n.cfg.Replicas)
-	for _, o := range owners {
-		if o == n.cfg.Self {
-			n.srv.ServeRewrite(w, r, raw)
-			return
-		}
+	if slices.Contains(owners, n.cfg.Self) {
+		n.srv.ServeRewrite(w, r, raw)
+		return
 	}
-	if n.tryOwners(w, r, raw, owners, n.cfg.Self, n.cfg.Self) {
+	if n.tryOwners(owners, func(o string) error {
+		return n.forwardRewrite(w, r, o, raw, n.cfg.Self)
+	}) {
 		return
 	}
 	// Every owner is unreachable: serve locally rather than fail. The

@@ -56,8 +56,7 @@ func (an *Analysis) preparePatch(opts Options) (Options, error) {
 // sections. The analysis is not mutated, so concurrent Patch calls may
 // share it; opts must carry the analysis identity the analysis was
 // built with (Options.AnalysisConfig). Output bytes are identical for
-// every Options.PatchJobs value and whether or not the emit stage
-// reused cached unit bytes.
+// every Options.PatchJobs value.
 func (an *Analysis) Patch(opts Options) (*Result, error) {
 	opts, err := an.preparePatch(opts)
 	if err != nil {

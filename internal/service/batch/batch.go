@@ -9,11 +9,14 @@
 //   - dedupe — items sharing a binary hash dedupe through the analysis
 //     store's single-flight exactly like concurrent /rewrite requests:
 //     a 10-item job over 3 distinct binaries performs 3 analyses;
-//   - persistence — the job record (inputs, options, and each finished
-//     item's output) lives in an internal/store with disk persistence,
-//     re-Put after every item completion, so a restarted daemon
-//     resumes drained jobs from the last completed item and finishes
-//     them byte-identically;
+//   - persistence — while a job runs it sits in the manager's running
+//     map, and its runner Puts it into the record store (an
+//     internal/store, LRU-bounded in memory, spilled to Config.Dir)
+//     when it starts and again after every finished item, so a
+//     restarted daemon resumes it from the last finished item and
+//     finishes it byte-identically. A finished job lives only in the
+//     record store. The record is JSON over the wire types; item
+//     hashes are derived from the binaries, never read back;
 //   - observability — job/item counters and queue-depth gauges join
 //     the server's /metrics registry.
 //
@@ -24,11 +27,10 @@
 package batch
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
-	"encoding/gob"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -46,54 +48,79 @@ import (
 // cluster installs a routing executor via SetExec.
 type Exec func(ctx context.Context, item *Item) (*service.Response, error)
 
-// Item is one unit of batch work: a manifest entry plus its parsed
-// options and content hash.
+// Item is one unit of batch work: a manifest entry plus its content
+// hash.
 type Item struct {
 	Index int
 	Name  string
 	// Opts is the item's /rewrite query string (already validated).
 	Opts string
 	// Input is the serialised input binary; Hash its content address —
-	// the same hash /rewrite routes and caches by.
+	// the same hash /rewrite routes and caches by, always computed from
+	// Input.
 	Input []byte
 	Hash  string
 }
 
-// record is the persisted job state, gob-encoded into the job store.
-// It carries everything a restarted daemon needs to finish the job:
-// pending items' inputs and finished items' outputs.
-type record struct {
-	ID    string
-	Items []itemRecord
-}
-
-type itemRecord struct {
-	Name      string
-	Opts      string
-	Input     []byte
-	Hash      string
-	State     string // wire.BatchPending/Running are both persisted as pending
-	Path      string
-	Err       string
-	ElapsedUS int64
-	Image     []byte
-}
-
-// Job is one batch job's live state. All fields behind mu; the event
-// log grows monotonically and is the replay source for late or
-// reconnecting SSE subscribers.
+// Job is one batch job's state. items is fixed at construction; the
+// fields after mu are guarded by it. The event log grows monotonically
+// and is the replay source for late or reconnecting SSE subscribers.
 type Job struct {
 	ID      string
 	Total   int
 	Resumed bool
 
+	items []Item
+	// persistMu orders the job's Puts, so the newest snapshot is the
+	// last one written to disk.
+	persistMu sync.Mutex
+
 	mu     sync.Mutex
-	rec    *record
+	status []wire.BatchItemStatus
+	images [][]byte // each done item's output
 	state  string
 	done   int
 	events []wire.BatchEvent
 	subs   map[chan wire.BatchEvent]bool // true once overflowed (closed)
 	doneCh chan struct{}
+}
+
+// newJob is the one constructor, for submitted and decoded jobs alike.
+// A job whose items are all final is finished; otherwise it is running.
+func newJob(id string, items []wire.BatchItem, status []wire.BatchItemStatus, images [][]byte) *Job {
+	j := &Job{
+		ID:     id,
+		Total:  len(items),
+		items:  make([]Item, len(items)),
+		status: status,
+		images: images,
+		state:  wire.BatchRunning,
+		subs:   map[chan wire.BatchEvent]bool{},
+		doneCh: make(chan struct{}),
+	}
+	for i, it := range items {
+		j.items[i] = Item{Index: i, Name: it.Name, Opts: it.Opts, Input: it.Binary, Hash: store.Hash(it.Binary)}
+		if final(status[i].State) {
+			j.done++
+		}
+	}
+	if j.done == j.Total {
+		j.state = j.outcomeLocked()
+		close(j.doneCh)
+	}
+	return j
+}
+
+func final(state string) bool { return state == wire.BatchDone || state == wire.BatchFailed }
+
+// outcomeLocked is a finished job's state: failed if any item failed.
+func (j *Job) outcomeLocked() string {
+	for i := range j.status {
+		if j.status[i].State == wire.BatchFailed {
+			return wire.BatchFailed
+		}
+	}
+	return wire.BatchDone
 }
 
 // Config configures a Manager.
@@ -104,8 +131,9 @@ type Config struct {
 }
 
 const (
-	// jobEntries bounds the in-memory job store. Evicted finished jobs
-	// remain on disk when Config.Dir is set.
+	// jobEntries bounds the jobs the record store holds in memory.
+	// Evicted finished jobs remain on disk when Config.Dir is set;
+	// without it they are gone (404).
 	jobEntries = 256
 	// jobParallel bounds each job's concurrently in-flight items. The
 	// scheduler's batch lane is the real throttle — this only bounds how
@@ -122,10 +150,11 @@ type Manager struct {
 	execMu sync.RWMutex
 	exec   Exec
 
-	mu   sync.Mutex
-	jobs map[string]*Job
+	mu          sync.Mutex
+	running     map[string]*Job // jobs with a live runner
+	subscribers int64
 
-	records *store.Store[string, *record]
+	records *store.Store[string, *Job]
 
 	rootCtx context.Context
 	cancel  context.CancelFunc
@@ -134,8 +163,6 @@ type Manager struct {
 	jobsTotal   *obs.CounterVec
 	itemsTotal  *obs.CounterVec
 	eventsTotal *obs.Counter
-	active      int64 // guarded by mu
-	subscribers int64 // guarded by mu
 }
 
 // jobSuffix names persisted job records: <id>.job in cfg.Dir.
@@ -145,35 +172,40 @@ const jobSuffix = ".job"
 // registry, and — when cfg.Dir holds records of unfinished jobs from a
 // previous process — resumes them immediately.
 func New(srv *service.Server, cfg Config) (*Manager, error) {
+	m := newManager(srv, cfg)
+	if err := m.resume(); err != nil {
+		m.cancel()
+		return nil, err
+	}
+	return m, nil
+}
+
+func newManager(srv *service.Server, cfg Config) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		srv:     srv,
 		cfg:     cfg,
-		jobs:    map[string]*Job{},
+		running: map[string]*Job{},
 		rootCtx: ctx,
 		cancel:  cancel,
 	}
 	m.exec = m.execLocal
-	m.records = store.New(store.Config[string, *record]{
+	m.records = store.New(store.Config[string, *Job]{
 		MaxEntries: jobEntries,
 		Dir:        cfg.Dir,
 		KeyPath:    func(id string) string { return id + jobSuffix },
-		Encode:     encodeRecord,
-		Decode:     decodeRecord,
+		Encode:     encodeJob,
+		Decode:     decodeJob,
 	})
 	reg := srv.Registry()
 	m.jobsTotal = reg.CounterVec("icfg_batch_jobs_total", "batch jobs by outcome", "outcome")
 	m.itemsTotal = reg.CounterVec("icfg_batch_items_total", "batch items by outcome", "outcome")
 	m.eventsTotal = reg.Counter("icfg_batch_events_total", "batch progress events emitted")
 	reg.GaugeFunc("icfg_batch_jobs_active", "batch jobs currently running", "", "",
-		func() float64 { m.mu.Lock(); defer m.mu.Unlock(); return float64(m.active) })
+		func() float64 { m.mu.Lock(); defer m.mu.Unlock(); return float64(len(m.running)) })
 	reg.GaugeFunc("icfg_batch_subscribers", "live batch event-stream subscribers", "", "",
 		func() float64 { m.mu.Lock(); defer m.mu.Unlock(); return float64(m.subscribers) })
-	if err := m.resume(); err != nil {
-		cancel()
-		return nil, err
-	}
-	return m, nil
+	return m
 }
 
 // SetExec replaces the per-item executor (the cluster's routing seam).
@@ -205,47 +237,21 @@ func (m *Manager) Submit(man wire.BatchManifest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := &record{ID: id, Items: make([]itemRecord, len(man.Items))}
+	status := make([]wire.BatchItemStatus, len(man.Items))
 	for i, it := range man.Items {
-		rec.Items[i] = itemRecord{
-			Name:  it.Name,
-			Opts:  it.Opts,
-			Input: it.Binary,
-			Hash:  store.Hash(it.Binary),
-			State: wire.BatchPending,
-		}
+		status[i] = wire.BatchItemStatus{Name: it.Name, State: wire.BatchPending}
 	}
-	job := m.track(rec, false)
-	m.persist(job)
+	job := newJob(id, man.Items, status, make([][]byte, len(man.Items)))
 	m.start(job)
 	return job, nil
 }
 
-// track registers a live Job for rec.
-func (m *Manager) track(rec *record, resumed bool) *Job {
-	job := &Job{
-		ID:      rec.ID,
-		Total:   len(rec.Items),
-		Resumed: resumed,
-		rec:     rec,
-		state:   wire.BatchRunning,
-		subs:    map[chan wire.BatchEvent]bool{},
-		doneCh:  make(chan struct{}),
-	}
-	for i := range rec.Items {
-		if rec.Items[i].State == wire.BatchDone || rec.Items[i].State == wire.BatchFailed {
-			job.done++
-		}
-	}
-	m.mu.Lock()
-	m.jobs[rec.ID] = job
-	m.active++
-	m.mu.Unlock()
-	return job
-}
-
-// start launches the job's runner goroutine.
+// start registers job as running, persists it, and launches its runner.
 func (m *Manager) start(job *Job) {
+	m.mu.Lock()
+	m.running[job.ID] = job
+	m.mu.Unlock()
+	m.persist(job)
 	m.runners.Add(1)
 	go func() {
 		defer m.runners.Done()
@@ -255,7 +261,7 @@ func (m *Manager) start(job *Job) {
 
 // resume scans the persistence directory for records of jobs that were
 // still running when the previous process died and restarts them. The
-// read goes through the record store so corrupt or oversized records
+// read goes through the record store, so corrupt or oversized records
 // take the store's delete-and-skip path instead of wedging startup.
 func (m *Manager) resume() error {
 	if m.cfg.Dir == "" {
@@ -266,41 +272,34 @@ func (m *Manager) resume() error {
 		return err
 	}
 	for _, p := range paths {
-		id := strings.TrimSuffix(filepath.Base(p), jobSuffix)
-		rec, _, err := m.records.GetOrCreate(id, func() (*record, error) {
-			return nil, fmt.Errorf("batch: job %s not on disk", id)
-		})
-		if err != nil || rec == nil {
+		job, ok := m.load(strings.TrimSuffix(filepath.Base(p), jobSuffix))
+		if !ok {
 			continue // corrupt record: the store already deleted it
 		}
-		unfinished := false
-		for i := range rec.Items {
-			if rec.Items[i].State != wire.BatchDone && rec.Items[i].State != wire.BatchFailed {
-				rec.Items[i].State = wire.BatchPending
-				unfinished = true
-			}
+		select {
+		case <-job.Done():
+			continue // finished jobs stay pollable from the store, nothing to run
+		default:
 		}
-		if !unfinished {
-			continue // finished jobs stay pollable from disk, nothing to run
-		}
-		m.start(m.track(rec, true))
+		job.Resumed = true
+		m.start(job)
 	}
 	return nil
 }
 
 // run drives one job: pending items fan out up to jobParallel wide,
 // each through the (possibly cluster-routing) executor on the batch
-// lane, with the record re-persisted and events emitted as each item
+// lane, with the job re-persisted and events emitted as each item
 // lands.
 func (m *Manager) run(job *Job) {
 	m.emit(job, wire.BatchEvent{Type: wire.EventJobStart, Item: -1})
 	sem := make(chan struct{}, jobParallel)
 	var wg sync.WaitGroup
-	for i := range job.rec.Items {
+	for i := range job.items {
 		job.mu.Lock()
-		state := job.rec.Items[i].State
+		state := job.status[i].State
 		job.mu.Unlock()
-		if state == wire.BatchDone || state == wire.BatchFailed {
+		if final(state) {
 			continue // resumed job: already completed before the restart
 		}
 		if m.rootCtx.Err() != nil {
@@ -316,79 +315,68 @@ func (m *Manager) run(job *Job) {
 	}
 	wg.Wait()
 
-	if m.rootCtx.Err() != nil {
-		// Shutdown mid-job: leave the record as-is (running state is
-		// persisted as pending) so the next process resumes it; emit
-		// nothing — subscribers see the disconnect and re-attach.
-		m.mu.Lock()
-		m.active--
-		m.mu.Unlock()
-		return
-	}
-	job.mu.Lock()
-	failed := 0
-	for i := range job.rec.Items {
-		if job.rec.Items[i].State == wire.BatchFailed {
-			failed++
+	// Shutdown mid-job parks it: the persisted record holds its
+	// unfinished items as pending so the next process resumes it, and
+	// nothing is emitted — subscribers see the disconnect and re-attach.
+	parked := m.rootCtx.Err() != nil
+	if !parked {
+		// The last item's persist wrote every outcome, so the record
+		// already reads as finished. The final state and event share
+		// one lock hold: a subscriber sees both or neither, and a stream
+		// that ends always ends with the job's last event.
+		job.mu.Lock()
+		job.state = job.outcomeLocked()
+		outcome, typ := "ok", wire.EventJobDone
+		if job.state == wire.BatchFailed {
+			outcome, typ = "failed", wire.EventJobFailed
 		}
+		job.emitLocked(wire.BatchEvent{Type: typ, Item: -1})
+		job.mu.Unlock()
+		m.eventsTotal.Inc()
+		m.jobsTotal.With(outcome).Inc()
 	}
-	job.state = wire.BatchDone
-	outcome := "ok"
-	typ := wire.EventJobDone
-	if failed > 0 {
-		job.state = wire.BatchFailed
-		outcome = "failed"
-		typ = wire.EventJobFailed
-	}
-	job.mu.Unlock()
-	m.persist(job)
-	m.jobsTotal.With(outcome).Inc()
-	m.emit(job, wire.BatchEvent{Type: typ, Item: -1})
 	m.mu.Lock()
-	m.active--
+	delete(m.running, job.ID)
 	m.mu.Unlock()
-	close(job.doneCh)
+	if !parked {
+		close(job.doneCh)
+	}
 }
 
 // runItem executes one item and records its outcome.
 func (m *Manager) runItem(job *Job, i int) {
+	it := job.items[i]
 	job.mu.Lock()
-	job.rec.Items[i].State = wire.BatchRunning
-	it := &Item{
-		Index: i,
-		Name:  job.rec.Items[i].Name,
-		Opts:  job.rec.Items[i].Opts,
-		Input: job.rec.Items[i].Input,
-		Hash:  job.rec.Items[i].Hash,
-	}
+	job.status[i].State = wire.BatchRunning
 	job.mu.Unlock()
 	m.emit(job, wire.BatchEvent{Type: wire.EventItemStart, Item: i, Name: it.Name})
 
 	m.execMu.RLock()
 	exec := m.exec
 	m.execMu.RUnlock()
-	res, err := exec(m.rootCtx, it)
+	res, err := exec(m.rootCtx, &it)
 
 	if m.rootCtx.Err() != nil && err != nil {
 		// Shutdown killed the rewrite, not the rewrite itself: the item
 		// goes back to pending for the next process.
 		job.mu.Lock()
-		job.rec.Items[i].State = wire.BatchPending
+		job.status[i].State = wire.BatchPending
 		job.mu.Unlock()
 		return
 	}
 	var path string
 	job.mu.Lock()
-	ir := &job.rec.Items[i]
+	st := &job.status[i]
 	if err != nil {
-		ir.State = wire.BatchFailed
-		ir.Err = err.Error()
+		st.State = wire.BatchFailed
+		st.Err = err.Error()
 	} else {
 		path = service.ReplyCachePath(&res.Reply)
-		ir.State = wire.BatchDone
-		ir.Image = res.Image
-		ir.Path = path
-		ir.ElapsedUS = res.ElapsedUS
+		st.State = wire.BatchDone
+		st.Path = path
+		st.ElapsedUS = res.ElapsedUS
+		st.Bytes = len(res.Image)
+		job.images[i] = res.Image
 	}
 	job.done++
 	done := job.done
@@ -417,19 +405,11 @@ func (m *Manager) runItem(job *Job, i int) {
 		Path: path, WallUS: res.ElapsedUS, Done: done})
 }
 
-// persist re-Puts the job's record through the store (and so to disk).
+// persist re-Puts the job into the record store (and so to disk).
 func (m *Manager) persist(job *Job) {
-	job.mu.Lock()
-	// Snapshot under the lock; gob encoding happens on the copy so item
-	// goroutines are not serialised behind disk writes.
-	snap := &record{ID: job.rec.ID, Items: append([]itemRecord(nil), job.rec.Items...)}
-	job.mu.Unlock()
-	for i := range snap.Items {
-		if snap.Items[i].State == wire.BatchRunning {
-			snap.Items[i].State = wire.BatchPending
-		}
-	}
-	m.records.Put(snap.ID, snap) // persist failures are counted by the store
+	job.persistMu.Lock()
+	m.records.Put(job.ID, job) // persist failures are counted by the store
+	job.persistMu.Unlock()
 }
 
 // emit appends one event to the job's log and fans it out. Subscribers
@@ -437,95 +417,67 @@ func (m *Manager) persist(job *Job) {
 // re-attach from their last sequence number and replay from the log.
 func (m *Manager) emit(job *Job, ev wire.BatchEvent) {
 	job.mu.Lock()
-	ev.Seq = int64(len(job.events)) + 1
-	ev.Total = job.Total
+	job.emitLocked(ev)
+	job.mu.Unlock()
+	m.eventsTotal.Inc()
+}
+
+// emitLocked is emit's body, for callers holding j.mu.
+func (j *Job) emitLocked(ev wire.BatchEvent) {
+	ev.Seq = int64(len(j.events)) + 1
+	ev.Total = j.Total
 	if ev.Done == 0 && ev.Item == -1 {
-		ev.Done = job.done
+		ev.Done = j.done
 	}
-	job.events = append(job.events, ev)
-	for ch, dead := range job.subs {
+	j.events = append(j.events, ev)
+	for ch, dead := range j.subs {
 		if dead {
 			continue
 		}
 		select {
 		case ch <- ev:
 		default:
-			job.subs[ch] = true
+			j.subs[ch] = true
 			close(ch)
 		}
 	}
-	job.mu.Unlock()
-	m.eventsTotal.Inc()
 }
 
-// Get returns a live job by ID. Finished jobs evicted from memory but
-// persisted on disk are revived read-only (no runner — all items are
-// final).
+// Get returns a job by ID: a running one from the running map, any
+// other from the record store (memory, then disk).
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
-	job, ok := m.jobs[id]
+	job, ok := m.running[id]
 	m.mu.Unlock()
 	if ok {
 		return job, true
 	}
-	if m.cfg.Dir == "" || !validID(id) {
+	if !validID(id) {
 		return nil, false
 	}
-	rec, _, err := m.records.GetOrCreate(id, func() (*record, error) {
+	return m.load(id)
+}
+
+// load reads a job through the record store.
+func (m *Manager) load(id string) (*Job, bool) {
+	job, _, err := m.records.GetOrCreate(id, func() (*Job, error) {
 		return nil, fmt.Errorf("batch: no job %s", id)
 	})
-	if err != nil || rec == nil {
-		return nil, false
-	}
-	job = &Job{
-		ID:     rec.ID,
-		Total:  len(rec.Items),
-		rec:    rec,
-		state:  wire.BatchDone,
-		subs:   map[chan wire.BatchEvent]bool{},
-		doneCh: make(chan struct{}),
-	}
-	for i := range rec.Items {
-		if rec.Items[i].State == wire.BatchFailed {
-			job.state = wire.BatchFailed
-		}
-		job.done++
-	}
-	close(job.doneCh)
-	m.mu.Lock()
-	if cur, ok := m.jobs[id]; ok {
-		job = cur // lost a race to another reviver
-	} else {
-		m.jobs[id] = job
-	}
-	m.mu.Unlock()
-	return job, true
+	return job, err == nil && job.ID == id
 }
 
 // Status snapshots one job.
 func (j *Job) Status() *wire.BatchStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := &wire.BatchStatus{
+	return &wire.BatchStatus{
 		ID:      j.ID,
 		State:   j.state,
 		Done:    j.done,
 		Total:   j.Total,
 		Resumed: j.Resumed,
-		Items:   make([]wire.BatchItemStatus, len(j.rec.Items)),
+		Items:   append([]wire.BatchItemStatus(nil), j.status...),
 	}
-	for i := range j.rec.Items {
-		ir := &j.rec.Items[i]
-		st.Items[i] = wire.BatchItemStatus{
-			Name:      ir.Name,
-			State:     ir.State,
-			Path:      ir.Path,
-			Err:       ir.Err,
-			ElapsedUS: ir.ElapsedUS,
-			Bytes:     len(ir.Image),
-		}
-	}
-	return st
 }
 
 // Output returns item idx's rewritten image, or an error while the
@@ -533,17 +485,17 @@ func (j *Job) Status() *wire.BatchStatus {
 func (j *Job) Output(idx int) ([]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if idx < 0 || idx >= len(j.rec.Items) {
+	if idx < 0 || idx >= len(j.status) {
 		return nil, fmt.Errorf("batch: job %s has no item %d", j.ID, idx)
 	}
-	ir := &j.rec.Items[idx]
-	switch ir.State {
+	st := &j.status[idx]
+	switch st.State {
 	case wire.BatchDone:
-		return ir.Image, nil
+		return j.images[idx], nil
 	case wire.BatchFailed:
-		return nil, fmt.Errorf("batch: item %d (%s) failed: %s", idx, ir.Name, ir.Err)
+		return nil, fmt.Errorf("batch: item %d (%s) failed: %s", idx, st.Name, st.Err)
 	default:
-		return nil, fmt.Errorf("batch: item %d (%s) is %s", idx, ir.Name, ir.State)
+		return nil, fmt.Errorf("batch: item %d (%s) is %s", idx, st.Name, st.State)
 	}
 }
 
@@ -607,20 +559,66 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 }
 
-func encodeRecord(r *record) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// jobRecord is a job's persisted form: JSON over the wire types. Items
+// are the validated manifest; Status holds each item's outcome, with
+// running persisted as pending; Images holds each done item's output.
+// Item hashes are not persisted: decode derives them from the binaries,
+// so a record cannot name one binary while carrying another.
+type jobRecord struct {
+	ID string `json:"id"`
+	wire.BatchManifest
+	Status []wire.BatchItemStatus `json:"status"`
+	Images [][]byte               `json:"images"`
 }
 
-func decodeRecord(data []byte) (*record, error) {
-	var r record
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&r); err != nil {
-		return nil, err
+func encodeJob(j *Job) ([]byte, error) {
+	rec := jobRecord{ID: j.ID, BatchManifest: wire.BatchManifest{Items: make([]wire.BatchItem, len(j.items))}}
+	for i, it := range j.items {
+		rec.Items[i] = wire.BatchItem{Name: it.Name, Opts: it.Opts, Binary: it.Input}
 	}
-	return &r, nil
+	// Copy under the lock; marshal outside it, so item goroutines are
+	// not serialised behind the encoding.
+	j.mu.Lock()
+	rec.Status = append([]wire.BatchItemStatus(nil), j.status...)
+	rec.Images = append([][]byte(nil), j.images...)
+	j.mu.Unlock()
+	for i := range rec.Status {
+		if rec.Status[i].State == wire.BatchRunning {
+			rec.Status[i].State = wire.BatchPending
+		}
+	}
+	return json.Marshal(&rec)
+}
+
+// decodeJob reads a record written by encodeJob. encoding/json
+// allocates in proportion to the bytes present, and the store caps the
+// file read, so the decode is bounded; everything the record claims is
+// then checked against itself before a Job is built from it.
+func decodeJob(data []byte) (*Job, error) {
+	var rec jobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return nil, fmt.Errorf("batch: job record: %w", err)
+	}
+	if !validID(rec.ID) {
+		return nil, fmt.Errorf("batch: job record has bad id %q", rec.ID)
+	}
+	if err := rec.Validate(); err != nil {
+		return nil, fmt.Errorf("batch: job record %s: %w", rec.ID, err)
+	}
+	if len(rec.Status) != len(rec.Items) || len(rec.Images) != len(rec.Items) {
+		return nil, fmt.Errorf("batch: job record %s has %d items, %d statuses and %d images",
+			rec.ID, len(rec.Items), len(rec.Status), len(rec.Images))
+	}
+	for i, st := range rec.Status {
+		if st.State != wire.BatchPending && !final(st.State) {
+			return nil, fmt.Errorf("batch: job record %s item %d has state %q", rec.ID, i, st.State)
+		}
+		img := rec.Images[i]
+		if st.Name != rec.Items[i].Name || st.Bytes != len(img) || (img != nil && st.State != wire.BatchDone) {
+			return nil, fmt.Errorf("batch: job record %s item %d disagrees with its status", rec.ID, i)
+		}
+	}
+	return newJob(rec.ID, rec.Items, rec.Status, rec.Images), nil
 }
 
 // newID mints a job ID: 16 random bytes, hex.

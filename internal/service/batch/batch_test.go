@@ -3,11 +3,15 @@ package batch
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,6 +21,7 @@ import (
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/service"
 	"icfgpatch/internal/service/wire"
+	"icfgpatch/internal/store"
 	"icfgpatch/internal/workload"
 )
 
@@ -415,4 +420,256 @@ func TestBatchBodyCap(t *testing.T) {
 	if code := post("/batch", cap); code != http.StatusBadRequest {
 		t.Errorf("at-cap /batch: %d, want 400 (bad manifest, not 413)", code)
 	}
+}
+
+// TestBatchRecordCannotPoisonCaches resumes a job from a record on disk
+// whose item carries one binary (x) next to the hash of another (y), as
+// the record format once persisted it. Item hashes are derived from the
+// binaries, so the resumed rewrite of x is cached under x, and a later
+// rewrite of y matches a fresh server's: through the result cache and,
+// with the result cache off, through the analysis store.
+func TestBatchRecordCannotPoisonCaches(t *testing.T) {
+	x, y := genBinary(t, 61), genBinary(t, 62)
+	want := directRewrite(t, y)
+	for _, results := range []int{8, 0} {
+		t.Run(fmt.Sprintf("results=%d", results), func(t *testing.T) {
+			dir := t.TempDir()
+			id := strings.Repeat("ab", 16)
+			data, err := json.Marshal(map[string]any{
+				"id":     id,
+				"items":  []map[string]any{{"name": "0", "binary": x, "hash": store.Hash(y)}},
+				"status": []wire.BatchItemStatus{{Name: "0", State: wire.BatchPending}},
+				"images": [][]byte{nil},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, id+jobSuffix), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			srv := service.New(service.Config{Workers: 2, ResultEntries: results})
+			mgr := newManager(srv, Config{Dir: dir})
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				mgr.Shutdown(ctx)
+				srv.Shutdown(ctx)
+			})
+			local := mgr.LocalExec()
+			mgr.SetExec(func(ctx context.Context, it *Item) (*service.Response, error) {
+				if h := store.Hash(it.Input); it.Hash != h {
+					t.Errorf("resumed item %d carries hash %s, its binary's is %s", it.Index, it.Hash, h)
+				}
+				return local(ctx, it)
+			})
+			if err := mgr.resume(); err != nil {
+				t.Fatal(err)
+			}
+			job, ok := mgr.Get(id)
+			if !ok || !job.Resumed {
+				t.Fatalf("job %s not resumed from its record (found %v)", id, ok)
+			}
+			waitDone(t, job)
+			if st := job.Status(); st.State != wire.BatchDone {
+				t.Fatalf("resumed job state = %s, want %s", st.State, wire.BatchDone)
+			}
+
+			resp, err := srv.Submit(context.Background(), service.Request{
+				Raw:  y,
+				Opts: core.Options{Mode: core.ModeJT},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resp.Image, want) {
+				t.Errorf("rewrite of another binary after the resume (path %s) differs from a fresh server's",
+					service.ReplyCachePath(&resp.Reply))
+			}
+		})
+	}
+}
+
+// TestBatchJobsBounded runs jobEntries+20 one-item jobs to completion.
+// A finished job lives only in the record store, so memory holds at
+// most jobEntries of them and the running map drains. With Dir the
+// oldest job, evicted from memory, still answers its status and output
+// from disk; without Dir it is a 404.
+func TestBatchJobsBounded(t *testing.T) {
+	raw := genBinary(t, 71)
+	want := directRewrite(t, raw)
+	for _, persist := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dir=%v", persist), func(t *testing.T) {
+			var cfg Config
+			if persist {
+				cfg.Dir = t.TempDir()
+			}
+			srv, mgr := newTestManager(t, service.Config{ResultEntries: 8}, cfg)
+			ts := httptest.NewServer(mgr.Handler(srv.Handler()))
+			defer ts.Close()
+
+			var oldest string
+			for i := 0; i < jobEntries+20; i++ {
+				job, err := mgr.Submit(wire.BatchManifest{Items: []wire.BatchItem{{Binary: raw}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitDone(t, job)
+				if i == 0 {
+					oldest = job.ID
+				}
+			}
+			mgr.mu.Lock()
+			running := len(mgr.running)
+			mgr.mu.Unlock()
+			if running != 0 {
+				t.Errorf("%d jobs still in the running map after every job finished", running)
+			}
+			if n := mgr.records.Len(); n > jobEntries {
+				t.Errorf("memory holds %d finished jobs, bound is %d", n, jobEntries)
+			}
+
+			get := func(path string) (int, []byte) {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, body
+			}
+			code, body := get("/batch/" + oldest)
+			if !persist {
+				if code != http.StatusNotFound {
+					t.Errorf("evicted job without a Dir: GET status %d, want 404", code)
+				}
+				return
+			}
+			if code != http.StatusOK {
+				t.Fatalf("evicted job with a Dir: GET status %d: %s", code, body)
+			}
+			var st wire.BatchStatus
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.State != wire.BatchDone || st.Done != 1 || st.Items[0].Bytes != len(want) {
+				t.Errorf("oldest job's status from disk = %+v", st)
+			}
+			if code, body = get("/batch/" + oldest + "/output/0"); code != http.StatusOK || !bytes.Equal(body, want) {
+				t.Errorf("oldest job's output from disk: status %d, %d bytes, want 200 and the single /rewrite bytes", code, len(body))
+			}
+			if mgr.records.Stats().DiskHits == 0 {
+				t.Error("the oldest job was not read back from disk")
+			}
+		})
+	}
+}
+
+// TestBatchStreamEndsWithJobEvent subscribes in a tight loop while
+// jobs finish: the subscription that finds a job ended must find the
+// job's last event in its backlog, or the event stream would close
+// without one. With a Dir the window between the two is a record write.
+func TestBatchStreamEndsWithJobEvent(t *testing.T) {
+	raw := genBinary(t, 81)
+	_, mgr := newTestManager(t, service.Config{ResultEntries: 8}, Config{Dir: t.TempDir()})
+	for n := 0; n < 20; n++ {
+		job, err := mgr.Submit(wire.BatchManifest{Items: []wire.BatchItem{{Binary: raw}, {Binary: raw}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			backlog, live, cancel := mgr.Subscribe(job, 0)
+			cancel()
+			if live != nil {
+				continue
+			}
+			if last := backlog[len(backlog)-1]; last.Type != wire.EventJobDone {
+				t.Fatalf("job %d ended with a %s event, want %s", n, last.Type, wire.EventJobDone)
+			}
+			break
+		}
+		waitDone(t, job)
+	}
+}
+
+// parentRecord is the job record the gob codec wrote before records
+// became JSON; it seeds FuzzDecodeJobRecord.
+type parentRecord struct {
+	ID    string
+	Items []parentItem
+}
+
+type parentItem struct {
+	Name, Opts  string
+	Input       []byte
+	Hash, State string
+	Path, Err   string
+	ElapsedUS   int64
+	Image       []byte
+}
+
+// FuzzDecodeJobRecord: job records are read back from disk, so no
+// input may panic decodeJob, and a record it accepts must re-encode to
+// one that decodes to an equal job.
+func FuzzDecodeJobRecord(f *testing.F) {
+	id := strings.Repeat("0f", 16)
+	job := newJob(id,
+		[]wire.BatchItem{{Name: "a", Opts: "mode=dir", Binary: []byte("in-a")}, {Name: "b", Binary: []byte("in-b")}, {Name: "c", Binary: []byte("in-c")}},
+		[]wire.BatchItemStatus{
+			{Name: "a", State: wire.BatchDone, Path: service.PathCold, ElapsedUS: 7, Bytes: 5},
+			{Name: "b", State: wire.BatchFailed, Err: "boom"},
+			{Name: "c", State: wire.BatchRunning},
+		},
+		[][]byte{[]byte("out-a"), nil, nil})
+	valid, err := encodeJob(job)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var parent bytes.Buffer
+	prec := parentRecord{ID: id, Items: []parentItem{{Name: "a", Input: []byte("in-a"), Hash: store.Hash([]byte("in-b")), State: wire.BatchPending}}}
+	if err := gob.NewEncoder(&parent).Encode(prec); err != nil {
+		f.Fatal(err)
+	}
+	many := `{"id":"` + id + `","items":[` + strings.Repeat(`{},`, wire.MaxBatchItems) + `{}],"status":[],"images":[]}`
+	// The first seed is the one valid record; every other one must be
+	// refused.
+	for i, seed := range []string{
+		string(valid),
+		string(valid[:len(valid)/2]),
+		`{"id":"` + id + `","items":[{"name":"a","binary":"AA=="},{"name":"b","binary":"AA=="}],"status":[{"name":"a","state":"pending"}],"images":[null,null]}`,
+		`{"id":"` + id + `","items":[{"name":"a","binary":"AA=="}],"status":[{"name":"a","state":"exploded"}],"images":[null]}`,
+		`{"id":"` + id + `","items":[{"name":"a","binary":"AA=="}],"status":[{"name":"a","state":"running"}],"images":[null]}`,
+		`{"id":"` + id + `","items":[{"name":"a","binary":"AA=="}],"status":[{"name":"a","state":"done","bytes":3}],"images":["AAA="]}`,
+		`{"id":"` + id + `","items":[{"name":"a","opts":"verfy=1","binary":"AA=="}],"status":[{"name":"a","state":"pending"}],"images":[null]}`,
+		many,
+		string(valid) + `{}`,
+		parent.String(),
+	} {
+		if _, err := decodeJob([]byte(seed)); (err == nil) != (i == 0) {
+			f.Fatalf("seed %d: decode error = %v", i, err)
+		}
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		job, err := decodeJob(data)
+		if err != nil {
+			return
+		}
+		enc, err := encodeJob(job)
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
+		back, err := decodeJob(enc)
+		if err != nil {
+			t.Fatalf("re-encoded record %s does not decode: %v", enc, err)
+		}
+		if back.ID != job.ID || back.state != job.state || back.done != job.done ||
+			!reflect.DeepEqual(back.items, job.items) || !reflect.DeepEqual(back.status, job.status) ||
+			!reflect.DeepEqual(back.images, job.images) {
+			t.Fatalf("round trip changed the job: %s -> %s", data, enc)
+		}
+	})
 }
