@@ -5,7 +5,7 @@ GO ?= go
 # `go test -bench X` exits 0 on both).
 BENCHGUARD = sh scripts/benchguard.sh
 
-.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta bench-patch obs-guard alloc-guard check
+.PHONY: build test short race vet fmt fmt-check bench fuzz-seed bench-warm bench-delta obs-guard alloc-guard check
 
 build:
 	$(GO) build ./...
@@ -55,12 +55,6 @@ bench-warm:
 bench-delta:
 	$(BENCHGUARD) $(GO) test -run '^$$' -bench BenchmarkDeltaVsCold -benchtime 3x .
 
-# bench-patch smoke-tests the parallel emit pipeline: the same analysis
-# patched on a 1-worker vs 4-worker pool, asserting byte-identical output
-# and reporting the speedup multiplier (>1x needs more than one CPU).
-bench-patch:
-	$(BENCHGUARD) $(GO) test -run '^$$' -bench BenchmarkPatchParallel -benchtime 3x .
-
 # obs-guard verifies a traced warm patch (Patch plus rendering the span
 # tree from its Metrics) stays within 2% of an untraced one (see
 # obs_overhead_test.go).
@@ -76,4 +70,4 @@ alloc-guard:
 # check runs each gate once. The cluster, batch, profile-guided,
 # landing-pad and delta acceptance tests run inside `race`;
 # TestAcceptanceTestsExist fails if one of them is renamed away.
-check: fmt-check vet race bench-warm bench-delta bench-patch obs-guard alloc-guard
+check: fmt-check vet race bench-warm bench-delta obs-guard alloc-guard

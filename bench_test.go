@@ -310,59 +310,6 @@ func BenchmarkRewriteWarmVsCold(b *testing.B) {
 	}
 }
 
-// BenchmarkPatchParallel measures the staged pipeline's parallel plan
-// and emit stages on the libxul-like workload: the same warmed analysis
-// patched on a 1-worker versus 4-worker pool. Each iteration alternates
-// between two instrumentation requests; every Patch re-plans and
-// re-encodes the full function set, which is exactly the work the pool
-// parallelises. The speedup_x metric is the parallel multiplier; outputs
-// are asserted byte-identical across pools.
-func BenchmarkPatchParallel(b *testing.B) {
-	p, err := workload.LibxulCached(arch.X64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The two requests differ in payload, not just placement: counter
-	// snippets insert instructions into every unit, so the alternation
-	// changes each unit's plan.
-	reqs := [2]instrument.Request{
-		{Where: instrument.BlockEntry, Payload: instrument.PayloadEmpty},
-		{Where: instrument.BlockEntry, Payload: instrument.PayloadCounter},
-	}
-	var elapsed [2]float64
-	var imgs [2][2][]byte // [pool][request]
-	for bi, jobs := range []int{1, 4} {
-		b.Run(map[int]string{1: "jobs=1", 4: "jobs=4"}[jobs], func(b *testing.B) {
-			an, err := core.Analyze(p.Binary, core.AnalysisConfig{Mode: core.ModeJT})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := an.Patch(core.Options{Mode: core.ModeJT, Request: reqs[i%2], PatchJobs: jobs})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if imgs[bi][i%2] == nil {
-					// Marshalling the identity-check image is not patch work.
-					b.StopTimer()
-					imgs[bi][i%2] = res.Binary.Marshal()
-					b.StartTimer()
-				}
-			}
-			elapsed[bi] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if bi == 1 && elapsed[0] > 0 && elapsed[1] > 0 {
-				b.ReportMetric(elapsed[0]/elapsed[1], "speedup_x")
-			}
-		})
-	}
-	for ri := 0; ri < 2; ri++ {
-		if imgs[0][ri] != nil && imgs[1][ri] != nil && string(imgs[0][ri]) != string(imgs[1][ri]) {
-			b.Fatal("parallel patch output diverged from serial")
-		}
-	}
-}
-
 // BenchmarkDeltaVsCold measures the function-granular delta path on a
 // version pair: v2 mutates 3 functions of the libxul-like workload, and
 // the delta sub-benchmark re-analyzes v2 against a unit store warmed on

@@ -17,8 +17,8 @@ func runGuard(t *testing.T, args ...string) (string, error) {
 // TestBenchguard pins the Makefile bench targets' failure contract: the
 // wrapper must propagate the inner command's failure and must reject
 // runs whose output contains no benchmark result line — `go test -bench
-// X` exits 0 when X matches nothing, which used to turn bench-warm/
-// bench-delta/bench-patch into silent no-ops after a benchmark rename.
+// X` exits 0 when X matches nothing, which used to turn bench-warm and
+// bench-delta into silent no-ops after a benchmark rename.
 func TestBenchguard(t *testing.T) {
 	t.Run("passes-with-benchmark-line", func(t *testing.T) {
 		out, err := runGuard(t, "printf", "BenchmarkFoo\t10\t100 ns/op\\nPASS\\n")

@@ -5,13 +5,15 @@
 //
 // Usage:
 //
-//	icfg-objdump [-d] [-funcs] [-marks] [-plan [-mode m] [-with-profile heat.icfgprf]] [-sym func] file.icfg
+//	icfg-objdump [-d] [-funcs] [-cfg] [-marks] [-plan [-with-profile heat.icfgprf]] [-mode m] [-sym func] file.icfg
 //	icfg-objdump -profile heat.icfgprf
 //
+// -cfg, -marks and -plan inspect one core.Analyze of the binary in
+// -mode (default jt): the graph, evidence and plan the rewriter itself
+// would use. -cfg prints each function's blocks, edges and jump tables.
 // -marks lists the landing-pad marker sites per function with their
 // evidence-source attribution (which pointer sources and jump tables
-// reference each marked address) and the trust decision the analysis
-// would make for the binary.
+// reference each marked address) and the analysis's trust decision.
 //
 // -profile treats the file as a block-heat profile artifact (as written
 // by icfg-rewrite -profile-out) and dumps it: per-function heat, block
@@ -38,20 +40,25 @@ import (
 	"icfgpatch/internal/service/wire"
 )
 
-// printCFG disassembles by control-flow traversal and prints each
-// function's blocks, edges and resolved jump tables.
-func printCFG(img *bin.Binary, symSel string) {
-	var g *cfg.Graph
-	var err error
-	if len(img.FuncSymbols()) == 0 {
-		g, err = cfg.BuildStripped(img, analysis.NewJumpTables(img))
-	} else {
-		g, err = cfg.Build(img, analysis.NewJumpTables(img))
+// analyze runs core.Analyze on img in the named mode: -cfg, -marks and
+// -plan all inspect the analysis the rewriter itself would run.
+func analyze(img *bin.Binary, modeName string) *core.Analysis {
+	mode, err := wire.ParseMode(modeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "icfg-objdump:", err)
+		os.Exit(2)
 	}
+	an, err := core.Analyze(img, core.AnalysisConfig{Mode: mode})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "icfg-objdump:", err)
 		os.Exit(1)
 	}
+	return an
+}
+
+// printCFG prints each function's blocks, edges and resolved jump
+// tables from the analysis's graph.
+func printCFG(g *cfg.Graph, symSel string) {
 	kinds := map[cfg.EdgeKind]string{
 		cfg.EdgeFall: "fall", cfg.EdgeJump: "jump", cfg.EdgeCond: "cond",
 		cfg.EdgeCallFall: "call-fall", cfg.EdgeIndirect: "indirect",
@@ -85,15 +92,15 @@ func printCFG(img *bin.Binary, symSel string) {
 	}
 }
 
-// printMarks lists the landing-pad marker sites the evidence layer
-// found, grouped per function, with each site's evidence-source
-// attribution: which ranked pointer sources (reloc, data-cell,
-// code-imm) and which resolved jump tables reference the address. The
-// header states the trust decision — the same one core.Analyze makes —
-// so the listing doubles as a diagnostic for why a CFI build did (or
-// did not) take the evidence-enabled func-ptr path.
-func printMarks(img *bin.Binary, symSel string) {
-	_, ev := analysis.Sweep(img, true)
+// printMarks lists the landing-pad marker sites the analysis's
+// evidence layer found, grouped per function, with each site's
+// evidence-source attribution: which ranked pointer sources (reloc,
+// data-cell, code-imm) and which resolved jump tables reference the
+// address. The header states the analysis's trust decision, so the
+// listing doubles as a diagnostic for why a CFI build did (or did not)
+// take the evidence-enabled func-ptr path.
+func printMarks(an *core.Analysis, symSel string) {
+	img, g, ev := an.Binary, an.Graph, an.Evidence
 	trust := "untrusted"
 	switch {
 	case ev.Trusted:
@@ -105,18 +112,6 @@ func printMarks(img *bin.Binary, symSel string) {
 		ev.Marks.Count(), img.CFI(), trust)
 	if ev.Marks.Count() == 0 {
 		return
-	}
-
-	var g *cfg.Graph
-	var err error
-	if len(img.FuncSymbols()) == 0 {
-		g, err = cfg.BuildStripped(img, analysis.NewJumpTables(img))
-	} else {
-		g, err = cfg.Build(img, analysis.NewJumpTables(img))
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "icfg-objdump:", err)
-		os.Exit(1)
 	}
 
 	// Attribute each marker address to the evidence sources referencing
@@ -216,19 +211,9 @@ func printFuncHashes(img *bin.Binary) {
 // no binary mutation — and dumps the laid-out PatchPlan: section moves,
 // per-unit relocation items with resolved targets and expansion states,
 // and the planned trampoline jobs. -sym restricts instrumentation to one
-// function; -mode selects the rewriting mode the plan is built for.
-func printPlan(img *bin.Binary, modeName, symSel, profPath string) {
-	mode, err := wire.ParseMode(modeName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "icfg-objdump:", err)
-		os.Exit(2)
-	}
-	an, err := core.Analyze(img, core.AnalysisConfig{Mode: mode})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "icfg-objdump:", err)
-		os.Exit(1)
-	}
-	opts := core.Options{Mode: mode, Request: instrument.Request{Where: instrument.BlockEntry, Payload: instrument.PayloadEmpty}}
+// function.
+func printPlan(an *core.Analysis, symSel, profPath string) {
+	opts := core.Options{Mode: an.Config.Mode, Request: instrument.Request{Where: instrument.BlockEntry, Payload: instrument.PayloadEmpty}}
 	if profPath != "" {
 		// Guided plans are inspected under the request shape that engages
 		// variant planning: full block-entry counters.
@@ -341,13 +326,13 @@ func main() {
 	funcs := flag.Bool("funcs", false, "print each function's address, size, and content hash")
 	marks := flag.Bool("marks", false, "list landing-pad marker sites per function with evidence-source attribution")
 	plan := flag.Bool("plan", false, "dump the staged patch plan (plan + layout stages, no emission)")
-	mode := flag.String("mode", "jt", "rewriting mode for -plan: dir, jt, func-ptr")
+	mode := flag.String("mode", "jt", "rewriting mode the -cfg, -marks and -plan analysis runs in: dir, jt, func-ptr")
 	symSel := flag.String("sym", "", "disassemble (or with -plan, instrument) only this function")
 	profDump := flag.Bool("profile", false, "treat file as a block-heat profile artifact and dump it")
 	withProf := flag.String("with-profile", "", "with -plan: guide the plan with this profile artifact (implies counter payload)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: icfg-objdump [-d] [-cfg] [-ramap] [-funcs] [-marks] [-plan [-mode m] [-with-profile p]] [-sym name] file.icfg")
+		fmt.Fprintln(os.Stderr, "usage: icfg-objdump [-d] [-cfg] [-ramap] [-funcs] [-marks] [-plan [-with-profile p]] [-mode m] [-sym name] file.icfg")
 		fmt.Fprintln(os.Stderr, "       icfg-objdump -profile heat.icfgprf")
 		os.Exit(2)
 	}
@@ -383,11 +368,11 @@ func main() {
 		len(img.Symbols), len(img.DynSymbols), len(img.Relocs), len(img.LinkRelocs))
 
 	if *marks {
-		printMarks(img, *symSel)
+		printMarks(analyze(img, *mode), *symSel)
 		return
 	}
 	if *plan {
-		printPlan(img, *mode, *symSel, *withProf)
+		printPlan(analyze(img, *mode), *symSel, *withProf)
 		return
 	}
 	if *ramap {
@@ -399,7 +384,7 @@ func main() {
 		return
 	}
 	if *showCFG {
-		printCFG(img, *symSel)
+		printCFG(analyze(img, *mode).Graph, *symSel)
 		return
 	}
 	if !*disas && *symSel == "" {

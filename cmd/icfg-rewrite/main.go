@@ -6,7 +6,7 @@
 //
 //	icfg-rewrite -mode jt [-where block|func] [-payload empty|counter]
 //	             [-funcs f1,f2] [-verify] [-check] [-metrics] [-trace]
-//	             [-gap bytes] [-patch-jobs N] [-no-evidence]
+//	             [-gap bytes] [-no-evidence]
 //	             [-remote http://host:port] [-retries N]
 //	             [-profile heat.icfgprf] [-profile-out heat.icfgprf]
 //	             -o out.icfg in.icfg
@@ -75,7 +75,6 @@ func main() {
 	check := flag.Bool("check", false, "run original and rewritten binaries in the emulator and compare outputs")
 	metrics := flag.Bool("metrics", false, "print per-pass rewrite metrics")
 	trace := flag.Bool("trace", false, "print the rewrite's span tree (stage timings and counters)")
-	patchJobs := flag.Int("patch-jobs", 0, "worker pool for the local plan and emit stages (<=1: serial; output is byte-identical either way; with -remote the daemon's -patch-jobs governs)")
 	remote := flag.String("remote", "", "rewrite via an icfg-serve daemon at this base URL instead of locally")
 	retries := flag.Int("retries", 2, "with -remote: retries for transient connection failures (refused/reset/EOF before headers)")
 	batchFile := flag.String("batch", "", "with -remote: submit this JSON manifest as one batch job with live progress")
@@ -189,7 +188,6 @@ func main() {
 		stats, mx = reply.Stats, reply.Metrics
 		served = fmt.Sprintf("%s (%.1fms server)", service.ReplyCachePath(reply), float64(reply.ElapsedUS)/1000)
 	} else {
-		opts.PatchJobs = *patchJobs
 		var sp *obs.Span
 		if *trace {
 			sp = obs.NewTrace("rewrite")

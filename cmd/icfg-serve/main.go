@@ -10,7 +10,6 @@
 //	icfg-serve [-addr :8844] [-workers N] [-queue N] [-batch-queue N]
 //	           [-analyses N] [-results N] [-funcs N] [-disk dir]
 //	           [-batch-dir dir] [-max-body N] [-timeout dur]
-//	           [-patch-jobs N]
 //	           [-self URL -peers URL,URL,...] [-replicas N] [-probe dur]
 //
 // /batch accepts a JSON manifest of binaries and rewrite options,
@@ -69,7 +68,6 @@ func main() {
 	funcs := flag.Int("funcs", 0, "function-unit store entries for delta analysis (default: 4096, -1 disables)")
 	disk := flag.String("disk", "", "persist the result cache to this directory")
 	timeout := flag.Duration("timeout", 0, "per-request processing timeout (0: none)")
-	patchJobs := flag.Int("patch-jobs", 0, "per-request plan/emit worker pool (0: serial; output is byte-identical either way)")
 	self := flag.String("self", "", "cluster: this node's base URL as listed in -peers")
 	peers := flag.String("peers", "", "cluster: comma-separated base URLs of all nodes, self included")
 	replicas := flag.Int("replicas", 0, "cluster: replication factor (default 2)")
@@ -93,7 +91,6 @@ func main() {
 		FuncEntries:     *funcs,
 		Dir:             *disk,
 		Timeout:         *timeout,
-		PatchJobs:       *patchJobs,
 	})
 
 	// The batch surface wraps the service handler; the cluster routes

@@ -2,9 +2,8 @@ package icfgpatch_test
 
 // The differential byte-equivalence fuzzer: the repo's central
 // correctness claim is that every fast path — staged Analyze+Patch,
-// parallel emit, repeat patches of one analysis, and delta re-analysis
-// via the unit store — produces output byte-identical to a serial cold
-// Rewrite. The golden tests pin that claim on a handful of fixed
+// repeat patches of one analysis, and delta re-analysis via the unit
+// store — produces output byte-identical to a cold Rewrite. The golden tests pin that claim on a handful of fixed
 // workloads; the fuzzer searches for counterexamples by generating
 // workload programs from fuzzed profile parameters and comparing the
 // marshalled images across 3 arches × 3 modes.
@@ -124,7 +123,7 @@ func diffImages(t *testing.T, label string, want, got []byte) {
 			break
 		}
 	}
-	t.Fatalf("%s: image diverges from serial cold rewrite (len %d vs %d, first diff at byte %d)",
+	t.Fatalf("%s: image diverges from cold rewrite (len %d vs %d, first diff at byte %d)",
 		label, len(want), len(got), off)
 }
 
@@ -174,9 +173,9 @@ func FuzzDifferentialRewrite(f *testing.F) {
 			}
 			for _, mode := range []core.Mode{core.ModeDir, core.ModeJT, core.ModeFuncPtr} {
 				label := fmt.Sprintf("%s/%s", a, mode)
-				opts := core.Options{Mode: mode, Request: blockEmpty(), PatchJobs: 1}
+				opts := core.Options{Mode: mode, Request: blockEmpty()}
 
-				// Baseline: serial cold rewrite.
+				// Baseline: cold rewrite.
 				coldRes, err := core.Rewrite(prog.Binary, opts)
 				if err != nil {
 					if errors.Is(err, core.ErrImpreciseFuncPtrs) {
@@ -187,21 +186,19 @@ func FuzzDifferentialRewrite(f *testing.F) {
 				assertCET(label+"/cold-cet", origCET, coldRes)
 				cold := marshalAndRecycle(coldRes)
 
-				// Staged path, parallel emit.
+				// Staged path: Analyze, then Patch.
 				an, err := core.Analyze(prog.Binary, core.AnalysisConfig{Mode: mode})
 				if err != nil {
 					t.Fatalf("%s: analyze: %v", label, err)
 				}
-				par := opts
-				par.PatchJobs = 4
-				res, err := an.Patch(par)
+				res, err := an.Patch(opts)
 				if err != nil {
-					t.Fatalf("%s: parallel patch: %v", label, err)
+					t.Fatalf("%s: staged patch: %v", label, err)
 				}
-				diffImages(t, label+"/parallel", cold, marshalAndRecycle(res))
+				diffImages(t, label+"/staged", cold, marshalAndRecycle(res))
 
 				// Repeat patch against the same analysis.
-				res, err = an.Patch(par)
+				res, err = an.Patch(opts)
 				if err != nil {
 					t.Fatalf("%s: repeat patch: %v", label, err)
 				}
@@ -225,7 +222,7 @@ func FuzzDifferentialRewrite(f *testing.F) {
 				if err != nil {
 					t.Fatalf("%s: delta analyze: %v", label, err)
 				}
-				res, err = anV2.Patch(par)
+				res, err = anV2.Patch(opts)
 				if err != nil {
 					t.Fatalf("%s: delta patch: %v", label, err)
 				}
@@ -233,8 +230,8 @@ func FuzzDifferentialRewrite(f *testing.F) {
 
 				// Profile-guided lane: an adversarial heat shape derived
 				// from the fuzz input must hold the same four-path
-				// byte-equivalence — serial ≡ parallel ≡ repeat ≡ delta
-				// — and diverge from the unguided output only when the plan
+				// byte-equivalence — cold ≡ staged ≡ repeat ≡ delta —
+				// and diverge from the unguided output only when the plan
 				// actually assigned variants.
 				gopts := opts
 				gopts.Request = blockCounter()
@@ -246,14 +243,12 @@ func FuzzDifferentialRewrite(f *testing.F) {
 				variants := gcoldRes.Stats.VariantFuncs
 				assertCET(label+"/guided-cold-cet", origCET, gcoldRes)
 				gcold := marshalAndRecycle(gcoldRes)
-				gpar := gopts
-				gpar.PatchJobs = 4
-				res, err = an.Patch(gpar)
+				res, err = an.Patch(gopts)
 				if err != nil {
-					t.Fatalf("%s: guided parallel patch: %v", label, err)
+					t.Fatalf("%s: guided staged patch: %v", label, err)
 				}
-				diffImages(t, label+"/guided-parallel", gcold, marshalAndRecycle(res))
-				res, err = an.Patch(gpar)
+				diffImages(t, label+"/guided-staged", gcold, marshalAndRecycle(res))
+				res, err = an.Patch(gopts)
 				if err != nil {
 					t.Fatalf("%s: guided repeat patch: %v", label, err)
 				}
@@ -263,7 +258,7 @@ func FuzzDifferentialRewrite(f *testing.F) {
 					t.Fatalf("%s: guided cold v2 rewrite: %v", label, err)
 				}
 				gv2 := marshalAndRecycle(gv2Res)
-				res, err = anV2.Patch(gpar)
+				res, err = anV2.Patch(gopts)
 				if err != nil {
 					t.Fatalf("%s: guided delta patch: %v", label, err)
 				}

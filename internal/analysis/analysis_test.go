@@ -43,7 +43,7 @@ func switchBinary(t *testing.T, a arch.Arch, pie bool, nCases int, opts asm.Swit
 
 func analyze(t *testing.T, img *bin.Binary) *cfg.Graph {
 	t.Helper()
-	g, err := cfg.Build(img, NewJumpTables(img))
+	g, err := cfg.Build(img, newJumpTables(img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestFuncPointersMidInstructionIsImprecise(t *testing.T) {
 
 func TestBoundaryScanFindsDataAccesses(t *testing.T) {
 	img, dbg := switchBinary(t, arch.X64, false, 4, asm.SwitchOpts{})
-	jt := NewJumpTables(img)
+	jt := newJumpTables(img)
 	// The table base itself must be a boundary (materialised constant),
 	// and a boundary hit is a hard bound.
 	next, hard := jt.nextBoundary(dbg.Tables[0].Addr - 1)

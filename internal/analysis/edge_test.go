@@ -74,7 +74,7 @@ func TestA64CompressedTablesResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := cfg.Build(img, NewJumpTables(img))
+		g, err := cfg.Build(img, newJumpTables(img))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestInterleavedRodataBoundsExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := cfg.Build(img, NewJumpTables(img))
+	g, err := cfg.Build(img, newJumpTables(img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestResolverRejectsNonJumpInstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn, _ := g.FuncByName("main")
-	jt := NewJumpTables(img)
+	jt := newJumpTables(img)
 	if _, err := jt.ResolveJump(img, fn, dbg.FuncStart["main"]); err == nil {
 		t.Error("resolved a non-jump instruction")
 	}

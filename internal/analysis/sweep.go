@@ -63,21 +63,6 @@ type SweepInput struct {
 	Evidence bool
 }
 
-// Sweep runs the text sweep cut along the symbol table, with no memo:
-// the resolver and the evidence layer (Untrusted when evidence is
-// false).
-func Sweep(b *bin.Binary, evidence bool) (*JumpTables, *Evidence) {
-	jt, ev, _ := SweepFuncs(b, SweepInput{Funcs: b.FuncSymbols(), Evidence: evidence})
-	return jt, ev
-}
-
-// NewJumpTables scans the binary for boundary hints and returns the
-// resolver.
-func NewJumpTables(b *bin.Binary) *JumpTables {
-	jt, _ := Sweep(b, false)
-	return jt
-}
-
 // SweepFuncs runs the text sweep described by in. It returns the
 // jump-table resolver with its boundary hints, the evidence layer
 // (Untrusted unless in.Evidence) and the gaps between in.Funcs that are

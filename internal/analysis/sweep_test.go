@@ -320,12 +320,10 @@ func TestStreamingSweepMatchesDecodeAll(t *testing.T) {
 		syms := b.FuncSymbols()
 		cold := assemble(b, syms, nil)
 		compareSweep(t, name+"/cold", cold, ref, true)
-		jt, ev := analysis.Sweep(b, true)
-		compareSweep(t, name+"/Sweep", sweepOut{analysis.Hints(jt), ev, cold.padding}, ref, false)
-		if name == "planted-marker-x64" && !ev.Corrupt {
+		if name == "planted-marker-x64" && !cold.ev.Corrupt {
 			t.Errorf("%s: planted mid-instruction marker not reported corrupt", name)
 		}
-		sawTrusted = sawTrusted || ev.Trusted
+		sawTrusted = sawTrusted || cold.ev.Trusted
 
 		// Padding is found between symbols: a cut along discovered
 		// functions has other gaps.

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"icfgpatch/internal/analysis"
 	"icfgpatch/internal/bin"
-	"icfgpatch/internal/cfg"
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/instrument"
 )
@@ -98,12 +96,12 @@ func boltRewrite(b *bin.Binary, v core.Variant) (*core.Result, error) {
 // clobbering .interp in the regenerated image (Section 8.3 observed 10
 // of 19 SPEC binaries corrupted).
 func hasFragileJumpTables(b *bin.Binary) bool {
-	g, err := cfg.Build(b, analysis.NewJumpTables(b))
+	an, err := core.Analyze(b, core.AnalysisConfig{Mode: core.ModeJT})
 	if err != nil {
 		return false
 	}
 	fragile := 0
-	for _, f := range g.Funcs {
+	for _, f := range an.Graph.Funcs {
 		for _, ij := range f.IndirectJumps {
 			if ij.Table != nil && !ij.Table.BoundExact {
 				fragile++

@@ -108,20 +108,3 @@ func trimNops(a arch.Arch, text *bin.Section, start, end uint64) uint64 {
 	})
 	return last
 }
-
-// BuildStripped constructs the CFG of a stripped binary: function
-// entries are discovered first, then traversal proceeds as usual.
-func BuildStripped(b *bin.Binary, resolver Resolver) (*Graph, error) {
-	syms, err := DiscoverFunctions(b)
-	if err != nil {
-		return nil, err
-	}
-	clone := b.Clone()
-	clone.Symbols = syms
-	g, err := Build(clone, resolver)
-	if err != nil {
-		return nil, err
-	}
-	g.Binary = b
-	return g, nil
-}

@@ -35,7 +35,7 @@ func withTables(bin func() (*bin.Binary, error), evidence bool) func() (*cfg.Gra
 		if err != nil {
 			return nil, err
 		}
-		res, ev := analysis.Sweep(b, evidence)
+		res, ev, _ := analysis.SweepFuncs(b, analysis.SweepInput{Funcs: b.FuncSymbols(), Evidence: evidence})
 		if evidence && ev.Trusted {
 			res.UseMarks(ev.Marks)
 		}
@@ -97,7 +97,12 @@ func cfgPins() []cfgPin {
 				}
 				stripped := p.Binary.Clone()
 				stripped.Symbols = nil
-				return cfg.BuildStripped(stripped, analysis.NewJumpTables(stripped))
+				ds, err := cfg.DiscoverFunctions(stripped)
+				if err != nil {
+					return nil, err
+				}
+				res, _, _ := analysis.SweepFuncs(stripped, analysis.SweepInput{Funcs: ds})
+				return cfg.BuildStripped(stripped, res)
 			},
 			mustShow: []string{"func fn_", "nop-only=false"},
 			digest:   "dd4723fa7b57ed609741b38bb097808a892c5e2d80eb16f6abf93f7b3de502e0",

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
 	"icfgpatch/internal/arch"
+	"icfgpatch/internal/bin"
 	"icfgpatch/internal/instrument"
 	"icfgpatch/internal/workload"
 )
@@ -105,5 +108,93 @@ func TestConcurrentRewriteSharedBinary(t *testing.T) {
 	}
 	if string(p.Binary.Marshal()) != string(before) {
 		t.Error("concurrent rewriting mutated the shared input binary")
+	}
+}
+
+// TestConcurrentPatchSharedAnalysis patches shared analyses from eight
+// goroutines at once, the service's warm path: the lazy placement memo
+// (Analysis.placement), the item-slab and emit-buffer pools, and the
+// read-only graph are all touched concurrently. A second analysis, of
+// a mutated version, is built through the same unit store before any
+// patch runs, so the two analyses share the unchanged functions' units
+// and with them the placement memos. Requests mix function and block
+// entry with empty and counter payloads. Every image must equal the
+// Rewrite of the same binary and options; -race checks the sharing.
+func TestConcurrentPatchSharedAnalysis(t *testing.T) {
+	p, err := workload.Generate(arch.X64, true, concurrentProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, _, err := workload.MutateVersion(p.Binary, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins := []*bin.Binary{p.Binary, v2}
+	var reqs []instrument.Request
+	for _, where := range []instrument.Point{instrument.FuncEntry, instrument.BlockEntry} {
+		for _, payload := range []instrument.Payload{instrument.PayloadEmpty, instrument.PayloadCounter} {
+			reqs = append(reqs, instrument.Request{Where: where, Payload: payload})
+		}
+	}
+	optsFor := func(r int) Options {
+		return Options{Mode: ModeJT, Request: reqs[r], Verify: true}
+	}
+	// want[v][r] is the Rewrite of version v under request r.
+	want := make([][][]byte, len(bins))
+	for v, b := range bins {
+		for r := range reqs {
+			res, err := Rewrite(b, optsFor(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[v] = append(want[v], res.Binary.Marshal())
+		}
+	}
+
+	units := NewUnitStore(0)
+	ans := make([]*Analysis, len(bins))
+	for v, b := range bins {
+		if ans[v], err = Analyze(b, AnalysisConfig{Mode: ModeJT, Units: units}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ans[1].Metrics.FuncsReused == 0 {
+		t.Fatal("the second analysis reused no unit: nothing is shared between the analyses")
+	}
+
+	const goroutines = 8
+	errs := make([]error, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			// Every goroutine patches both analyses, in an order that
+			// alternates with g, under one of the four requests.
+			r := g % len(reqs)
+			for k := range bins {
+				v := (g + k) % len(bins)
+				res, err := ans[v].Patch(optsFor(r))
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got := res.Binary.Marshal()
+				res.Recycle() // hand the emit buffers to the other goroutines
+				if !bytes.Equal(got, want[v][r]) {
+					errs[g] = fmt.Errorf("version %d, request %+v: image differs from Rewrite", v, reqs[r])
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
+		}
 	}
 }

@@ -96,11 +96,6 @@ type Options struct {
 	// Variant selects baseline behaviours (package baseline); the zero
 	// value is incremental CFG patching as published.
 	Variant Variant
-	// PatchJobs bounds the worker pool the plan and emit stages run
-	// their per-function work on; <= 1 runs them serially. The output is
-	// byte-identical whatever the value, so PatchJobs is deliberately
-	// excluded from every cache and result identity.
-	PatchJobs int
 	// Profile, when non-nil and non-trivial, guides the rewrite: hot
 	// functions (per Profile.HotFuncs) get a second, sparsely
 	// instrumented variant body selected by a per-function dispatch

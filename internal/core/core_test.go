@@ -811,7 +811,8 @@ func TestPlacementIntegrityAudit(t *testing.T) {
 
 // buildGraph is a test helper exposing the rewriter's CFG construction.
 func buildGraph(img *bin.Binary) (*cfg.Graph, error) {
-	return cfg.Build(img, analysis.NewJumpTables(img))
+	jt, _, _ := analysis.SweepFuncs(img, analysis.SweepInput{Funcs: img.FuncSymbols()})
+	return cfg.Build(img, jt)
 }
 
 func TestCheckIntegrityDetectsMissingTrampoline(t *testing.T) {

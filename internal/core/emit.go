@@ -8,18 +8,16 @@ import (
 )
 
 // This file is the EMIT stage of the staged patch pipeline. Each
-// function's unit is encoded independently through the per-arch
-// arch.Emitter: every input the emitter sees — resolved targets,
-// assigned addresses, expansion states — is captured in the unit's
-// items, so units encode on a bounded worker pool into disjoint windows
-// of one output buffer and the merge is deterministic whatever the
-// worker count. Every Patch encodes every unit: encoding straight into
-// the window allocates nothing, which is cheaper than the signature
-// hash a reuse check would need.
+// function's unit is encoded through the per-arch arch.Emitter into its
+// own window of one output buffer: every input the emitter sees —
+// resolved targets, assigned addresses, expansion states — is captured
+// in the unit's items. Every Patch encodes every unit: encoding straight
+// into the window allocates nothing, which is cheaper than the
+// signature hash a reuse check would need.
 
-// emitUnit encodes one unit into its window of out and returns the
-// unit's return-address pairs in item order.
-func (p *PatchPlan) emitUnit(u *planUnit, out []byte) (ra []bin.AddrPair, err error) {
+// emitUnit encodes one unit into its window of out and appends the
+// unit's return-address pairs to ra in item order.
+func (p *PatchPlan) emitUnit(u *planUnit, out []byte, ra []bin.AddrPair) ([]bin.AddrPair, error) {
 	for i := range u.items {
 		it := &u.items[i]
 		eit := arch.EmitItem{
@@ -50,30 +48,20 @@ func (p *PatchPlan) emitUnit(u *planUnit, out []byte) (ra []bin.AddrPair, err er
 	return ra, nil
 }
 
-// emit produces the .instr bytes, the return-address map, and the clone
-// section contents. Units emit into disjoint windows on up to jobs
-// workers; the RA pairs and any error are merged in unit order, so the
-// result is byte-for-byte independent of the worker count.
-func (p *PatchPlan) emit(jobs int) (out, cloneData []byte, raPairs []bin.AddrPair, encodedN int, err error) {
+// emit produces the .instr bytes, the return-address map (in unit
+// order), and the clone section contents.
+func (p *PatchPlan) emit() (out, cloneData []byte, raPairs []bin.AddrPair, encodedN int, err error) {
 	a := p.an.Binary.Arch
 	// The output buffer comes from the emit pool (see pool.go); it is
 	// fully overwritten here — illegal-instruction fill end to end, then
 	// each unit's window — so recycled contents can never leak through.
 	out = getEmitBuf(int(p.instrEnd - p.instrBase))
 	arch.FillIllegal(a, out) // unreachable alignment padding must not execute silently
-	unitRA := make([][]bin.AddrPair, len(p.units))
-	errs := make([]error, len(p.units))
-	runIndexed(len(p.units), jobs, func(i int) {
-		unitRA[i], errs[i] = p.emitUnit(p.units[i], out)
-	})
-	for _, e := range errs {
-		if e != nil {
+	for _, u := range p.units {
+		if raPairs, err = p.emitUnit(u, out, raPairs); err != nil {
 			putEmitBuf(out)
-			return nil, nil, nil, 0, e
+			return nil, nil, nil, 0, err
 		}
-	}
-	for i, u := range p.units {
-		raPairs = append(raPairs, unitRA[i]...)
 		if len(u.items) > 0 {
 			encodedN++
 		}

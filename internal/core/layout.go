@@ -16,7 +16,7 @@ import (
 // islands, adrp pairs, and veneers through the emitter's ExpandedLen,
 // never through actual encoding. After layout, every item has a final
 // (newAddr, newLen) and every resolved target is a pure function of the
-// plan, which is what emit-stage parallelism relies on.
+// plan, so the emit stage only encodes.
 
 // sectionMove relocates one dynamic-linking section, retiring the
 // original range as trampoline scratch space (Section 3).

@@ -2,8 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
@@ -129,8 +127,7 @@ type funcTramp struct {
 // PatchPlan is the staged pipeline's intermediate representation: what
 // the patch will do, independent of byte encodings. A plan is built by
 // the plan stage, has addresses assigned by the layout stage, and is
-// consumed read-only by the emit stage — so emission can run on a worker
-// pool.
+// consumed read-only by the emit stage.
 type PatchPlan struct {
 	an      *Analysis
 	mode    Mode
@@ -172,11 +169,10 @@ type PatchPlan struct {
 	varAddr   []uint64   // variant slot -> fast-body entry addr
 }
 
-// newPatchPlan builds the plan for every instrumented function. Unit
-// construction is independent per function, so it runs on up to jobs
-// workers; counter cells are pre-assigned sequentially in symbol-table
-// order first, which keeps the plan — and therefore the emitted bytes —
-// identical whatever the worker count.
+// newPatchPlan builds the plan for every instrumented function, in
+// symbol-table order. Counter cells, and the selector cells directly
+// above them, are assigned before any unit is built, since a unit's
+// dispatch stub needs its selector cell.
 func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 	b, g := an.Binary, an.Graph
 	text := b.Text()
@@ -231,8 +227,7 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 		}
 	}
 	sort.SliceStable(p.sites, func(i, j int) bool { return p.sites[i].addr < p.sites[j].addr })
-	// Pre-assign counter cells per function in symbol-table order: the
-	// cell sequence must not depend on which worker builds which unit.
+	// Pre-assign counter cells per function in symbol-table order.
 	if p.req.Payload == instrument.PayloadCounter {
 		for _, u := range p.units {
 			u.cell = p.nextCell
@@ -255,7 +250,7 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 		p.req.Where == instrument.BlockEntry && p.req.Payload == instrument.PayloadCounter {
 		hot := p.prof.HotFuncs()
 		// Selector cells directly follow the counter region, assigned in
-		// the same symbol-table order for worker-count independence.
+		// the same symbol-table order.
 		for _, u := range p.units {
 			if hot[u.fn.Name] {
 				u.varSlot, u.selCell = len(p.varAddr), p.selEnd
@@ -266,21 +261,20 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 	}
 
 	if !p.variant.NoTrampolines {
-		p.tramps = make([]funcTramp, len(p.units))
+		p.tramps = make([]funcTramp, 0, len(p.units))
 	}
-	build := func(i int) {
-		f := p.units[i].fn
-		p.buildUnit(g, p.units[i])
-		if !p.variant.NoTrampolines {
-			pl := an.placement(p.units[i].idx)
-			ft := funcTramp{fn: f, cflBlocks: len(pl.cfl), scratchBlocks: len(f.Blocks) - len(pl.cfl)}
-			for _, sb := range pl.sbs {
-				ft.jobs = append(ft.jobs, trampJob{sb: sb, scratch: pl.lv.DeadAt(sb.Block.Start)})
-			}
-			p.tramps[i] = ft
+	for _, u := range p.units {
+		p.buildUnit(g, u)
+		if p.variant.NoTrampolines {
+			continue
 		}
+		f, pl := u.fn, an.placement(u.idx)
+		ft := funcTramp{fn: f, cflBlocks: len(pl.cfl), scratchBlocks: len(f.Blocks) - len(pl.cfl)}
+		for _, sb := range pl.sbs {
+			ft.jobs = append(ft.jobs, trampJob{sb: sb, scratch: pl.lv.DeadAt(sb.Block.Start)})
+		}
+		p.tramps = append(p.tramps, ft)
 	}
-	runIndexed(len(p.units), opts.PatchJobs, build)
 	return p
 }
 
@@ -305,8 +299,7 @@ func (p *PatchPlan) siteAt(a uint64) (sf [sitePtr + 1]uint64) {
 	return sf
 }
 
-// counterCells maps every instrumentation point to its counter cell,
-// merging units in symbol-table order (call it before reverseUnits).
+// counterCells maps every instrumentation point to its counter cell.
 func (p *PatchPlan) counterCells() map[uint64]uint64 {
 	m := map[uint64]uint64{}
 	for _, u := range p.units {
@@ -618,35 +611,4 @@ func (p *PatchPlan) classify(g *cfg.Graph, it *planItem) {
 func (p *PatchPlan) mapsTo(g *cfg.Graph, addr uint64) bool {
 	i, ok := g.FuncIndex(addr)
 	return ok && p.instrumented[i]
-}
-
-// runIndexed runs body(0..n-1) on up to jobs workers (serially when jobs
-// <= 1). Bodies must write only their own index's slots.
-func runIndexed(n, jobs int, body func(int)) {
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1)
-				if i >= int64(n) {
-					return
-				}
-				body(int(i))
-			}
-		}()
-	}
-	wg.Wait()
 }

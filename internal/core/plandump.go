@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"time"
 )
 
 // reverseUnits applies the ReverseFuncs ablation: functions relocate in
@@ -20,19 +21,9 @@ func (p *PatchPlan) reverseUnits() {
 // icfg-objdump -plan; opts must carry the mode and variant the analysis
 // was built with.
 func (an *Analysis) PlanFor(opts Options) (*PatchPlan, error) {
-	opts, err := an.preparePatch(opts)
-	if err != nil {
-		return nil, err
-	}
-	counterBase := alignUp(an.Binary.MaxLoadedAddr(), sectionGap) + sectionGap
-	p := newPatchPlan(an, opts, counterBase)
-	if opts.Variant.ReverseFuncs {
-		p.reverseUnits()
-	}
-	if err := p.layoutAll(opts); err != nil {
-		return nil, err
-	}
-	return p, nil
+	var mx Metrics
+	clock := time.Now()
+	return an.plan(opts, &mx, &clock)
 }
 
 // Dump renders the laid-out plan for debugging: the section plan, every

@@ -33,9 +33,9 @@ func skewedProfile(an *core.Analysis) *profile.Profile {
 // TestProfileGuidedDeterminism extends the staged pipeline's
 // byte-equivalence contract to guided rewrites: for every arch × mode
 // cell, the same binary plus the same profile must produce
-// byte-identical output on all four execution paths — serial cold
-// Rewrite, parallel emit, repeat patch of the same analysis, and
-// the version-2 delta patch through a warmed unit store.
+// byte-identical output on all four execution paths — cold Rewrite,
+// staged patch (Analyze, then Patch), repeat patch of the same
+// analysis, and the version-2 delta patch through a warmed unit store.
 func TestProfileGuidedDeterminism(t *testing.T) {
 	for _, a := range []arch.Arch{arch.X64, arch.PPC, arch.A64} {
 		suite, err := workload.SPECSuiteCached(a, false)
@@ -65,14 +65,14 @@ func TestProfileGuidedDeterminism(t *testing.T) {
 					InstrGap: gap,
 					Profile:  prof,
 				}
-				serial, err := core.Rewrite(v1, opts)
+				cold, err := core.Rewrite(v1, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mode == core.ModeJT && serial.Stats.VariantFuncs == 0 {
+				if mode == core.ModeJT && cold.Stats.VariantFuncs == 0 {
 					t.Fatal("guided rewrite planned no variants — the profile lane is dead")
 				}
-				want := serial.Binary.Marshal()
+				want := cold.Binary.Marshal()
 
 				// Guided output must diverge from unguided exactly when the
 				// plan says variants exist.
@@ -82,10 +82,10 @@ func TestProfileGuidedDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if serial.Stats.VariantFuncs > 0 && bytes.Equal(want, plain.Binary.Marshal()) {
+				if cold.Stats.VariantFuncs > 0 && bytes.Equal(want, plain.Binary.Marshal()) {
 					t.Fatal("variants planned but bytes match the unguided rewrite")
 				}
-				if serial.Stats.VariantFuncs == 0 && !bytes.Equal(want, plain.Binary.Marshal()) {
+				if cold.Stats.VariantFuncs == 0 && !bytes.Equal(want, plain.Binary.Marshal()) {
 					t.Fatal("no variants planned but guided bytes diverge from unguided")
 				}
 
@@ -94,14 +94,12 @@ func TestProfileGuidedDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				par := opts
-				par.PatchJobs = 8
-				first, err := an.Patch(par)
+				first, err := an.Patch(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(want, first.Binary.Marshal()) {
-					t.Fatal("guided parallel patch differs from guided serial rewrite")
+					t.Fatal("guided staged patch differs from guided cold rewrite")
 				}
 
 				repeat, err := an.Patch(opts)
@@ -109,7 +107,7 @@ func TestProfileGuidedDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(want, repeat.Binary.Marshal()) {
-					t.Fatal("guided repeat patch differs from guided serial rewrite")
+					t.Fatal("guided repeat patch differs from guided cold rewrite")
 				}
 
 				// Delta: v2 through the warmed unit store, same profile
@@ -123,12 +121,12 @@ func TestProfileGuidedDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				delta, err := an2.Patch(par)
+				delta, err := an2.Patch(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(cold2.Binary.Marshal(), delta.Binary.Marshal()) {
-					t.Fatal("guided v2 delta patch differs from guided v2 serial rewrite")
+					t.Fatal("guided v2 delta patch differs from guided v2 cold rewrite")
 				}
 			})
 		}
@@ -137,7 +135,7 @@ func TestProfileGuidedDeterminism(t *testing.T) {
 
 // TestProfileGuidedAdversarialHeat runs the determinism check under
 // adversarial heat shapes — all-hot, all-cold(-but-alive), and
-// single-function spikes — on the serial vs parallel paths.
+// single-function spikes — on the cold vs staged paths.
 func TestProfileGuidedAdversarialHeat(t *testing.T) {
 	suite, err := workload.SPECSuiteCached(arch.X64, false)
 	if err != nil {
@@ -168,7 +166,7 @@ func TestProfileGuidedAdversarialHeat(t *testing.T) {
 			}
 			prof := probe.ProfileFromHeat(name, heat)
 			opts := core.Options{Mode: core.ModeJT, Request: instrBlockCounter(), Verify: true, Profile: prof}
-			serial, err := core.Rewrite(v1, opts)
+			cold, err := core.Rewrite(v1, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,14 +174,12 @@ func TestProfileGuidedAdversarialHeat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par := opts
-			par.PatchJobs = 8
-			got, err := an.Patch(par)
+			got, err := an.Patch(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(serial.Binary.Marshal(), got.Binary.Marshal()) {
-				t.Fatalf("%s: parallel guided patch diverged from serial", name)
+			if !bytes.Equal(cold.Binary.Marshal(), got.Binary.Marshal()) {
+				t.Fatalf("%s: staged guided patch diverged from cold rewrite", name)
 			}
 		})
 	}

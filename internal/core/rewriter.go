@@ -49,19 +49,35 @@ func (an *Analysis) preparePatch(opts Options) (Options, error) {
 	return opts, nil
 }
 
-// Patch applies one instrumentation request to an analysed binary
-// through the staged pipeline — plan (target-neutral IR), layout
-// (address assignment), emit (per-arch parallel encoding) — then
-// installs trampolines, rewrites function pointers, and emits the new
-// sections. The analysis is not mutated, so concurrent Patch calls may
-// share it; opts must carry the analysis identity the analysis was
-// built with (Options.AnalysisConfig). Output bytes are identical for
-// every Options.PatchJobs value.
-func (an *Analysis) Patch(opts Options) (*Result, error) {
+// plan runs the first two stages of the staged pipeline for one
+// request, lapping each into mx: plan (target-neutral IR, with the
+// counter region directly above the loaded image) and layout (section
+// plan, clone placement, address fixpoint).
+func (an *Analysis) plan(opts Options, mx *Metrics, clock *time.Time) (*PatchPlan, error) {
 	opts, err := an.preparePatch(opts)
 	if err != nil {
 		return nil, err
 	}
+	p := newPatchPlan(an, opts, alignUp(an.Binary.MaxLoadedAddr(), sectionGap)+sectionGap)
+	if opts.Variant.ReverseFuncs {
+		p.reverseUnits()
+	}
+	mx.lap(StagePlan, clock)
+	if err := p.layoutAll(opts); err != nil {
+		return nil, err
+	}
+	mx.lap(StageLayout, clock)
+	return p, nil
+}
+
+// Patch applies one instrumentation request to an analysed binary
+// through the staged pipeline — plan (target-neutral IR), layout
+// (address assignment), emit (per-arch encoding) — then installs
+// trampolines, rewrites function pointers, and emits the new sections.
+// The analysis is not mutated, so concurrent Patch calls may share it;
+// opts must carry the analysis identity the analysis was built with
+// (Options.AnalysisConfig).
+func (an *Analysis) Patch(opts Options) (*Result, error) {
 	b, g, ptrSites := an.Binary, an.Graph, an.PtrSites
 	mx := Metrics{
 		Stages:          append([]StageMetric(nil), an.Metrics.Stages...),
@@ -70,6 +86,11 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 		FuncsRecomputed: an.Metrics.FuncsRecomputed,
 	}
 	clock := time.Now()
+	p, err := an.plan(opts, &mx, &clock)
+	if err != nil {
+		return nil, err
+	}
+	mx.ClonedTables = len(p.clones)
 
 	// Copy-on-write clone: section contents stay shared with the input
 	// until a write detaches them, so a patch that touches only .text
@@ -86,11 +107,6 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 		stats.EvidenceSkips = ev.Skipped
 		stats.MarkBoundedTables = ev.MarkBoundedTables
 	}
-
-	// Stage 1: plan. Counters land directly above the loaded image; the
-	// plan allocates cells and builds every unit's relocation items.
-	counterBase := alignUp(b.MaxLoadedAddr(), sectionGap) + sectionGap
-	p := newPatchPlan(an, opts, counterBase)
 	var cells map[uint64]uint64
 	if opts.Request.Payload == instrument.PayloadCounter {
 		cells = p.counterCells()
@@ -104,20 +120,9 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	}
 	// Every hot function receives exactly one fast variant.
 	stats.HotFuncs, stats.VariantFuncs = len(p.varAddr), len(p.varAddr)
-	if opts.Variant.ReverseFuncs {
-		p.reverseUnits()
-	}
-	mx.lap(StagePlan, &clock)
 
-	// Stage 2: layout — section plan, clone placement, address fixpoint.
-	if err := p.layoutAll(opts); err != nil {
-		return nil, err
-	}
-	mx.ClonedTables = len(p.clones)
-	mx.lap(StageLayout, &clock)
-
-	// Stage 3: emit — parallel per-unit encoding.
-	instrData, cloneData, raPairs, encoded, err := p.emit(opts.PatchJobs)
+	// Stage 3: emit — per-unit encoding.
+	instrData, cloneData, raPairs, encoded, err := p.emit()
 	if err != nil {
 		return nil, err
 	}
@@ -254,10 +259,10 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	mx.lap(StagePointers, &clock)
 
 	// New sections.
-	if p.nextCell > counterBase {
+	if p.nextCell > p.counterBase {
 		if _, err := nb.AddSection(&bin.Section{
-			Name: ".icfg.counters", Addr: counterBase,
-			Data:  make([]byte, p.nextCell-counterBase),
+			Name: ".icfg.counters", Addr: p.counterBase,
+			Data:  make([]byte, p.nextCell-p.counterBase),
 			Flags: bin.FlagAlloc | bin.FlagWrite, Align: 8,
 		}); err != nil {
 			return nil, err

@@ -12,15 +12,13 @@ import (
 
 // TestOptionIdentityComplete walks every field of core.Options (into
 // instrument.Request and core.Variant) and flips it. Each flip must
-// change the wire encoding, make EncodeOptions refuse the options, or
-// be on the explicit non-identity list; Profile, which travels in the
-// body, must change the Fingerprint. A field added without a codec row
+// change the wire encoding or make EncodeOptions refuse the options;
+// Profile, which travels in the body, must change the Fingerprint. A field added without a codec row
 // fails here. The analysis key must follow exactly the analysis rows:
 // mode and no-evidence split it, the instrumentation rows must not —
 // request shapes share one analysis.
 func TestOptionIdentityComplete(t *testing.T) {
 	const hash = "0123abcd"
-	nonIdentity := map[string]bool{"PatchJobs": true}
 	analysisRows := map[string]bool{"mode": true, "no-evidence": true}
 
 	base := core.Options{Mode: core.ModeJT}
@@ -52,13 +50,6 @@ func TestOptionIdentityComplete(t *testing.T) {
 		flip(t, field, f)
 		q, encErr := wire.EncodeOptions(o)
 		switch {
-		case nonIdentity[field]:
-			if encErr != nil || q.Encode() != baseQ.Encode() {
-				t.Errorf("%s is listed as non-identity but changes the encoding (%q, %v)", field, q.Encode(), encErr)
-			}
-			if fp, _ := keys(t, hash, o); fp != baseFP {
-				t.Errorf("%s is listed as non-identity but changes the fingerprint", field)
-			}
 		case field == "Profile":
 			if fp, _ := keys(t, hash, o); fp == baseFP {
 				t.Errorf("a profile does not change the fingerprint")

@@ -79,12 +79,6 @@ type Config struct {
 	// ResultEntries bounds the request-level result cache; 0 disables
 	// it (analyses are still cached).
 	ResultEntries int
-	// PatchJobs bounds the worker pool each request's plan and emit
-	// stages run on, for requests that do not set their own
-	// core.Options.PatchJobs (default: 0, serial). The emitted bytes are
-	// byte-identical whatever the value, so it is not part of any cache
-	// identity.
-	PatchJobs int
 	// Dir enables on-disk persistence of the result cache.
 	Dir string
 	// Timeout bounds each request's processing time, measured from
@@ -432,11 +426,7 @@ func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*Response, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts := req.Opts
-	if opts.PatchJobs == 0 {
-		opts.PatchJobs = s.cfg.PatchJobs
-	}
-	res, err := an.Patch(opts)
+	res, err := an.Patch(req.Opts)
 	if err != nil {
 		return nil, err
 	}

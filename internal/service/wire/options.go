@@ -118,8 +118,7 @@ func ParseMode(m string) (core.Mode, error) {
 // variants, a suppressed RA map, instrumentation addresses, function
 // names that are empty or carry a comma — since a dropped option would
 // be served, and cached, as another request. A profile travels in the
-// body (FrameProfile), so it is refused too. PatchJobs changes no
-// output byte and is not encoded.
+// body (FrameProfile), so it is refused too.
 func EncodeOptions(o core.Options) (url.Values, error) {
 	if o.Variant != (core.Variant{}) || o.NoRAMap || len(o.Request.Addrs) > 0 || o.Profile != nil {
 		return nil, errors.New("wire: baseline variants, NoRAMap and instrumentation addresses are not expressible on the wire; a profile travels in the body (profile=1)")

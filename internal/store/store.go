@@ -67,19 +67,16 @@ type Config[K comparable, V any] struct {
 	KeyPath func(K) string
 	Encode  func(V) ([]byte, error)
 	Decode  func([]byte) (V, error)
-	// MaxArtifactBytes caps the size of a persisted artifact the store
-	// will read back from Dir; 0 selects DefaultMaxArtifactBytes. An
-	// oversized file cannot be a sane artifact — it is a corrupted or
-	// hostile write into the persistence directory — so it takes the
-	// corrupt-artifact path: deleted, and the artifact rebuilt, instead
-	// of being slurped into memory whole before Decode can object.
-	MaxArtifactBytes int64
 }
 
-// DefaultMaxArtifactBytes bounds persisted-artifact reads when
-// Config.MaxArtifactBytes is zero. Real analysis artifacts for the
+// DefaultMaxArtifactBytes caps the size of a persisted artifact the
+// store will read back from Dir. Real analysis artifacts for the
 // largest workloads are tens of megabytes; 1GiB is far above any sane
-// artifact while still refusing a runaway or malicious file.
+// artifact while still refusing a runaway or malicious file. An
+// oversized file cannot be a sane artifact — it is a corrupted or
+// hostile write into the persistence directory — so it takes the
+// corrupt-artifact path: deleted, and the artifact rebuilt, instead of
+// being slurped into memory whole before Decode can object.
 const DefaultMaxArtifactBytes = 1 << 30
 
 // entry is one keyed slot. ready closes when the value (or error) is
@@ -95,6 +92,8 @@ type entry[V any] struct {
 // Store is a content-addressed artifact cache safe for concurrent use.
 type Store[K comparable, V any] struct {
 	cfg Config[K, V]
+	// maxArtifactBytes is DefaultMaxArtifactBytes; tests lower it.
+	maxArtifactBytes int64
 
 	mu      sync.Mutex
 	entries map[K]*entry[V]
@@ -109,7 +108,7 @@ func New[K comparable, V any](cfg Config[K, V]) *Store[K, V] {
 	if cfg.Dir != "" && (cfg.KeyPath == nil || cfg.Encode == nil || cfg.Decode == nil) {
 		panic("store: Dir requires KeyPath, Encode, and Decode")
 	}
-	return &Store[K, V]{cfg: cfg, entries: map[K]*entry[V]{}, lru: list.New()}
+	return &Store[K, V]{cfg: cfg, maxArtifactBytes: DefaultMaxArtifactBytes, entries: map[K]*entry[V]{}, lru: list.New()}
 }
 
 // GetOrCreate returns the artifact for key, building it with build on a
@@ -246,34 +245,30 @@ func (s *Store[K, V]) evictLocked() {
 // format change — and is deleted so the artifact rebuilds from scratch
 // and re-persists cleanly, instead of failing this and every future
 // request for the key. Size is validated before the read: an artifact
-// over the configured cap is treated exactly like one that fails
+// over DefaultMaxArtifactBytes is treated exactly like one that fails
 // Decode, without first allocating its full length.
 func (s *Store[K, V]) loadDisk(key K) (V, error) {
 	var zero V
 	if s.cfg.Dir == "" {
 		return zero, os.ErrNotExist
 	}
-	maxBytes := s.cfg.MaxArtifactBytes
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxArtifactBytes
-	}
 	path := filepath.Join(s.cfg.Dir, s.cfg.KeyPath(key))
 	fi, err := os.Stat(path)
 	if err != nil {
 		return zero, err
 	}
-	if fi.Size() > maxBytes {
+	if fi.Size() > s.maxArtifactBytes {
 		os.Remove(path)
-		return zero, fmt.Errorf("store: corrupt artifact %v (deleted for rebuild): %d bytes exceeds cap %d", key, fi.Size(), maxBytes)
+		return zero, fmt.Errorf("store: corrupt artifact %v (deleted for rebuild): %d bytes exceeds cap %d", key, fi.Size(), s.maxArtifactBytes)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return zero, err
 	}
-	if int64(len(data)) > maxBytes {
+	if int64(len(data)) > s.maxArtifactBytes {
 		// The file grew between Stat and read — still over the cap.
 		os.Remove(path)
-		return zero, fmt.Errorf("store: corrupt artifact %v (deleted for rebuild): %d bytes exceeds cap %d", key, len(data), maxBytes)
+		return zero, fmt.Errorf("store: corrupt artifact %v (deleted for rebuild): %d bytes exceeds cap %d", key, len(data), s.maxArtifactBytes)
 	}
 	v, err := s.cfg.Decode(data)
 	if err != nil {

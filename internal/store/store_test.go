@@ -118,13 +118,13 @@ func TestDiskPersistence(t *testing.T) {
 func TestOversizedArtifactRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	cfg := byteConfig(0, dir)
-	cfg.MaxArtifactBytes = 64
 	// Plant an oversized file where the artifact would persist, as a
 	// torn multi-write or a hostile tenant of the directory would.
 	if err := os.WriteFile(filepath.Join(dir, "k"), make([]byte, 65), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := New(cfg)
+	s.maxArtifactBytes = 64
 	v, hit, err := s.GetOrCreate("k", func() ([]byte, error) { return []byte("rebuilt"), nil })
 	if err != nil || hit || string(v) != "rebuilt" {
 		t.Fatalf("oversized artifact not rebuilt: v=%q hit=%v err=%v", v, hit, err)

@@ -53,7 +53,7 @@ func TestSoundFuncPtrWithLandingPads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: generate CFI: %v", a, err)
 		}
-		opts := core.Options{Mode: core.ModeFuncPtr, Request: blockEmpty(), PatchJobs: 1}
+		opts := core.Options{Mode: core.ModeFuncPtr, Request: blockEmpty()}
 		if _, err := core.Rewrite(plain.Binary, opts); !errors.Is(err, core.ErrImpreciseFuncPtrs) {
 			t.Fatalf("%s: plain build in func-ptr mode: got %v, want ErrImpreciseFuncPtrs", a, err)
 		}
@@ -107,7 +107,7 @@ func TestRewrittenCFIBinaryPassesCET(t *testing.T) {
 		origOut := runCET(t, fmt.Sprintf("%s/original", a), prog.Binary, 1)
 		for _, mode := range []core.Mode{core.ModeDir, core.ModeJT, core.ModeFuncPtr} {
 			label := fmt.Sprintf("%s/%s", a, mode)
-			res, err := core.Rewrite(prog.Binary, core.Options{Mode: mode, Request: blockEmpty(), PatchJobs: 1})
+			res, err := core.Rewrite(prog.Binary, core.Options{Mode: mode, Request: blockEmpty()})
 			if err != nil {
 				t.Fatalf("%s: rewrite: %v", label, err)
 			}
@@ -136,7 +136,7 @@ func TestMarkerlessByteIdentity(t *testing.T) {
 		for _, b := range []*bin.Binary{prog.Binary, suite[0].Binary} {
 			for _, mode := range []core.Mode{core.ModeDir, core.ModeJT, core.ModeFuncPtr} {
 				label := fmt.Sprintf("%s/%s", a, mode)
-				opts := core.Options{Mode: mode, Request: blockEmpty(), PatchJobs: 1}
+				opts := core.Options{Mode: mode, Request: blockEmpty()}
 				withEv, errEv := core.Rewrite(b, opts)
 				opts.NoEvidence = true
 				without, errNo := core.Rewrite(b, opts)
@@ -163,7 +163,7 @@ func TestMarkerlessByteIdentity(t *testing.T) {
 func TestCorruptMarkersDegrade(t *testing.T) {
 	prog := corruptMarkerProgram(t)
 	for _, mode := range []core.Mode{core.ModeDir, core.ModeJT} {
-		opts := core.Options{Mode: mode, Request: blockEmpty(), PatchJobs: 1}
+		opts := core.Options{Mode: mode, Request: blockEmpty()}
 		withEv, err := core.Rewrite(prog, opts)
 		if err != nil {
 			t.Fatalf("%s: rewrite: %v", mode, err)
@@ -180,7 +180,7 @@ func TestCorruptMarkersDegrade(t *testing.T) {
 			t.Fatalf("%s: corrupt-marker rewrite differs from conservative path", mode)
 		}
 	}
-	_, err := core.Rewrite(prog, core.Options{Mode: core.ModeFuncPtr, Request: blockEmpty(), PatchJobs: 1})
+	_, err := core.Rewrite(prog, core.Options{Mode: core.ModeFuncPtr, Request: blockEmpty()})
 	if !errors.Is(err, core.ErrImpreciseFuncPtrs) {
 		t.Fatalf("func-ptr mode on corrupt markers: got %v, want the conservative ErrImpreciseFuncPtrs", err)
 	}
