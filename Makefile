@@ -62,10 +62,12 @@ obs-guard:
 	$(GO) test -run TestObsOverheadGuard .
 
 # alloc-guard asserts the hot paths stay inside their allocation
-# budgets (TestAllocBudget). It runs outside `race` because allocation
-# counts are not meaningful under the race detector.
+# budgets (TestAllocBudget), a result-cache hit inside its byte budget
+# (TestResultHitAllocBytes), and a lying Content-Length inside its read
+# step (TestLyingContentLengthAllocBytes). It runs outside `race`
+# because allocation counts are not meaningful under the race detector.
 alloc-guard:
-	$(GO) test -run TestAllocBudget -v .
+	$(GO) test -run 'TestAllocBudget|TestResultHitAllocBytes|TestLyingContentLengthAllocBytes' -v .
 
 # check runs each gate once. The cluster, batch, profile-guided,
 # landing-pad and delta acceptance tests run inside `race`;

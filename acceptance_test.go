@@ -74,8 +74,18 @@ var acceptanceTests = []struct {
 		"TestLandingPadCoverageCounts",
 		"TestProfileGuidedRatioBounds",
 	}},
+	{"frames", "internal/service", []string{
+		"TestTruncatedResultFileRecomputes",
+		"TestUndecodableBodyIs422",
+	}},
+	{"frames", "internal/service/wire", []string{
+		"TestReadFrameRejects",
+		"FuzzReadFrame",
+	}},
 	{"make-targets", ".", []string{
 		"TestAllocBudget",
+		"TestResultHitAllocBytes",
+		"TestLyingContentLengthAllocBytes",
 		"TestObsOverheadGuard",
 	}},
 }

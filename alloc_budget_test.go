@@ -1,12 +1,19 @@
 package icfgpatch_test
 
 import (
+	"bytes"
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/core"
 	"icfgpatch/internal/instrument"
+	"icfgpatch/internal/service"
+	"icfgpatch/internal/service/wire"
 	"icfgpatch/internal/workload"
 )
 
@@ -92,4 +99,90 @@ func TestAllocBudget(t *testing.T) {
 		mallocs += after.Mallocs - before.Mallocs
 	}
 	check("delta_analyze", float64(mallocs)/runs, deltaAnalyzeAllocBudget)
+}
+
+// TestResultHitAllocBytes: a result-cache hit costs about one sized read
+// of the body, one hash, and the write of the cached frame. libxul-x64
+// goes through Server.Handler() twice at GOMAXPROCS(1); the second
+// request is a hit, and the bytes the process allocates for it — server
+// and client alike, the client's read of the reply frame included —
+// stay within 1.25 × (body + image) + 64 KiB.
+func TestResultHitAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("skipping allocation measurement in short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prog, err := workload.LibxulCached(arch.X64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := prog.Binary.Marshal()
+	srv := service.New(service.Config{Workers: 1, ResultEntries: 4})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	send := func() (*wire.Reply, []byte) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/rewrite?mode=jt&where=block&payload=empty",
+			"application/octet-stream", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		reply, image, err := wire.ReadFrame(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply, image
+	}
+	send()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	reply, image := send()
+	runtime.ReadMemStats(&after)
+	if !reply.ResultHit {
+		t.Fatal("second identical request missed the result cache")
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	budget := uint64(1.25*float64(len(raw)+len(image))) + 64<<10
+	if got > budget {
+		t.Errorf("result hit allocated %d bytes, budget %d (body %d, image %d)", got, budget, len(raw), len(image))
+	} else {
+		t.Logf("result hit allocated %d bytes within budget %d (body %d, image %d)", got, budget, len(raw), len(image))
+	}
+}
+
+// TestLyingContentLengthAllocBytes: a /rewrite POST whose Content-Length
+// declares the whole body cap but carries 10 bytes is refused with 400,
+// and its read allocates less than 2 MiB: the body buffer runs at most
+// one read step ahead of the bytes received.
+func TestLyingContentLengthAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	srv := service.New(service.Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	h := srv.Handler()
+	req := httptest.NewRequest(http.MethodPost, "/rewrite?mode=jt", strings.NewReader("0123456789"))
+	req.ContentLength = wire.DefaultMaxBody
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d %q, want 400", rec.Code, rec.Body.String())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("10-byte body declaring %d bytes allocated %d bytes", req.ContentLength, got)
+	} else {
+		t.Logf("10-byte body declaring %d bytes allocated %d bytes", req.ContentLength, got)
+	}
 }

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"icfgpatch/internal/analysis"
@@ -347,8 +348,13 @@ func main() {
 	}
 
 	fmt.Printf("arch %s  pie=%v  shared=%v  entry %#x\n", img.Arch, img.PIE, img.SharedLib, img.Entry)
-	for k, v := range img.Meta {
-		fmt.Printf("  meta %s=%s\n", k, v)
+	keys := make([]string, 0, len(img.Meta))
+	for k := range img.Meta {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Printf("  meta %s=%s\n", k, img.Meta[k])
 	}
 	fmt.Println("\nsections:")
 	for _, s := range img.Sections {

@@ -50,6 +50,18 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalExactSize: Marshal sizes its buffer from marshalSize, so
+// the output fills it exactly and is never grown on the way.
+func TestMarshalExactSize(t *testing.T) {
+	empty := New(arch.A64)
+	for name, b := range map[string]*Binary{"full": testBinary(), "empty": empty} {
+		out := b.Marshal()
+		if len(out) != b.marshalSize() || cap(out) != len(out) {
+			t.Errorf("%s: len %d cap %d, marshalSize %d", name, len(out), cap(out), b.marshalSize())
+		}
+	}
+}
+
 func TestMarshalDeterministic(t *testing.T) {
 	b1, b2 := testBinary(), testBinary()
 	// Shuffle section and meta insertion order; the output must not vary.

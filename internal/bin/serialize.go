@@ -21,20 +21,13 @@ var magic = [8]byte{'I', 'C', 'F', 'G', 'B', 'I', 'N', '1'}
 // binary.
 var ErrBadMagic = errors.New("bin: bad magic (not an ICFGBIN1 file)")
 
-type writer struct{ buf bytes.Buffer }
+type writer struct{ buf []byte }
 
-func (w *writer) u8(v uint8) { w.buf.WriteByte(v) }
-func (w *writer) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf.Write(b[:])
-}
-func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
-func (w *writer) str(s string) { w.u64(uint64(len(s))); w.buf.WriteString(s) }
-func (w *writer) bytes(b []byte) {
-	w.u64(uint64(len(b)))
-	w.buf.Write(b)
-}
+func (w *writer) u8(v uint8)     { w.buf = append(w.buf, v) }
+func (w *writer) u64(v uint64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *writer) i64(v int64)    { w.u64(uint64(v)) }
+func (w *writer) str(s string)   { w.u64(uint64(len(s))); w.buf = append(w.buf, s...) }
+func (w *writer) bytes(b []byte) { w.u64(uint64(len(b))); w.buf = append(w.buf, b...) }
 
 type reader struct {
 	b   []byte
@@ -180,10 +173,10 @@ func readRelocs(r *reader) []Reloc {
 	return rels
 }
 
-// Marshal serialises the binary.
+// Marshal serialises the binary into one buffer of exactly its size.
 func (b *Binary) Marshal() []byte {
-	var w writer
-	w.buf.Write(magic[:])
+	w := writer{buf: make([]byte, 0, b.marshalSize())}
+	w.buf = append(w.buf, magic[:]...)
 	w.u8(uint8(b.Arch))
 	flags := uint8(0)
 	if b.PIE {
@@ -227,7 +220,33 @@ func (b *Binary) Marshal() []byte {
 		w.str(k)
 		w.str(b.Meta[k])
 	}
-	return w.buf.Bytes()
+	return w.buf
+}
+
+// marshalSize is the length of Marshal's output: the fixed header, then
+// every table's count and entries as Marshal writes them.
+func (b *Binary) marshalSize() int {
+	n := len(magic) + 1 + 1 + 8 + 8 + 8 // arch, flags, entry, TOC, section count
+	for _, s := range b.Sections {
+		n += 8 + len(s.Name) + 8 + 1 + 8 + 8 + len(s.Data)
+	}
+	for _, syms := range [][]Symbol{b.Symbols, b.DynSymbols} {
+		n += 8
+		for _, s := range syms {
+			n += symbolWireSize + len(s.Name)
+		}
+	}
+	for _, rels := range [][]Reloc{b.Relocs, b.LinkRelocs} {
+		n += 8
+		for _, rl := range rels {
+			n += relocWireSize + len(rl.Sym)
+		}
+	}
+	n += 8 // meta count
+	for k, v := range b.Meta {
+		n += 8 + len(k) + 8 + len(v)
+	}
+	return n
 }
 
 // Unmarshal parses a serialised binary.

@@ -226,12 +226,15 @@ func (n *Node) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	// Pre-routed requests are served unconditionally (no loops); so are
 	// requests this node owns.
 	if r.Header.Get(RoutedHeader) != "" {
-		n.srv.ServeRewrite(w, r, raw)
+		n.srv.ServeRewrite(w, r, raw, "")
 		return
 	}
-	owners := n.ring.Owners(store.Hash(raw), n.cfg.Replicas)
+	// The routing hash is the service's content address too, so the
+	// body is hashed once whichever path serves it.
+	hash := store.Hash(raw)
+	owners := n.ring.Owners(hash, n.cfg.Replicas)
 	if slices.Contains(owners, n.cfg.Self) {
-		n.srv.ServeRewrite(w, r, raw)
+		n.srv.ServeRewrite(w, r, raw, hash)
 		return
 	}
 	if n.tryOwners(owners, func(o string) error {
@@ -242,7 +245,7 @@ func (n *Node) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	// Every owner is unreachable: serve locally rather than fail. The
 	// output is byte-identical anywhere — routing is a cache-locality
 	// policy, and availability wins when the policy can't be satisfied.
-	n.srv.ServeRewrite(w, r, raw)
+	n.srv.ServeRewrite(w, r, raw, hash)
 }
 
 // Info is the /cluster endpoint's JSON body.

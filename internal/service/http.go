@@ -57,7 +57,7 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.ServeRewrite(w, r, raw)
+	s.ServeRewrite(w, r, raw, "")
 }
 
 // MaxRequestBytes reports the door cap this server enforces, so
@@ -67,9 +67,12 @@ func (s *Server) MaxRequestBytes() int64 { return s.cfg.MaxRequestBytes }
 // ServeRewrite serves one rewrite whose body has already been read —
 // the seam the cluster node uses to serve a request it decided to
 // handle locally (it must read the body first to route by content
-// hash). Options and trace flag come from r's query string; the frame
-// goes to w.
-func (s *Server) ServeRewrite(w http.ResponseWriter, r *http.Request, raw []byte) {
+// hash). hash is store.Hash(raw) when the caller has already computed
+// it, so the body is hashed once, or "" to compute it here; it is
+// dropped for a profile=1 body, whose binary is only part of raw.
+// Options and trace flag come from r's query string; the frame goes to
+// w.
+func (s *Server) ServeRewrite(w http.ResponseWriter, r *http.Request, raw []byte, hash string) {
 	opts, t, err := wire.ParseRewriteQuery(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -86,7 +89,7 @@ func (s *Server) ServeRewrite(w http.ResponseWriter, r *http.Request, raw []byte
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		raw = bb
+		raw, hash = bb, ""
 		if p, err := profile.Decode(pb); err == nil && !p.Trivial() {
 			opts.Profile = p
 		}
@@ -99,14 +102,13 @@ func (s *Server) ServeRewrite(w http.ResponseWriter, r *http.Request, raw []byte
 		// fence on the remote node.
 		submit = s.SubmitBatch
 	}
-	resp, err := submit(r.Context(), Request{Raw: raw, Opts: opts, Trace: t["trace"] == "1" || t["trace"] == "true"})
+	resp, err := submit(r.Context(), Request{Raw: raw, Hash: hash, Opts: opts, Trace: t["trace"] == "1" || t["trace"] == "true"})
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
 	resp.TraceText = resp.Trace.Render()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	wire.WriteFrame(w, &resp.Reply, resp.Image)
+	wire.ServeFrame(w, &resp.Reply, resp.Image)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

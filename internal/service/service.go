@@ -87,8 +87,9 @@ type Config struct {
 }
 
 // Request is one rewrite submission. Either Binary or Raw (a serialised
-// binary) must be set; Hash is the content address and is computed when
-// empty.
+// binary) must be set. Hash is the content address, store.Hash of Raw
+// (or of Binary's serialisation); it is computed when empty, and a
+// caller that sets it vouches for it, since it keys both caches.
 type Request struct {
 	Raw    []byte
 	Binary *bin.Binary
@@ -248,14 +249,13 @@ func New(cfg Config) *Server {
 
 // encodeResult persists a result-cache entry as its /rewrite frame.
 func encodeResult(r *Response) ([]byte, error) {
-	var buf bytes.Buffer
-	err := wire.WriteFrame(&buf, &r.Reply, r.Image)
-	return buf.Bytes(), err
+	return wire.EncodeFrame(&r.Reply, r.Image)
 }
 
 // decodeResult reads a persisted entry back through the frame's bounded
-// reader. A file that does not decode — torn, or written in an older
-// format — takes the store's corrupt-artifact path and is recomputed.
+// reader. A file that does not decode — torn, cut inside its image, or
+// written in an older format — takes the store's corrupt-artifact path
+// and is recomputed.
 func decodeResult(data []byte) (*Response, error) {
 	rep, image, err := wire.ReadFrame(bytes.NewReader(data))
 	if err != nil {
@@ -312,19 +312,17 @@ func (s *Server) submit(ctx context.Context, req Request, do func(context.Contex
 	return nil, err
 }
 
-// normalize fills the request's derived fields, the cache keys among
-// them. Both are built from the wire encoding, so options it cannot
-// express are refused here: the service serves the wire vocabulary.
+// normalize fills the request's derived fields: the content hash, when
+// the caller has not already computed it, and the cache keys. Both keys
+// are built from the wire encoding, so options it cannot express are
+// refused here: the service serves the wire vocabulary. It does not
+// decode Raw: a result hit or an analysis hit never needs the binary,
+// so analyzeAndPatch decodes it only on an analysis miss. That is safe
+// because an entry enters either cache only after its exact bytes
+// decoded and were analysed.
 func normalize(req *Request) error {
-	if req.Binary == nil {
-		if len(req.Raw) == 0 {
-			return errors.New("service: request carries no binary")
-		}
-		b, err := bin.Unmarshal(req.Raw)
-		if err != nil {
-			return fmt.Errorf("service: bad request binary: %w", err)
-		}
-		req.Binary = b
+	if req.Binary == nil && len(req.Raw) == 0 {
+		return errors.New("service: request carries no binary")
 	}
 	if req.Hash == "" {
 		if len(req.Raw) > 0 {
@@ -410,15 +408,23 @@ func (s *Server) rewriteOnce(ctx context.Context, req *Request) (*Response, erro
 // analyzeAndPatch is the warm path's seam: analysis through the
 // content-addressed store (single-flighted across concurrent requests
 // for the same binary), then a per-request patch. It builds the
-// rewrite's record.
+// rewrite's record. A miss is the one place a request's Raw bytes are
+// decoded.
 func (s *Server) analyzeAndPatch(ctx context.Context, req *Request) (*Response, error) {
 	an, hit, err := s.analyses.GetOrCreate(req.analysisKey, func() (*core.Analysis, error) {
+		b := req.Binary
+		if b == nil {
+			var err error
+			if b, err = bin.Unmarshal(req.Raw); err != nil {
+				return nil, fmt.Errorf("service: bad request binary: %w", err)
+			}
+		}
 		// The function-unit store turns an analysis-store miss for a new
 		// version of a known binary into a delta: unchanged functions'
 		// units are pulled instead of recomputed.
 		cfgc := req.Opts.AnalysisConfig()
 		cfgc.Units = s.units
-		return core.Analyze(req.Binary, cfgc)
+		return core.Analyze(b, cfgc)
 	})
 	if err != nil {
 		return nil, err

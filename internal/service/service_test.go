@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -437,6 +440,72 @@ func TestResultCachePersistence(t *testing.T) {
 		}
 		if resp.ResultHit || !bytes.Equal(resp.Image, resp1.Image) {
 			t.Errorf("%s .res: served it (result hit %v, image equal %v)", name, resp.ResultHit, bytes.Equal(resp.Image, resp1.Image))
+		}
+	}
+}
+
+// TestTruncatedResultFileRecomputes: a persisted result cut inside its
+// image no longer matches the image length its frame declares, so the
+// store drops it and the repeat request recomputes instead of serving a
+// truncated rewrite.
+func TestTruncatedResultFileRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	raw := testBinaryRaw(t)
+	opts := core.Options{Mode: core.ModeJT, Request: blockEmpty()}
+	submit := func(cfg Config) *Response {
+		t.Helper()
+		s := New(cfg)
+		defer s.Shutdown(context.Background())
+		resp, err := s.Submit(context.Background(), Request{Raw: raw, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	first := submit(Config{Workers: 1, ResultEntries: 4, Dir: dir})
+	key, _, err := requestKeys(store.Hash(raw), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, key+".res")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut = 100
+	if len(first.Image) <= cut {
+		t.Fatalf("image of %d bytes is too short to cut inside", len(first.Image))
+	}
+	if err := os.WriteFile(path, data[:len(data)-cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp := submit(Config{Workers: 1, ResultEntries: 4, Dir: dir})
+	fresh := submit(Config{Workers: 1})
+	if resp.ResultHit {
+		t.Errorf("served the cut file as a result hit (%d-byte image)", len(resp.Image))
+	}
+	if !bytes.Equal(resp.Image, fresh.Image) {
+		t.Errorf("image after the cut file: %d bytes, a fresh server's: %d", len(resp.Image), len(fresh.Image))
+	}
+}
+
+// TestUndecodableBodyIs422: the binary is decoded only on an analysis
+// miss, inside the worker, yet a body that does not decode still gets
+// 422 with the bad-binary message, and the failure is not cached.
+func TestUndecodableBodyIs422(t *testing.T) {
+	s := New(Config{Workers: 1, ResultEntries: 4})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(ts.URL+"/rewrite?mode=jt", "application/octet-stream", strings.NewReader("not a binary"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "service: bad request binary") {
+			t.Fatalf("request %d: %d %q, want 422 naming a bad request binary", i, resp.StatusCode, msg)
 		}
 	}
 }

@@ -40,9 +40,12 @@ import (
 const DefaultMaxBody int64 = 256 << 20
 
 // ReadBody reads r's body through http.MaxBytesReader with the given
-// cap (0 selects DefaultMaxBody; negative disables the cap). On
-// failure it writes the HTTP error — 413 when the cap was exceeded,
-// 400 otherwise — and returns ok=false.
+// cap (0 selects DefaultMaxBody; negative disables the cap). A body
+// that declares its Content-Length is read into one buffer sized from
+// it, trusted only as far as the bytes received (see readSized), and
+// must be exactly that long; a chunked body is read to EOF. On failure
+// it writes the HTTP error — 413 when the cap was exceeded, 400
+// otherwise — and returns ok=false.
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	if limit == 0 {
 		limit = DefaultMaxBody
@@ -51,7 +54,21 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 	if limit > 0 {
 		body = http.MaxBytesReader(w, r.Body, limit)
 	}
-	raw, err := io.ReadAll(body)
+	var raw []byte
+	var err error
+	if n := r.ContentLength; n > 0 {
+		if limit > 0 && n > limit {
+			// One byte past the cap is enough for MaxBytesReader to refuse.
+			n = limit + 1
+		}
+		if raw, err = readSized(body, uint64(n)); err == nil {
+			if err = atEOF(body); err != nil {
+				err = fmt.Errorf("request body longer than its Content-Length: %w", err)
+			}
+		}
+	} else {
+		raw, err = io.ReadAll(body)
+	}
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

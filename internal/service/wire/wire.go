@@ -14,8 +14,10 @@
 //	        profile length, the serialised profile artifact, then the
 //	        binary — so the profile participates in content-hash routing
 //	        and cache identity without a second upload channel
-//	  200 body: 8-byte little-endian JSON length, a JSON Reply, then
-//	            the serialised rewritten binary
+//	  200 body: 8-byte little-endian JSON length, a JSON Reply, an
+//	            8-byte little-endian image length, then the serialised
+//	            rewritten binary (exactly that many bytes; the reply
+//	            carries Content-Length)
 //	  errors: 400 bad request/options, 422 rewrite failure,
 //	          429 queue full, 503 shutting down, 504 deadline exceeded
 //
@@ -32,6 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"strconv"
 
 	"icfgpatch/internal/core"
 )
@@ -59,30 +63,53 @@ type Reply struct {
 // corrupt or hostile length prefix from driving a huge allocation.
 const MaxReplyHeader = 16 << 20
 
-// WriteFrame writes one /rewrite response frame: length-prefixed JSON
-// reply, then the image bytes.
-func WriteFrame(w io.Writer, reply *Reply, image []byte) error {
+// frameHeader renders the bytes of a frame that precede the image: the
+// JSON length, the JSON reply and the image length. The buffer has room
+// for spare more bytes.
+func frameHeader(reply *Reply, imageLen, spare int) ([]byte, error) {
 	jr, err := json.Marshal(reply)
+	if err != nil {
+		return nil, err
+	}
+	hdr := make([]byte, 0, 8+len(jr)+8+spare)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(jr)))
+	hdr = append(hdr, jr...)
+	return binary.LittleEndian.AppendUint64(hdr, uint64(imageLen)), nil
+}
+
+// ServeFrame writes one /rewrite response frame as an HTTP reply: it
+// declares the frame's Content-Length, so the reply is never chunked,
+// then writes the header and the image without copying the image.
+func ServeFrame(w http.ResponseWriter, reply *Reply, image []byte) error {
+	hdr, err := frameHeader(reply, len(image), 0)
 	if err != nil {
 		return err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(jr)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(jr); err != nil {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(hdr)+len(image)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err = w.Write(image)
 	return err
 }
 
+// EncodeFrame returns one frame in a single buffer of exactly its size.
+func EncodeFrame(reply *Reply, image []byte) ([]byte, error) {
+	hdr, err := frameHeader(reply, len(image), len(image))
+	if err != nil {
+		return nil, err
+	}
+	return append(hdr, image...), nil
+}
+
 // ReadFrame reads one /rewrite response frame, returning the reply and
 // the image bytes. It decodes frames from peers and from the result
-// cache's files alike, so the header is read only as far as the bytes
-// present: a hostile length prefix costs no allocation beyond the
-// input.
+// cache's files alike, so both declared lengths are trusted only as far
+// as the bytes present (see readSized): a hostile prefix costs at most
+// about twice the input plus one read step. The image must be exactly
+// as long as declared; a short or long one is refused, so a damaged
+// file or a cut connection never yields a truncated rewrite.
 func ReadFrame(r io.Reader) (*Reply, []byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -92,22 +119,74 @@ func ReadFrame(r io.Reader) (*Reply, []byte, error) {
 	if n > MaxReplyHeader {
 		return nil, nil, fmt.Errorf("wire: reply header declares %d bytes", n)
 	}
-	jr, err := io.ReadAll(io.LimitReader(r, int64(n)))
-	if err == nil && uint64(len(jr)) != n {
-		err = io.ErrUnexpectedEOF
-	}
+	jr, err := readSized(r, n)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: truncated reply: %w", err)
 	}
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, nil, fmt.Errorf("wire: truncated image length: %w", err)
+	}
+	n = binary.LittleEndian.Uint64(hdr[:])
+	image, err := readSized(r, n)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wire: image shorter than the %d bytes declared: %w", n, err)
+	}
+	if err := atEOF(r); err != nil {
+		return nil, nil, fmt.Errorf("wire: image longer than the %d bytes declared: %w", n, err)
+	}
+	// The JSON is decoded last, once the lengths have held.
 	var reply Reply
 	if err := json.Unmarshal(jr, &reply); err != nil {
 		return nil, nil, fmt.Errorf("wire: bad reply JSON: %w", err)
 	}
-	image, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wire: truncated image: %w", err)
-	}
 	return &reply, image, nil
+}
+
+// readStep is how far a sized read's buffer may run ahead of the bytes
+// received: the first buffer holds at most readStep bytes, and each
+// growth at most doubles what has arrived. A sender that declares more
+// than it sends therefore costs at most about twice the bytes it sent
+// plus readStep, while an honest one of up to readStep bytes costs one
+// allocation of exactly its size.
+const readStep = 1 << 20
+
+// readSized reads exactly n bytes from r. It returns
+// io.ErrUnexpectedEOF if r ends first, or r's own error.
+func readSized(r io.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readStep))
+	for {
+		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if uint64(len(buf)) == n {
+			return buf, nil
+		}
+		grown := make([]byte, len(buf), min(n, 2*uint64(len(buf))))
+		copy(grown, buf)
+		buf = grown
+	}
+}
+
+// errTrailing reports bytes past a declared length.
+var errTrailing = errors.New("trailing bytes")
+
+// atEOF returns nil if r has no bytes left, errTrailing if it has, or
+// r's own error.
+func atEOF(r io.Reader) error {
+	var b [1]byte
+	switch _, err := io.ReadFull(r, b[:]); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errTrailing
+	default:
+		return err
+	}
 }
 
 // FrameProfile builds a profile=1 request body: an 8-byte

@@ -36,16 +36,16 @@ func sampleReply() *Reply {
 	}
 }
 
-// TestFrameRoundTrip: WriteFrame's output parses back to the same whole
-// record and image through ReadFrame.
+// TestFrameRoundTrip: EncodeFrame's output parses back to the same
+// whole record and image through ReadFrame.
 func TestFrameRoundTrip(t *testing.T) {
 	in := sampleReply()
 	image := []byte("not really a binary, but the frame does not care")
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, in, image); err != nil {
+	frame, err := EncodeFrame(in, image)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out, gotImage, err := ReadFrame(&buf)
+	out, gotImage, err := ReadFrame(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,33 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadFrameRejects pins the reader's defence: truncated streams and
-// hostile length prefixes error out instead of allocating or hanging.
+// lenPrefixed is body behind an 8-byte little-endian length that
+// declares declared bytes.
+func lenPrefixed(declared uint64, body string) []byte {
+	return append(binary.LittleEndian.AppendUint64(nil, declared), body...)
+}
+
+// imageFrame is a frame with an empty reply whose image declares n
+// bytes and carries image.
+func imageFrame(n uint64, image string) []byte {
+	b := binary.LittleEndian.AppendUint64(lenPrefixed(2, "{}"), n)
+	return append(b, image...)
+}
+
+// unsizedFrame is a frame as written before frames declared their image
+// length: the JSON header, then the image up to the end.
+func unsizedFrame(t testing.TB) []byte {
+	jr, err := json.Marshal(sampleReply())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(lenPrefixed(uint64(len(jr)), string(jr)), "ICFGBIN1 the image"...)
+}
+
+// TestReadFrameRejects pins the reader's defence: truncated streams,
+// images longer or shorter than declared, frames without an image
+// length and hostile length prefixes error out instead of allocating or
+// hanging (FuzzReadFrame bounds the allocation of the same frames).
 func TestReadFrameRejects(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader([]byte{1, 2, 3})); err == nil || !strings.Contains(err.Error(), "truncated reply header") {
 		t.Fatalf("short header: err = %v", err)
@@ -72,6 +97,16 @@ func TestReadFrameRejects(t *testing.T) {
 	binary.LittleEndian.PutUint64(short[:], 100)
 	if _, _, err := ReadFrame(bytes.NewReader(append(short[:], []byte("{}")...))); err == nil || !strings.Contains(err.Error(), "truncated reply") {
 		t.Fatalf("short body: err = %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"long image":        imageFrame(5, "image!"),
+		"short image":       imageFrame(6, "image"),
+		"huge image length": imageFrame(1<<62, "0123456789"),
+		"unsized frame":     unsizedFrame(t),
+	} {
+		if _, image, err := ReadFrame(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted, image %q", name, image)
+		}
 	}
 }
 
@@ -253,17 +288,16 @@ func FuzzOptionsCodec(f *testing.F) {
 
 // FuzzReadFrame: ReadFrame decodes frames from peers and from the
 // result cache's files, so no input may panic it, a length prefix may
-// not make it allocate beyond the bytes actually present, and a frame
-// it accepts must re-encode to an equal reply and image.
+// not make it allocate more than one read step beyond a small multiple
+// of the bytes actually present, an image must be exactly as long as
+// declared, and a frame it accepts must re-encode to an equal reply and
+// image.
 func FuzzReadFrame(f *testing.F) {
-	var valid bytes.Buffer
-	if err := WriteFrame(&valid, sampleReply(), []byte("image")); err != nil {
+	valid, err := EncodeFrame(sampleReply(), []byte("image"))
+	if err != nil {
 		f.Fatal(err)
 	}
-	frame := func(declared uint64, body string) []byte {
-		b := binary.LittleEndian.AppendUint64(nil, declared)
-		return append(b, body...)
-	}
+	frame := lenPrefixed
 	// A result-cache file written before the cache stored frames: the
 	// gob encoding of the old {Image, Stats, Metrics} entry.
 	var old bytes.Buffer
@@ -275,13 +309,18 @@ func FuzzReadFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, seed := range [][]byte{
-		valid.Bytes(),
-		valid.Bytes()[:5],             // truncated header
-		frame(MaxReplyHeader+1, "{}"), // length above the bound
-		frame(MaxReplyHeader, "{}"),   // length at the bound, body absent
-		frame(2, "{]"),                // bad JSON
-		frame(2, "{}"),                // empty reply, no image
-		frame(100, "{}"),              // body shorter than declared
+		valid,
+		valid[:5],                       // truncated header
+		frame(MaxReplyHeader+1, "{}"),   // length above the bound
+		frame(MaxReplyHeader, "{}"),     // length at the bound, body absent
+		frame(2, "{]"),                  // bad JSON
+		frame(2, "{}"),                  // empty reply, no image length
+		frame(100, "{}"),                // body shorter than declared
+		imageFrame(0, ""),               // empty image
+		imageFrame(5, "image!"),         // image longer than declared
+		imageFrame(6, "image"),          // image shorter than declared
+		imageFrame(1<<62, "0123456789"), // a huge length, 10 bytes present
+		unsizedFrame(f),
 		old.Bytes(),
 	} {
 		f.Add(seed)
@@ -297,11 +336,11 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, reply, image); err != nil {
+		buf, err := EncodeFrame(reply, image)
+		if err != nil {
 			t.Fatalf("accepted reply does not encode: %v", err)
 		}
-		back, img2, err := ReadFrame(&buf)
+		back, img2, err := ReadFrame(bytes.NewReader(buf))
 		if err != nil {
 			t.Fatalf("re-encoded frame refused: %v", err)
 		}
