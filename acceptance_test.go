@@ -76,7 +76,20 @@ var acceptanceTests = []struct {
 	}},
 	{"frames", "internal/service", []string{
 		"TestTruncatedResultFileRecomputes",
+		"TestFlippedResultFileRecomputes",
 		"TestUndecodableBodyIs422",
+	}},
+	{"store-digest", "internal/store", []string{
+		"TestDiskDigestMismatchRebuilds",
+	}},
+	{"store-digest", "internal/service/batch", []string{
+		"TestBatchFlippedRecordNotServed",
+	}},
+	{"cold-work", "internal/core", []string{
+		"TestColdAnalyzeKeepsNoDeltaState",
+		"TestX64PatchComputesNoLiveness",
+		"TestLivenessOnlyForLongTrampolines",
+		"TestConcurrentPatchSharedAnalysis",
 	}},
 	{"frames", "internal/service/wire", []string{
 		"TestReadFrameRejects",

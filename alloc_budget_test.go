@@ -19,22 +19,23 @@ import (
 
 // Allocation budgets, in allocs/op, for the steady-state paths on the
 // libxul-x64 workload (jt, empty payload at block entries). Each is
-// 1.2× the count measured when the budget was set (3885, 8319 and
-// 550), so a failure means a real regression in allocation
+// 1.2× the count measured when the budget was set (1703, 4919, 550 and
+// 2661), so a failure means a real regression in allocation
 // discipline: re-examine the change, or lower the budget when an
 // optimisation makes room.
 const (
-	warmPatchAllocBudget    = 4662
-	warmAnalyzeAllocBudget  = 9983
+	warmPatchAllocBudget    = 2044
+	warmAnalyzeAllocBudget  = 5903
 	deltaAnalyzeAllocBudget = 660
+	coldPatchAllocBudget    = 3193
 )
 
 // TestAllocBudget asserts the hot paths stay inside their allocation
 // budgets: a warm Patch of a cached analysis, a warm whole-binary
-// Analyze, and a delta Analyze of a three-function mutation against a
-// unit store seeded with the previous version. Counts are taken on the
-// serial patch path with the world pinned to one proc, where they are
-// deterministic.
+// Analyze, a delta Analyze of a three-function mutation against a
+// unit store seeded with the previous version, and the first Patch of
+// a fresh analysis. Counts are taken on the serial patch path with the
+// world pinned to one proc, where they are deterministic.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -79,26 +80,50 @@ func TestAllocBudget(t *testing.T) {
 		}
 	}), warmAnalyzeAllocBudget)
 
-	// The first delta against a store IS the measurement, so there is no
-	// warm-up run: each run seeds a fresh store with v1 outside the
-	// measured window, then counts the v2 analysis alone.
+	// The first delta against a store, and the first Patch of a fresh
+	// analysis, ARE the measurements, so there is no warm-up run: each
+	// run prepares outside the measured window, then counts the one
+	// call alone.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var mallocs uint64
-	for i := 0; i < runs; i++ {
+	firstCall := func(prepare func() func()) float64 {
+		var mallocs uint64
+		for i := 0; i < runs; i++ {
+			call := prepare()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			call()
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		return float64(mallocs) / runs
+	}
+	check("delta_analyze", firstCall(func() func() {
 		units := core.NewUnitStore(0)
 		if _, err := core.Analyze(v1, core.AnalysisConfig{Mode: core.ModeJT, Units: units}); err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if _, err := core.Analyze(v2, core.AnalysisConfig{Mode: core.ModeJT, Units: units}); err != nil {
+		return func() {
+			if _, err := core.Analyze(v2, core.AnalysisConfig{Mode: core.ModeJT, Units: units}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}), deltaAnalyzeAllocBudget)
+	// cold_patch: the first Patch of a fresh analysis pays for every
+	// function's placement.
+	check("cold_patch", firstCall(func() func() {
+		fresh, err := core.Analyze(v1, core.AnalysisConfig{Mode: core.ModeJT})
+		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		mallocs += after.Mallocs - before.Mallocs
-	}
-	check("delta_analyze", float64(mallocs)/runs, deltaAnalyzeAllocBudget)
+		return func() {
+			res, err := fresh.Patch(patchOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Recycle()
+		}
+	}), coldPatchAllocBudget)
 }
 
 // TestResultHitAllocBytes: a result-cache hit costs about one sized read

@@ -55,7 +55,7 @@ func TestJumpTableExactResolution(t *testing.T) {
 		for _, pie := range []bool{false, true} {
 			img, dbg := switchBinary(t, a, pie, 5, asm.SwitchOpts{})
 			g := analyze(t, img)
-			fn, _ := g.FuncByName("main")
+			fn, _ := funcByName(g, "main")
 			if fn.Err != nil {
 				t.Fatalf("%s pie=%v: analysis failed: %v", a, pie, fn.Err)
 			}
@@ -101,7 +101,7 @@ func TestSpilledIndexFallsBackToBoundExtension(t *testing.T) {
 	for _, a := range arch.All() {
 		img, dbg := switchBinary(t, a, false, 4, asm.SwitchOpts{SpillIndex: true})
 		g := analyze(t, img)
-		fn, _ := g.FuncByName("main")
+		fn, _ := funcByName(g, "main")
 		if fn.Err != nil {
 			t.Fatalf("%s: analysis failed: %v", a, fn.Err)
 		}
@@ -136,7 +136,7 @@ func TestLargeTableAtSectionEndNotTruncated(t *testing.T) {
 	for _, a := range arch.All() {
 		img, dbg := switchBinary(t, a, false, nCases, asm.SwitchOpts{SpillIndex: true})
 		g := analyze(t, img)
-		fn, _ := g.FuncByName("main")
+		fn, _ := funcByName(g, "main")
 		if fn.Err != nil {
 			t.Fatalf("%s: analysis failed: %v", a, fn.Err)
 		}
@@ -169,7 +169,7 @@ func TestOpaqueBaseIsGracefulFailure(t *testing.T) {
 	for _, a := range arch.All() {
 		img, _ := switchBinary(t, a, false, 4, asm.SwitchOpts{OpaqueBase: true})
 		g := analyze(t, img)
-		fn, _ := g.FuncByName("main")
+		fn, _ := funcByName(g, "main")
 		if fn.Err == nil {
 			t.Errorf("%s: opaque-base switch did not fail the function", a)
 		}
@@ -209,7 +209,7 @@ func TestAdjacentTablesBoundEachOther(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := analyze(t, img)
-		fn, _ := g.FuncByName("main")
+		fn, _ := funcByName(g, "main")
 		if fn.Err != nil {
 			t.Fatalf("%s: %v", a, fn.Err)
 		}
@@ -255,7 +255,7 @@ func TestIndirectTailCallStillInstrumentable(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := analyze(t, img)
-		fn, _ := g.FuncByName("main")
+		fn, _ := funcByName(g, "main")
 		if fn.Err != nil {
 			t.Errorf("%s: tail-call function failed: %v", a, fn.Err)
 		}
@@ -371,4 +371,14 @@ func TestBoundaryScanFindsDataAccesses(t *testing.T) {
 	if !hard {
 		t.Errorf("boundary-derived limit not reported as hard")
 	}
+}
+
+// funcByName returns the named function of g.
+func funcByName(g *cfg.Graph, name string) (*cfg.Func, bool) {
+	for _, f := range g.Funcs {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return nil, false
 }

@@ -78,7 +78,7 @@ func TestA64CompressedTablesResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, _ := g.FuncByName("main")
+		fn, _ := funcByName(g, "main")
 		if fn.Err != nil {
 			t.Fatalf("filler=%d: %v", filler, fn.Err)
 		}
@@ -131,7 +131,7 @@ func TestInterleavedRodataBoundsExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, _ := g.FuncByName("main")
+	fn, _ := funcByName(g, "main")
 	if fn.Err != nil {
 		t.Fatal(fn.Err)
 	}
@@ -166,7 +166,7 @@ func TestResolverRejectsNonJumpInstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, _ := g.FuncByName("main")
+	fn, _ := funcByName(g, "main")
 	jt := newJumpTables(img)
 	if _, err := jt.ResolveJump(img, fn, dbg.FuncStart["main"]); err == nil {
 		t.Error("resolved a non-jump instruction")

@@ -340,16 +340,6 @@ func (b *Binary) MaxLoadedAddr() uint64 {
 	return hi
 }
 
-// HasReloc reports whether a runtime relocation targets the slot at off.
-func (b *Binary) HasReloc(off uint64) bool {
-	for _, r := range b.Relocs {
-		if r.Off == off {
-			return true
-		}
-	}
-	return false
-}
-
 // Lang returns the source language recorded in the note metadata.
 func (b *Binary) Lang() string { return b.Meta["lang"] }
 

@@ -201,7 +201,7 @@ func TestMetaHelpers(t *testing.T) {
 	if b.Lang() != "c++" || !b.UsesExceptions() || b.GoRuntime() {
 		t.Error("meta helpers wrong")
 	}
-	if !b.HasReloc(0x403000) || b.HasReloc(0x403008) {
+	if !hasReloc(b, 0x403000) || hasReloc(b, 0x403008) {
 		t.Error("HasReloc wrong (link relocs must not count)")
 	}
 }
@@ -364,4 +364,14 @@ func TestDecodeAddrMapRejectsShort(t *testing.T) {
 	if _, err := DecodeAddrMap(enc[:len(enc)-4]); err == nil {
 		t.Error("truncated map accepted")
 	}
+}
+
+// hasReloc reports whether a runtime relocation targets the slot at off.
+func hasReloc(b *Binary, off uint64) bool {
+	for _, r := range b.Relocs {
+		if r.Off == off {
+			return true
+		}
+	}
+	return false
 }

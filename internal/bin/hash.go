@@ -12,7 +12,7 @@ import (
 // fields below change so stale identities can never validate.
 const funcHashVersion = "icfg-func-v1"
 
-// FuncContentHash returns the content address of one function: a
+// FuncContentHashes returns the content address of each function: a
 // sha256 over everything a per-function analysis may read from the
 // function itself. Two binaries in which a function hashes equal are
 // guaranteed to agree on the function's bytes, placement, and the
@@ -23,13 +23,9 @@ const funcHashVersion = "icfg-func-v1"
 // (clamped to the section): the decoder's lookahead window for the last
 // instruction may read past a truncated function, so those bytes are
 // part of what analysis can observe.
-func (b *Binary) FuncContentHash(sym Symbol) [32]byte {
-	return b.FuncContentHashes([]Symbol{sym})[0]
-}
-
-// FuncContentHashes returns FuncContentHash for every symbol, sorting
-// each relocation list by offset once for the batch: n functions over
-// r relocations cost O((n + r) log r), not O(n·r).
+//
+// It sorts each relocation list by offset once for the batch: n
+// functions over r relocations cost O((n + r) log r), not O(n·r).
 func (b *Binary) FuncContentHashes(syms []Symbol) [][32]byte {
 	h := sha256.New()
 	var buf []byte // scratch for the digest input: io.WriteString would allocate per string

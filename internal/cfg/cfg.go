@@ -219,17 +219,6 @@ type Graph struct {
 	Funcs  []*Func // sorted by entry
 }
 
-// FuncByName returns the named function's CFG. It scans the functions;
-// the rewriter itself looks functions up by address.
-func (g *Graph) FuncByName(name string) (*Func, bool) {
-	for _, f := range g.Funcs {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return nil, false
-}
-
 // FuncContaining returns the function covering addr.
 func (g *Graph) FuncContaining(addr uint64) (*Func, bool) {
 	if i, ok := g.FuncIndex(addr); ok {
@@ -247,16 +236,12 @@ func (g *Graph) FuncIndex(addr uint64) (int, bool) {
 	return -1, false
 }
 
-// IsFuncEntry reports whether addr is a function entry point.
-func (g *Graph) IsFuncEntry(addr uint64) bool {
-	f, ok := g.FuncContaining(addr)
-	return ok && f.Entry == addr
-}
-
 // Resolver attempts to resolve the targets of an indirect jump. The
 // implementation (package analysis) performs backward slicing from the
 // jump; it may consult the partially built function for the slice and
-// the whole binary for table bytes and boundary hints.
+// the whole binary for table bytes and boundary hints. It must keep no
+// pointer into the partial function once it returns: BuildFunc's next
+// traversal pass reuses its arrays.
 type Resolver interface {
 	ResolveJump(b *bin.Binary, f *Func, jumpAddr uint64) (*ResolvedTable, error)
 }
@@ -434,14 +419,31 @@ type builder struct {
 	slot    []int32
 	flags   []uint8
 	decoded []arch.Instr // in decode order
+	runs    []int32      // per traversal run, in decode order: the index in decoded of its first instruction
+	spans   []span       // the non-empty runs, ordered by address
 	work    []uint64
 	cuts    []int   // position of each block's first instruction in the address-ordered array
 	inDeg   []int32 // per block: predecessor edges
+
+	// The arrays of the previous pass's Func, which the next pass of the
+	// same function overwrites (no resolver keeps a pointer into them).
+	// release drops them: the last pass's arrays belong to the Func
+	// BuildFunc returns.
+	all    []arch.Instr
+	blocks []Block
+	ptrs   []*Block
+	edges  []Edge
+	preds  []uint64
 }
 
-// builders pools the scratch arrays across functions. They hold no
-// pointers (arch.Instr is all scalars), so a pooled builder keeps no
-// binary alive once release has dropped enc and text.
+// span is one traversal run's instructions, decoded[lo:hi]: they run
+// contiguously in address order.
+type span struct{ lo, hi int32 }
+
+// builders pools the scratch arrays across functions. Between functions
+// they hold no pointers (arch.Instr is all scalars, and release drops
+// the Func arrays), so a pooled builder keeps no binary alive once
+// release has dropped enc and text.
 var builders = sync.Pool{New: func() any { return new(builder) }}
 
 // getBuilder returns a pooled builder indexing sym's bytes in text.
@@ -464,7 +466,19 @@ func getBuilder(a arch.Arch, text *bin.Section, sym bin.Symbol) *builder {
 // release returns the builder to the pool.
 func (bd *builder) release() {
 	bd.enc, bd.text = nil, nil
+	bd.all, bd.blocks, bd.ptrs, bd.edges, bd.preds = nil, nil, nil, nil, nil
 	builders.Put(bd)
+}
+
+// reuse returns s cleared at length n when its capacity allows, else a
+// new slice of length n.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // at returns addr's index position, or -1 outside the index.
@@ -504,6 +518,7 @@ func (bd *builder) traverse(name string, catchPads []uint64, jumps []jumpResult)
 	clear(bd.slot)
 	clear(bd.flags)
 	bd.decoded = bd.decoded[:0]
+	bd.runs = bd.runs[:0]
 	bd.work = bd.work[:0]
 	f := &Func{Name: name, Entry: bd.start, End: bd.end, CatchPads: catchPads}
 
@@ -551,6 +566,7 @@ func (bd *builder) traverse(name string, catchPads []uint64, jumps []jumpResult)
 			continue
 		}
 		bd.flags[bd.at(pc)] |= fVisited
+		bd.runs = append(bd.runs, int32(len(bd.decoded)))
 		for bd.inRange(pc) {
 			o := bd.at(pc)
 			if bd.slot[o] != 0 {
@@ -596,42 +612,53 @@ func (bd *builder) traverse(name string, catchPads []uint64, jumps []jumpResult)
 	return f
 }
 
-// cutBlocks walks the index in address order, copying the decoded
-// instructions into one address-ordered array and cutting it into
-// blocks at leaders, after control flow, and wherever the next decoded
-// instruction does not start where the previous one ended (decode runs
-// that stop short, or interleave). Each block's Instrs is a
-// capacity-limited sub-slice of that array, so an append to one block
-// can never overwrite the next.
+// cutBlocks copies the decoded instructions into one address-ordered
+// array and cuts it into blocks at leaders, after control flow, and
+// wherever the next decoded instruction does not start where the
+// previous one ended (decode runs that stop short, or interleave). Each
+// block's Instrs is a capacity-limited sub-slice of that array, so an
+// append to one block can never overwrite the next.
+//
+// Every traversal run decodes a contiguous stretch, so when the runs
+// do not overlap the array is the runs in address order. Runs overlap
+// only where x64 decode interleaves (a run started inside another
+// run's instruction); then the array comes from a walk of the index.
 func (bd *builder) cutBlocks(f *Func) {
 	if len(bd.decoded) == 0 {
 		return
 	}
-	all := make([]arch.Instr, 0, len(bd.decoded))
+	all := reuse(bd.all, len(bd.decoded))[:0]
+	if bd.orderRuns() {
+		for _, s := range bd.spans {
+			all = append(all, bd.decoded[s.lo:s.hi]...)
+		}
+	} else {
+		for _, s := range bd.slot {
+			if s != 0 {
+				all = append(all, bd.decoded[s-1])
+			}
+		}
+	}
 	cuts := bd.cuts[:0]
 	open := false
 	var curEnd uint64
-	for o, s := range bd.slot {
-		if s == 0 {
-			continue
-		}
-		ins := bd.decoded[s-1]
-		if open && (bd.flags[o]&fLeader != 0 || ins.Addr != curEnd) {
+	for i, ins := range all {
+		if open && (bd.flags[bd.at(ins.Addr)]&fLeader != 0 || ins.Addr != curEnd) {
 			open = false
 		}
 		if !open {
-			cuts = append(cuts, len(all))
+			cuts = append(cuts, i)
 			open = true
 		}
-		all = append(all, ins)
 		curEnd = ins.Addr + uint64(ins.EncLen)
 		if ins.IsControlFlow() {
 			open = false
 		}
 	}
 	bd.cuts = cuts
-	blocks := make([]Block, len(cuts))
-	f.Blocks = make([]*Block, len(cuts))
+	blocks := reuse(bd.blocks, len(cuts))
+	f.Blocks = reuse(bd.ptrs, len(cuts))
+	bd.all, bd.blocks, bd.ptrs = all, blocks, f.Blocks
 	for i, lo := range cuts {
 		hi := len(all)
 		if i+1 < len(cuts) {
@@ -647,6 +674,30 @@ func (bd *builder) cutBlocks(f *Func) {
 		bd.flags[o] |= fBlock
 		bd.slot[o] = int32(i + 1)
 	}
+}
+
+// orderRuns sorts the non-empty traversal runs into bd.spans by
+// address and reports whether they are disjoint.
+func (bd *builder) orderRuns() bool {
+	spans := bd.spans[:0]
+	for k, lo := range bd.runs {
+		hi := int32(len(bd.decoded))
+		if k+1 < len(bd.runs) {
+			hi = bd.runs[k+1]
+		}
+		if hi > lo {
+			spans = append(spans, span{lo, hi})
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(bd.decoded[a.lo].Addr, bd.decoded[b.lo].Addr) })
+	bd.spans = spans
+	for k := 1; k < len(spans); k++ {
+		last := bd.decoded[spans[k-1].hi-1]
+		if last.Addr+uint64(last.EncLen) > bd.decoded[spans[k].lo].Addr {
+			return false
+		}
+	}
+	return true
 }
 
 // linkBlocks adds every block's successor edges, the predecessor lists
@@ -667,7 +718,7 @@ func (bd *builder) linkBlocks(f *Func, jumps []jumpResult) {
 			most++
 		}
 	}
-	edges := make([]Edge, 0, most)
+	edges := reuse(bd.edges, most)[:0]
 	bd.inDeg = append(bd.inDeg[:0], make([]int32, len(f.Blocks))...)
 	for _, blk := range f.Blocks {
 		lo := len(edges)
@@ -711,7 +762,8 @@ func (bd *builder) linkBlocks(f *Func, jumps []jumpResult) {
 
 	// Predecessors, in block then edge order: give each block its span
 	// of one array, then fill the spans.
-	preds := make([]uint64, len(edges))
+	preds := reuse(bd.preds, len(edges))
+	bd.edges, bd.preds = edges, preds
 	pos := 0
 	for i, blk := range f.Blocks {
 		n := int(bd.inDeg[i])

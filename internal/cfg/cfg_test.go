@@ -54,7 +54,7 @@ func TestBuildBasicStructure(t *testing.T) {
 		if len(g.Funcs) != 2 {
 			t.Fatalf("%s: %d funcs", a, len(g.Funcs))
 		}
-		f, ok := g.FuncByName("main")
+		f, ok := funcByName(g, "main")
 		if !ok {
 			t.Fatal("main not found")
 		}
@@ -97,7 +97,7 @@ func TestEdgesAndPreds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := g.FuncByName("main")
+	f, _ := funcByName(g, "main")
 	kinds := map[EdgeKind]int{}
 	for _, blk := range f.Blocks {
 		for _, e := range blk.Succs {
@@ -125,7 +125,7 @@ func TestEdgesAndPreds(t *testing.T) {
 func TestCallDoesNotEndTraversal(t *testing.T) {
 	img, _ := link(t, simpleProgram(arch.A64))
 	g, _ := Build(img, nil)
-	f, _ := g.FuncByName("main")
+	f, _ := funcByName(g, "main")
 	// The block after the call must exist.
 	var callBlock *Block
 	for _, blk := range f.Blocks {
@@ -159,7 +159,7 @@ func TestUnresolvedIndirectJumpWithNopGapsIsTailCall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, _ := g.FuncByName("main")
+		fn, _ := funcByName(g, "main")
 		if fn.Err != nil {
 			t.Errorf("%s: tail-call function marked failed: %v", a, fn.Err)
 		}
@@ -196,7 +196,7 @@ func TestUnresolvedJumpWithRealCodeGapsFailsFunction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, _ := g.FuncByName("main")
+		fn, _ := funcByName(g, "main")
 		if fn.Err == nil {
 			t.Errorf("%s: unresolved switch did not fail the function (gaps nop-only=%v, gaps=%v)",
 				a, fn.GapsNopOnly, fn.Gaps)
@@ -246,7 +246,7 @@ func TestResolverTargetsBecomeEdgesAndBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, _ := g.FuncByName("main")
+	fn, _ := funcByName(g, "main")
 	if fn.Err != nil {
 		t.Fatalf("resolved function failed: %v", fn.Err)
 	}
@@ -282,7 +282,7 @@ func TestCatchPadsAreEntryPoints(t *testing.T) {
 	b.SetEntry("main")
 	img, _ := link(t, b)
 	g, _ := Build(img, nil)
-	fn, _ := g.FuncByName("main")
+	fn, _ := funcByName(g, "main")
 	if len(fn.CatchPads) != 1 {
 		t.Fatalf("catch pads = %v", fn.CatchPads)
 	}
@@ -297,11 +297,8 @@ func TestGraphQueries(t *testing.T) {
 	if f, ok := g.FuncContaining(dbg.FuncStart["main"] + 4); !ok || f.Name != "main" {
 		t.Error("FuncContaining failed")
 	}
-	if !g.IsFuncEntry(dbg.FuncStart["callee"]) {
-		t.Error("IsFuncEntry failed")
-	}
-	if g.IsFuncEntry(dbg.FuncStart["callee"] + 4) {
-		t.Error("IsFuncEntry matched mid-function")
+	if f, ok := g.FuncContaining(dbg.FuncStart["callee"] + 4); !ok || f.Entry != dbg.FuncStart["callee"] {
+		t.Error("FuncContaining missed the callee's entry")
 	}
 	if _, ok := g.FuncContaining(0x10); ok {
 		t.Error("FuncContaining matched nothing-land")
@@ -362,7 +359,7 @@ func TestPPCInTextTableIsDataRangeNotGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, _ := g.FuncByName("main")
+	fn, _ := funcByName(g, "main")
 	if fn.Err != nil {
 		t.Fatalf("analysis failed: %v", fn.Err)
 	}
@@ -399,4 +396,14 @@ func (r markedResolver) ResolveJump(b *bin.Binary, f *Func, jumpAddr uint64) (*R
 	tbl.Count = r.n
 	tbl.InText = true
 	return tbl, nil
+}
+
+// funcByName returns the named function of g.
+func funcByName(g *Graph, name string) (*Func, bool) {
+	for _, f := range g.Funcs {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return nil, false
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -79,18 +78,22 @@ type Analysis struct {
 	padding [][2]uint64
 }
 
-// funcPlacement caches one function's trampoline placement inputs. The
-// once guard single-flights computation across concurrent Patch calls;
-// the fields are read-only afterwards. The memo lives inside the
+// funcPlacement caches one function's trampoline placement inputs.
+// The once guards single-flight computation across concurrent Patch
+// calls; the fields are read-only afterwards. The memo lives inside the
 // function's FuncUnit, so a reused unit carries its placement across
 // binary versions — placement depends only on the function's CFG, the
 // mode/variant (part of the unit key), and the binary-wide exception
-// flag (part of the unit identity).
+// flag (part of the unit identity). Liveness has its own once: only a
+// trampoline that needs a scratch register asks for it (scratchAt), so
+// most functions never compute it.
 type funcPlacement struct {
 	once sync.Once
-	cfl  map[uint64]bool
-	lv   *dataflow.Liveness
+	cfl  []uint64 // CFL block starts, sorted and deduplicated
 	sbs  []superblock
+
+	lvOnce sync.Once
+	lv     *dataflow.Liveness
 }
 
 // Analyze runs every rewrite pass that is independent of the
@@ -98,16 +101,16 @@ type funcPlacement struct {
 // function-granular units:
 //
 //  1. function table — symbols, or entry discovery for stripped
-//     binaries — and each function's content hash;
+//     binaries — and, with a unit store, each function's content hash;
 //  2. the text sweep, cut along the table — boundary hints, the
 //     landing-pad evidence and its trust decision, padding — with
 //     unchanged functions' shares taken from the unit store's scan memo;
-//  3. identity — each function's content-addressed unit ID (content
-//     hash, catch pads, binary-wide environment);
-//  4. assembly — for each function, a validated unit from the store
-//     (cfgc.Units) or a fresh BuildFunc run with the resolver's read
-//     set recorded; then the whole-binary graph, variant adjustments,
-//     and function-pointer analysis in func-ptr mode.
+//  3. assembly — without a store, a BuildFunc run per function; with
+//     one (cfgc.Units), assembleUnits: each function's content-addressed
+//     unit ID, then a validated unit from the store or a fresh BuildFunc
+//     run with the resolver's read set recorded; then the whole-binary
+//     graph, variant adjustments, and function-pointer analysis in
+//     func-ptr mode.
 //
 // The result is cacheable: Patch applies any number of instrumentation
 // requests to it without repeating this work.
@@ -120,7 +123,7 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 		return nil, fmt.Errorf("core: input binary invalid: %w", err)
 	}
 
-	// Pass 1: the function table and content hashes.
+	// Pass 1: the function table.
 	text := b.Text()
 	if text == nil {
 		return nil, fmt.Errorf("core: CFG construction: cfg: binary has no text section")
@@ -142,7 +145,13 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: CFG construction: %w", err)
 	}
-	hashes := b.FuncContentHashes(syms)
+	// Content hashes, unit identities, read recordings and dependency
+	// edges serve only the unit store's reuse validation; a cold
+	// analysis (no store) computes none of them.
+	var hashes [][32]byte
+	if units != nil {
+		hashes = b.FuncContentHashes(syms)
+	}
 
 	// Pass 2: one sweep of .text, cut along the function table, yields
 	// the jump-table boundary hints, the evidence scan and the padding
@@ -165,11 +174,6 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 		}
 	}
 	resolver.Strict = cfgc.Variant.StrictJumpTableBounds
-
-	// Pass 3: per-function identities. The full name→ID map must exist
-	// before any unit is validated or built: reuse validation compares
-	// dependency edges against it, and fresh builds stamp their deps
-	// from it.
 	useMarks := cfgc.Mode == ModeFuncPtr && ev.Trusted
 	if useMarks {
 		// Marker evidence engages only in func-ptr mode, where it converts
@@ -179,68 +183,32 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 		// against each other.
 		resolver.UseMarks(ev.Marks)
 	}
-	env := deltaEnv(make([]byte, 0, 128), b, useMarks)
-	type fent struct {
-		sym bin.Symbol
-		id  [32]byte
-	}
-	table := make([]fent, 0, len(syms))
-	idByName := make(map[string][32]byte, len(syms))
-	for k, sym := range syms {
-		if sym.Size == 0 {
-			continue
-		}
-		id := unitID(env, hashes[k], cfg.CatchPads(pads, sym))
-		table = append(table, fent{sym, id})
-		idByName[sym.Name] = id
-	}
-	symAt := func(addr uint64) (string, bool) {
-		i := sort.Search(len(table), func(i int) bool { return table[i].sym.Addr > addr })
-		if i > 0 {
-			if s := table[i-1].sym; addr >= s.Addr && addr < s.Addr+s.Size {
-				return s.Name, true
-			}
-		}
-		return "", false
-	}
 
-	// Pass 4: assemble units — reuse validated ones, recompute the rest.
-	funcs := make([]*cfg.Func, 0, len(table))
-	fus := make([]*FuncUnit, 0, len(table))
+	var fus []*FuncUnit
 	var recomputed []string
-	for _, fe := range table {
-		key := UnitKey{ID: fe.id, Arch: b.Arch, Mode: cfgc.Mode, Variant: cfgc.Variant}
-		var u *FuncUnit
-		if units != nil {
-			if cand, ok := units.m.Get(key, func(c *FuncUnit) bool {
-				return c.validFor(b, resolver, idByName)
-			}); ok {
-				u = cand
-				mx.FuncsReused++
+	if units == nil {
+		// Pass 3, cold: build every function. The units carry no key,
+		// read set or dependency edges, since no store will validate
+		// them, and share one allocation.
+		slab := make([]FuncUnit, len(syms))
+		fus = make([]*FuncUnit, 0, len(syms))
+		for _, sym := range syms {
+			if sym.Size == 0 {
+				continue
 			}
+			u := &slab[len(fus)]
+			u.Name, u.Fn = sym.Name, buildFunc(b, text, sym, pads, resolver, cfgc.Variant)
+			fus = append(fus, u)
+			recomputed = append(recomputed, sym.Name)
 		}
-		if u == nil {
-			resolver.StartRecording()
-			f := cfg.BuildFunc(b, text, fe.sym, pads, resolver)
-			rec := resolver.StopRecording()
-			if cfgc.Variant.NoTailCallHeuristic && f.Err == nil {
-				for _, ij := range f.IndirectJumps {
-					if ij.TailCall {
-						f.Err = fmt.Errorf("core: unresolved indirect jump at %#x (tail call heuristic disabled)", ij.Addr)
-						break
-					}
-				}
-			}
-			u = &FuncUnit{Key: key, Name: fe.sym.Name, Fn: f, Reads: rec}
-			u.Deps = callDeps(f, rec, symAt, idByName)
-			mx.FuncsRecomputed++
-			recomputed = append(recomputed, fe.sym.Name)
-			if units != nil {
-				units.m.Put(key, u)
-			}
-		}
-		funcs = append(funcs, u.Fn)
-		fus = append(fus, u)
+		mx.FuncsRecomputed = len(fus)
+	} else {
+		// Pass 3 with a store: identities, then reuse or rebuild.
+		fus, recomputed = assembleUnits(b, text, syms, hashes, pads, resolver, cfgc, units, useMarks, &mx)
+	}
+	funcs := make([]*cfg.Func, len(fus))
+	for i, u := range fus {
+		funcs[i] = u.Fn
 	}
 	g := cfg.Assemble(b, funcs)
 	if cfgc.Variant.FailOnAnyError {
@@ -277,44 +245,39 @@ func Analyze(b *bin.Binary, cfgc AnalysisConfig) (*Analysis, error) {
 }
 
 // placement returns the cached placement inputs of Graph.Funcs[i],
-// computing them on first use. CFL sets, liveness, and superblocks
-// depend only on inputs folded into the unit identity — so the memo
-// lives in the function's unit and is shared read-only by every Patch on
-// every Analysis the unit is assembled into.
+// computing them on first use. CFL sets and superblocks depend only on
+// inputs folded into the unit identity — so the memo lives in the
+// function's unit and is shared read-only by every Patch on every
+// Analysis the unit is assembled into.
 func (an *Analysis) placement(i int) *funcPlacement {
 	u := an.FuncUnits[i]
 	f, p := u.Fn, &u.place
 	p.once.Do(func() {
-		b, mode, v := an.Binary, an.Config.Mode, an.Config.Variant
-		cfl := cflSet(b, f, mode)
-		if v.CallEmulation && b.Arch == arch.X64 {
-			// Emulated calls return to ORIGINAL fall-through blocks.
-			for _, blk := range f.Blocks {
-				if blk.Last().IsCall() && blk.Last().Kind != arch.CallIndMem {
-					cfl[blk.End] = true
-				}
-			}
-		}
-		if v.TrampolineEveryBlock {
-			for _, blk := range f.Blocks {
-				cfl[blk.Start] = true
-			}
-		}
-		sbs := superblocks(f, cfl)
+		v := an.Config.Variant
+		p.cfl = cflSet(an.Binary, f, an.Config.Mode, v)
+		p.sbs = superblocks(f, p.cfl)
 		if v.NoSuperblocks {
-			for i := range sbs {
-				if blk, ok := f.BlockAt(sbs[i].Start); ok {
-					if n := blk.Len() - int(sbs[i].Start-blk.Start); n < sbs[i].Space {
-						sbs[i].Space = n
+			for i := range p.sbs {
+				if blk, ok := f.BlockAt(p.sbs[i].Start); ok {
+					if n := blk.Len() - int(p.sbs[i].Start-blk.Start); n < p.sbs[i].Space {
+						p.sbs[i].Space = n
 					}
 				}
 			}
 		}
-		p.cfl = cfl
-		p.lv = dataflow.ComputeLiveness(b.Arch, f)
-		p.sbs = sbs
 	})
 	return p
+}
+
+// scratchAt returns the register liveness finds dead at addr, a block
+// start of Graph.Funcs[i], computing the function's liveness on first
+// need. Only the ppc and a64 long forms ask: an x64 trampoline needs no
+// register.
+func (an *Analysis) scratchAt(i int, addr uint64) arch.Reg {
+	u := an.FuncUnits[i]
+	p := &u.place
+	p.lvOnce.Do(func() { p.lv = dataflow.ComputeLiveness(an.Binary.Arch, u.Fn) })
+	return p.lv.DeadAt(addr)
 }
 
 // ProfileFromHeat aggregates a heat map captured by an emulated run

@@ -113,15 +113,28 @@ func TestConcurrentRewriteSharedBinary(t *testing.T) {
 
 // TestConcurrentPatchSharedAnalysis patches shared analyses from eight
 // goroutines at once, the service's warm path: the lazy placement memo
-// (Analysis.placement), the item-slab and emit-buffer pools, and the
-// read-only graph are all touched concurrently. A second analysis, of
-// a mutated version, is built through the same unit store before any
-// patch runs, so the two analyses share the unchanged functions' units
-// and with them the placement memos. Requests mix function and block
-// entry with empty and counter payloads. Every image must equal the
-// Rewrite of the same binary and options; -race checks the sharing.
+// (Analysis.placement), the lazy liveness behind it (Analysis.scratchAt),
+// the item-slab and emit-buffer pools, and the read-only graph are all
+// touched concurrently. A second analysis, of a mutated version, is
+// built through the same unit store before any patch runs, so the two
+// analyses share the unchanged functions' units and with them the
+// placement memos. Requests mix function and block entry with empty and
+// counter payloads. The x64 case never computes liveness; the ppc case,
+// with a 40 MiB gap that puts the relocated code beyond the short
+// branch, computes it from the goroutines' trampolines. Every image
+// must equal the Rewrite of the same binary and options; -race checks
+// the sharing.
 func TestConcurrentPatchSharedAnalysis(t *testing.T) {
-	p, err := workload.Generate(arch.X64, true, concurrentProfile())
+	for _, tc := range []struct {
+		a   arch.Arch
+		gap uint64
+	}{{arch.X64, 0}, {arch.PPC, 40 << 20}} {
+		t.Run(tc.a.String(), func(t *testing.T) { concurrentPatchShared(t, tc.a, tc.gap) })
+	}
+}
+
+func concurrentPatchShared(t *testing.T, a arch.Arch, gap uint64) {
+	p, err := workload.Generate(a, true, concurrentProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +150,13 @@ func TestConcurrentPatchSharedAnalysis(t *testing.T) {
 		}
 	}
 	optsFor := func(r int) Options {
-		return Options{Mode: ModeJT, Request: reqs[r], Verify: true}
+		return Options{Mode: ModeJT, Request: reqs[r], Verify: true, InstrGap: gap}
 	}
+	// The x64 case recycles its results, racing the emit-buffer pool. The
+	// ppc case keeps them: a recycled buffer taken by another goroutine
+	// orders that goroutine after the liveness its trampolines computed,
+	// which would hide a race on it.
+	recycle := a == arch.X64
 	// want[v][r] is the Rewrite of version v under request r.
 	want := make([][][]byte, len(bins))
 	for v, b := range bins {
@@ -182,7 +200,9 @@ func TestConcurrentPatchSharedAnalysis(t *testing.T) {
 					return
 				}
 				got := res.Binary.Marshal()
-				res.Recycle() // hand the emit buffers to the other goroutines
+				if recycle {
+					res.Recycle() // hand the emit buffers to the other goroutines
+				}
 				if !bytes.Equal(got, want[v][r]) {
 					errs[g] = fmt.Errorf("version %d, request %+v: image differs from Rewrite", v, reqs[r])
 					return
@@ -195,6 +215,17 @@ func TestConcurrentPatchSharedAnalysis(t *testing.T) {
 	for g, err := range errs {
 		if err != nil {
 			t.Errorf("goroutine %d: %v", g, err)
+		}
+	}
+	if a == arch.PPC {
+		lazy := 0
+		for _, u := range ans[0].FuncUnits {
+			if u.place.lv != nil {
+				lazy++
+			}
+		}
+		if lazy == 0 {
+			t.Error("no goroutine computed a function's liveness: the lazy path went unraced")
 		}
 	}
 }

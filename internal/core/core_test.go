@@ -824,8 +824,8 @@ func TestCheckIntegrityDetectsMissingTrampoline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := g.FuncByName("main")
-	cfl := cflSet(img, f, ModeDir)
+	f, _ := funcByName(g, "main")
+	cfl := cflSet(img, f, ModeDir, Variant{})
 	inst := map[uint64]bool{}
 	for _, blk := range f.Blocks {
 		inst[blk.Start] = true
@@ -836,7 +836,7 @@ func TestCheckIntegrityDetectsMissingTrampoline(t *testing.T) {
 	}
 	// Trampolines exactly at CFL blocks: accepted.
 	tr := map[uint64]bool{}
-	for a := range cfl {
+	for _, a := range cfl {
 		tr[a] = true
 	}
 	if err := CheckIntegrity(f, cfl, tr, inst); err != nil {
@@ -850,4 +850,14 @@ func TestCheckIntegrityDetectsMissingTrampoline(t *testing.T) {
 	if err := CheckIntegrity(f, cfl, tr, inst); err == nil {
 		t.Error("placement with a missing CFL trampoline accepted")
 	}
+}
+
+// funcByName returns the named function of g.
+func funcByName(g *cfg.Graph, name string) (*cfg.Func, bool) {
+	for _, f := range g.Funcs {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return nil, false
 }

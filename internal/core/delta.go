@@ -29,6 +29,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"sort"
 
 	"icfgpatch/internal/analysis"
@@ -36,11 +37,12 @@ import (
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/cfg"
 	"icfgpatch/internal/store"
+	"icfgpatch/internal/unwind"
 )
 
 // UnitKey addresses one function-granular analysis unit.
 type UnitKey struct {
-	// ID is the function's identity hash: bin.FuncContentHash plus the
+	// ID is the function's identity hash: bin.FuncContentHashes plus the
 	// catch pads landing in the function and the delta environment (see
 	// unitID).
 	ID      [32]byte
@@ -57,7 +59,9 @@ type Dep struct {
 	ID   [32]byte
 }
 
-// FuncUnit is one function's cached analysis.
+// FuncUnit is one function's cached analysis. Key, Deps and Reads serve
+// only the unit store's reuse validation: a unit built without a store
+// carries none of them.
 type FuncUnit struct {
 	Key  UnitKey
 	Name string
@@ -74,8 +78,8 @@ type FuncUnit struct {
 	Reads *analysis.Recording
 
 	// place memoises the trampoline placement inputs (CFL set,
-	// liveness, superblocks) across every Patch of every Analysis the
-	// unit is assembled into.
+	// superblocks, and liveness on first need) across every Patch of
+	// every Analysis the unit is assembled into.
 	place funcPlacement
 }
 
@@ -146,27 +150,6 @@ func (s *UnitStore) Stats() store.Stats {
 	return s.m.Stats()
 }
 
-// Dependents returns the sorted names of functions whose dependency
-// index references any name in changed, excluding the changed functions
-// themselves — the "dependents" half of the delta engine's recompute
-// bound (changed ∪ dependents ⊇ recomputed).
-func Dependents(units []*FuncUnit, changed map[string]bool) []string {
-	var out []string
-	for _, u := range units {
-		if changed[u.Name] {
-			continue
-		}
-		for _, d := range u.Deps {
-			if changed[d.Name] {
-				out = append(out, u.Name)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // unitIDVersion tags the unit identity layout; bump it whenever the
 // layout changes so stale identities can never validate.
 const unitIDVersion = "icfg-unit-v2"
@@ -200,7 +183,7 @@ func deltaEnv(dst []byte, b *bin.Binary, marks bool) []byte {
 }
 
 // unitID computes a function's identity hash: one sha256 over the
-// environment (deltaEnv), the content hash (bin.FuncContentHash) and
+// environment (deltaEnv), the content hash (bin.FuncContentHashes) and
 // the catch pads, each pad as 8 little-endian bytes. It builds the
 // input in env's spare capacity, so a caller hashing many functions
 // gives env room once and env's own bytes are never written.
@@ -250,4 +233,79 @@ func callDeps(f *cfg.Func, rec *analysis.Recording, symAt func(uint64) (string, 
 		deps = append(deps, Dep{Name: n, ID: idByName[n]})
 	}
 	return deps
+}
+
+// assembleUnits is Analyze's unit assembly against a store: each
+// function's identity (unitID over its content hash, catch pads and the
+// binary-wide environment), then a validated unit from the store or a
+// fresh build with the resolver's read set recorded and its dependency
+// edges stamped. The full name→ID map exists before any unit is
+// validated or built: reuse validation compares dependency edges
+// against it, and fresh builds stamp their deps from it. It returns the
+// units in address order and the recomputed functions' names, counting
+// both in mx.
+func assembleUnits(b *bin.Binary, text *bin.Section, syms []bin.Symbol, hashes [][32]byte, pads *unwind.Table,
+	resolver *analysis.JumpTables, cfgc AnalysisConfig, units *UnitStore, useMarks bool, mx *Metrics) ([]*FuncUnit, []string) {
+	env := deltaEnv(make([]byte, 0, 128), b, useMarks)
+	type fent struct {
+		sym bin.Symbol
+		id  [32]byte
+	}
+	table := make([]fent, 0, len(syms))
+	idByName := make(map[string][32]byte, len(syms))
+	for k, sym := range syms {
+		if sym.Size == 0 {
+			continue
+		}
+		id := unitID(env, hashes[k], cfg.CatchPads(pads, sym))
+		table = append(table, fent{sym, id})
+		idByName[sym.Name] = id
+	}
+	symAt := func(addr uint64) (string, bool) {
+		i := sort.Search(len(table), func(i int) bool { return table[i].sym.Addr > addr })
+		if i > 0 {
+			if s := table[i-1].sym; addr >= s.Addr && addr < s.Addr+s.Size {
+				return s.Name, true
+			}
+		}
+		return "", false
+	}
+
+	fus := make([]*FuncUnit, 0, len(table))
+	var recomputed []string
+	for _, fe := range table {
+		key := UnitKey{ID: fe.id, Arch: b.Arch, Mode: cfgc.Mode, Variant: cfgc.Variant}
+		u, ok := units.m.Get(key, func(c *FuncUnit) bool {
+			return c.validFor(b, resolver, idByName)
+		})
+		if ok {
+			mx.FuncsReused++
+		} else {
+			resolver.StartRecording()
+			f := buildFunc(b, text, fe.sym, pads, resolver, cfgc.Variant)
+			rec := resolver.StopRecording()
+			u = &FuncUnit{Key: key, Name: fe.sym.Name, Fn: f, Reads: rec}
+			u.Deps = callDeps(f, rec, symAt, idByName)
+			mx.FuncsRecomputed++
+			recomputed = append(recomputed, fe.sym.Name)
+			units.m.Put(key, u)
+		}
+		fus = append(fus, u)
+	}
+	return fus, recomputed
+}
+
+// buildFunc builds one function's CFG, failing it when the variant
+// disables the tail call heuristic and an indirect jump relied on it.
+func buildFunc(b *bin.Binary, text *bin.Section, sym bin.Symbol, pads *unwind.Table, resolver *analysis.JumpTables, v Variant) *cfg.Func {
+	f := cfg.BuildFunc(b, text, sym, pads, resolver)
+	if v.NoTailCallHeuristic && f.Err == nil {
+		for _, ij := range f.IndirectJumps {
+			if ij.TailCall {
+				f.Err = fmt.Errorf("core: unresolved indirect jump at %#x (tail call heuristic disabled)", ij.Addr)
+				break
+			}
+		}
+	}
+	return f
 }

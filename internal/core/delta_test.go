@@ -30,8 +30,10 @@ func deltaOpts(a arch.Arch, mode core.Mode) core.Options {
 // moved only inside a neighbour's decode window.
 func changedByHash(v1, v2 *bin.Binary) map[string]bool {
 	changed := map[string]bool{}
-	for _, sym := range v1.FuncSymbols() {
-		if v1.FuncContentHash(sym) != v2.FuncContentHash(sym) {
+	syms := v1.FuncSymbols()
+	h1, h2 := v1.FuncContentHashes(syms), v2.FuncContentHashes(syms)
+	for k, sym := range syms {
+		if h1[k] != h2[k] {
 			changed[sym.Name] = true
 		}
 	}

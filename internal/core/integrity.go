@@ -20,8 +20,8 @@ import (
 // validator of the placement computed by Rewrite (used by tests, and by
 // anyone modifying the placement — e.g. implementing the paper's
 // suggested dominator-based refinement).
-func CheckIntegrity(f *cfg.Func, cflBlocks, trampolines, instrumented map[uint64]bool) error {
-	for start := range cflBlocks {
+func CheckIntegrity(f *cfg.Func, cflBlocks []uint64, trampolines, instrumented map[uint64]bool) error {
+	for _, start := range cflBlocks {
 		if trampolines[start] {
 			continue // intercepted immediately on landing
 		}
@@ -57,7 +57,7 @@ func CheckIntegrity(f *cfg.Func, cflBlocks, trampolines, instrumented map[uint64
 // function, for integrity checking and diagnostics.
 type PlacementReport struct {
 	Func        *cfg.Func
-	CFL         map[uint64]bool
+	CFL         []uint64 // sorted CFL block starts (cflSet)
 	Trampolines map[uint64]bool
 	// Instrumented marks the block starts carrying payload snippets.
 	Instrumented map[uint64]bool
@@ -65,17 +65,17 @@ type PlacementReport struct {
 
 // AuditPlacement recomputes the rewrite's placement for every
 // instrumentable function of the binary and checks integrity. It mirrors
-// the decisions Rewrite makes (same CFG construction, same CFL
-// computation, trampolines at every CFL block) so tests can assert the
+// the decisions Rewrite makes (same CFG construction, the same CFL
+// builder, trampolines at every CFL block) so tests can assert the
 // property against an independent path through the code.
 func AuditPlacement(b *bin.Binary, g *cfg.Graph, opts Options) error {
 	for _, f := range g.Funcs {
 		if !f.Instrumentable() || !opts.Request.Wants(f.Name) || len(f.Blocks) == 0 {
 			continue
 		}
-		cfl := cflSet(b, f, opts.Mode)
+		cfl := cflSet(b, f, opts.Mode, opts.Variant)
 		tramps := map[uint64]bool{}
-		for a := range cfl {
+		for _, a := range cfl {
 			tramps[a] = true
 		}
 		inst := map[uint64]bool{}

@@ -1,15 +1,17 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
+	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
 	"icfgpatch/internal/cfg"
 )
 
-// cflSet computes the control-flow-landing blocks of one function for
-// the given mode (Section 4.2). A block is CFL when an incoming control
-// flow edge is NOT rewritten:
+// cflSet computes the control-flow-landing block starts of one function
+// for the given mode and variant (Section 4.2), sorted and
+// deduplicated. A block is CFL when an incoming control flow edge is
+// NOT rewritten:
 //
 //   - the function entry (indirect calls in dir/jt modes; calls from
 //     unanalysable functions in every mode — entries therefore always
@@ -24,25 +26,36 @@ import (
 //
 // Call fall-through blocks are never CFL here because runtime RA
 // translation replaces call emulation (Section 6): relocated calls push
-// relocated return addresses, so returns stay in relocated code.
-func cflSet(b *bin.Binary, f *cfg.Func, mode Mode) map[uint64]bool {
-	cfl := map[uint64]bool{f.Entry: true}
+// relocated return addresses, so returns stay in relocated code. The
+// ablation variants add their own: emulated x64 calls return to the
+// original fall-through blocks, and TrampolineEveryBlock makes every
+// block CFL.
+func cflSet(b *bin.Binary, f *cfg.Func, mode Mode, v Variant) []uint64 {
+	cfl := []uint64{f.Entry}
 	if b.UsesExceptions() {
-		for _, pad := range f.CatchPads {
-			cfl[pad] = true
-		}
+		cfl = append(cfl, f.CatchPads...)
 	}
 	if mode == ModeDir {
 		for _, ij := range f.IndirectJumps {
-			if ij.Table == nil {
-				continue
-			}
-			for _, t := range ij.Table.Targets {
-				cfl[t] = true
+			if ij.Table != nil {
+				cfl = append(cfl, ij.Table.Targets...)
 			}
 		}
 	}
-	return cfl
+	if v.CallEmulation && b.Arch == arch.X64 {
+		for _, blk := range f.Blocks {
+			if blk.Last().IsCall() && blk.Last().Kind != arch.CallIndMem {
+				cfl = append(cfl, blk.End)
+			}
+		}
+	}
+	if v.TrampolineEveryBlock {
+		for _, blk := range f.Blocks {
+			cfl = append(cfl, blk.Start)
+		}
+	}
+	slices.Sort(cfl)
+	return slices.Compact(cfl)
 }
 
 // superblock is one trampoline installation site: a CFL block extended
@@ -55,34 +68,14 @@ type superblock struct {
 	Space int
 }
 
-// superblocks computes the trampoline superblocks of one function: every
-// non-CFL block is a scratch block ("the key observation"), so each CFL
-// block extends to the next CFL block start, bounded by in-function data
-// (embedded jump tables, which relocated code may still read) and the
-// function end.
-func superblocks(f *cfg.Func, cfl map[uint64]bool) []superblock {
-	var cflStarts []uint64
-	for a := range cfl {
-		cflStarts = append(cflStarts, a)
-	}
-	sort.Slice(cflStarts, func(i, j int) bool { return cflStarts[i] < cflStarts[j] })
-
-	limitAfter := func(start uint64) uint64 {
-		limit := f.End
-		i := sort.Search(len(cflStarts), func(i int) bool { return cflStarts[i] > start })
-		if i < len(cflStarts) && cflStarts[i] < limit {
-			limit = cflStarts[i]
-		}
-		for _, dr := range f.DataRanges {
-			if dr[0] >= start && dr[0] < limit {
-				limit = dr[0]
-			}
-		}
-		return limit
-	}
-
-	var out []superblock
-	for _, start := range cflStarts {
+// superblocks computes the trampoline superblocks of one function from
+// its sorted CFL set: every non-CFL block is a scratch block ("the key
+// observation"), so each CFL block extends to the next CFL block start,
+// bounded by in-function data (embedded jump tables, which relocated
+// code may still read) and the function end.
+func superblocks(f *cfg.Func, cfl []uint64) []superblock {
+	out := make([]superblock, 0, len(cfl))
+	for i, start := range cfl {
 		blk, ok := f.BlockAt(start)
 		if !ok {
 			// A CFL address with no block (e.g. a catch pad in dead
@@ -93,11 +86,16 @@ func superblocks(f *cfg.Func, cfl map[uint64]bool) []superblock {
 				continue
 			}
 		}
-		out = append(out, superblock{
-			Block: blk,
-			Start: start,
-			Space: int(limitAfter(start) - start),
-		})
+		limit := f.End
+		if i+1 < len(cfl) && cfl[i+1] < limit {
+			limit = cfl[i+1]
+		}
+		for _, dr := range f.DataRanges {
+			if dr[0] >= start && dr[0] < limit {
+				limit = dr[0]
+			}
+		}
+		out = append(out, superblock{Block: blk, Start: start, Space: int(limit - start)})
 	}
 	return out
 }

@@ -65,10 +65,11 @@ type planItem struct {
 	expand  arch.Expand
 }
 
-// planUnit is one relocated function's plan. items is a value slab — one allocation per unit
-// instead of one per instruction, recycled across Patch calls through
-// itemSlabPool (pool.go) — so stages address items by index, never by
-// retained pointer.
+// planUnit is one relocated function's plan. items is a window of the
+// plan's value slab — one allocation per plan instead of one per
+// instruction, recycled across Patch calls through itemSlabPool
+// (pool.go) — so stages address items by index, never by retained
+// pointer.
 type planUnit struct {
 	fn    *cfg.Func
 	idx   int // fn's position in Graph.Funcs and Analysis.FuncUnits
@@ -108,21 +109,22 @@ type site struct {
 	role    int
 }
 
-// trampJob is one planned trampoline: the superblock to patch and the
-// scratch register liveness analysis found dead at its start.
-type trampJob struct {
-	sb      superblock
-	scratch arch.Reg
+// funcTramp is one relocated function's trampoline plan: the
+// superblocks and CFL set memoised in its placement. The scratch
+// register a long form needs is looked up at installation
+// (scratchSite), so a function whose trampolines all fit without one
+// never computes liveness.
+type funcTramp struct {
+	fn  *cfg.Func
+	idx int // fn's position in Graph.Funcs and Analysis.FuncUnits
+	pl  *funcPlacement
 }
 
-// funcTramp is one function's trampoline jobs plus the block counts the
-// stats layer reports.
-type funcTramp struct {
-	fn            *cfg.Func
-	cflBlocks     int
-	scratchBlocks int
-	jobs          []trampJob
-}
+// cflBlocks and scratchBlocks are the block counts the stats layer
+// reports: CFL blocks receive trampolines, every other block is
+// scratch space.
+func (ft funcTramp) cflBlocks() int     { return len(ft.pl.cfl) }
+func (ft funcTramp) scratchBlocks() int { return len(ft.fn.Blocks) - len(ft.pl.cfl) }
 
 // PatchPlan is the staged pipeline's intermediate representation: what
 // the patch will do, independent of byte encodings. A plan is built by
@@ -137,6 +139,7 @@ type PatchPlan struct {
 	env     arch.EmitEnv
 
 	units  []*planUnit
+	slab   []planItem // backs every unit's items; returned to the pool by release
 	clones []*cloneInfo
 	tramps []funcTramp
 
@@ -260,6 +263,23 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 		}
 	}
 
+	// Every unit's items live in one pooled slab, each unit in a
+	// capacity-limited window of its estimated size: an underestimate
+	// regrows that unit's items alone and never writes into the next
+	// window.
+	ests := make([]int, len(p.units))
+	total := 0
+	for i, u := range p.units {
+		ests[i] = p.itemEstimate(u)
+		total += ests[i]
+	}
+	p.slab = getItemSlab(total)[:total]
+	off := 0
+	for i, u := range p.units {
+		u.items = p.slab[off : off : off+ests[i]]
+		off += ests[i]
+	}
+
 	if !p.variant.NoTrampolines {
 		p.tramps = make([]funcTramp, 0, len(p.units))
 	}
@@ -268,12 +288,7 @@ func newPatchPlan(an *Analysis, opts Options, counterBase uint64) *PatchPlan {
 		if p.variant.NoTrampolines {
 			continue
 		}
-		f, pl := u.fn, an.placement(u.idx)
-		ft := funcTramp{fn: f, cflBlocks: len(pl.cfl), scratchBlocks: len(f.Blocks) - len(pl.cfl)}
-		for _, sb := range pl.sbs {
-			ft.jobs = append(ft.jobs, trampJob{sb: sb, scratch: pl.lv.DeadAt(sb.Block.Start)})
-		}
-		p.tramps = append(p.tramps, ft)
+		p.tramps = append(p.tramps, funcTramp{fn: u.fn, idx: u.idx, pl: an.placement(u.idx)})
 	}
 	return p
 }
@@ -348,21 +363,6 @@ func (p *PatchPlan) countPoints(f *cfg.Func) int {
 // copy.
 func (p *PatchPlan) buildUnit(g *cfg.Graph, u *planUnit) {
 	f, cell := u.fn, u.cell
-	// Size the item slab up front: one item per instruction plus room
-	// for inserted snippets and fall-through branches. Underestimates
-	// just regrow the slab (the grown one is what gets recycled).
-	est := 0
-	for _, blk := range f.Blocks {
-		est += len(blk.Instrs) + 1
-	}
-	if p.req.Payload == instrument.PayloadCounter {
-		est += 4 * p.countPoints(f)
-	}
-	if u.varSlot >= 0 {
-		est = 2*est + 16 // stub, two restores, the fast body
-	}
-	u.items = getItemSlab(est)
-
 	if u.varSlot >= 0 {
 		// Dispatch stub. The first instruction claims the function entry
 		// in the relocation table (its items precede the full body's, and
@@ -403,6 +403,23 @@ func (p *PatchPlan) buildUnit(g *cfg.Graph, u *planUnit) {
 		u.add(arch.VariantRestore())
 		p.appendFastBody(u, g)
 	}
+}
+
+// itemEstimate sizes a unit's item window: one item per instruction
+// plus room for inserted snippets and fall-through branches, doubled
+// for a unit with a fast variant.
+func (p *PatchPlan) itemEstimate(u *planUnit) int {
+	est := 0
+	for _, blk := range u.fn.Blocks {
+		est += len(blk.Instrs) + 1
+	}
+	if p.req.Payload == instrument.PayloadCounter {
+		est += 4 * p.countPoints(u.fn)
+	}
+	if u.varSlot >= 0 {
+		est = 2*est + 16 // stub, two restores, the fast body
+	}
+	return est
 }
 
 // add appends a zero item carrying ins and returns it to fill in place.

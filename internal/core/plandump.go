@@ -76,15 +76,17 @@ func (p *PatchPlan) Dump(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
+	// The dump prints every superblock's scratch register, so it
+	// computes the liveness a Patch may never need.
 	for _, ft := range p.tramps {
-		if len(ft.jobs) == 0 {
+		if len(ft.pl.sbs) == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "trampolines %s: cfl=%d scratch-blocks=%d\n", ft.fn.Name, ft.cflBlocks, ft.scratchBlocks)
-		for _, job := range ft.jobs {
-			to, _ := p.reloc.get(job.sb.Start)
+		fmt.Fprintf(w, "trampolines %s: cfl=%d scratch-blocks=%d\n", ft.fn.Name, ft.cflBlocks(), ft.scratchBlocks())
+		for _, sb := range ft.pl.sbs {
+			to, _ := p.reloc.get(sb.Start)
 			fmt.Fprintf(w, "  superblock %#x space=%d scratch=%s -> %#x\n",
-				job.sb.Start, job.sb.Space, job.scratch, to)
+				sb.Start, sb.Space, p.an.scratchAt(ft.idx, sb.Block.Start), to)
 		}
 	}
 }

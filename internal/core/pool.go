@@ -5,9 +5,10 @@ import "sync"
 // This file is the hot-path allocation discipline for the staged patch
 // pipeline (DESIGN.md §11). The warm service loop runs Patch thousands
 // of times against one cached Analysis. The pools recycle plan item
-// slabs, which die with the Patch call, and emit buffers, which die at
-// the caller's explicit Result.Recycle. The relocation table is not
-// pooled: the Result keeps it to answer Relocated.
+// slabs (one per plan, which its units slice into), which die with the
+// Patch call, and emit buffers, which die at the caller's explicit
+// Result.Recycle. The relocation table is not pooled: the Result keeps
+// it to answer Relocated.
 //
 // Safety rules, enforced by the differential fuzzer's byte-equivalence
 // checks (FuzzDifferentialRewrite):
@@ -19,10 +20,10 @@ import "sync"
 //     buffer is pre-filled with illegal instructions end to end, and the
 //     clone buffer is cleared (its alignment gaps must read as zero).
 
-// itemSlabPool recycles per-unit planItem slabs across Patch calls.
-// Units vary in size, so the pool stores slices by capacity and callers
-// fall back to a fresh allocation when a recycled slab is too small
-// (the grown slab is what returns to the pool afterwards).
+// itemSlabPool recycles plan-wide planItem slabs across Patch calls.
+// Plans vary in size, so callers fall back to a fresh allocation when a
+// recycled slab is too small and put the recycled one back for a
+// smaller plan.
 var itemSlabPool = sync.Pool{}
 
 // getItemSlab returns an empty planItem slice with at least capHint
@@ -77,12 +78,15 @@ func putEmitBuf(b []byte) {
 	emitBufPool.Put(b[:0]) //nolint:staticcheck // slices are intentionally stored by value
 }
 
-// release returns the plan's pooled memory: every unit's item slab.
-// Called by Patch once the emit stage has run (nothing downstream reads
-// items); PlanFor plans skip it so Dump can render them.
+// release returns the plan's pooled memory: the item slab. A unit
+// whose items outgrew its window holds its own array, which is left to
+// the collector. Called by Patch once the emit stage has run (nothing
+// downstream reads items); PlanFor plans skip it so Dump can render
+// them.
 func (p *PatchPlan) release() {
+	putItemSlab(p.slab)
+	p.slab = nil
 	for _, u := range p.units {
-		putItemSlab(u.items)
 		u.items = nil
 	}
 }

@@ -171,25 +171,26 @@ func (an *Analysis) Patch(opts Options) (*Result, error) {
 	type hopJob struct {
 		sb      superblock
 		to      uint64
-		scratch arch.Reg
+		scratch scratchSite
 		heat    uint64
 	}
 	var deferred []hopJob
 	for _, ft := range p.tramps {
-		mx.CFLBlocks += ft.cflBlocks
-		mx.ScratchBlocks += ft.scratchBlocks
-		for _, job := range ft.jobs {
-			to, ok := p.reloc.get(job.sb.Start)
+		mx.CFLBlocks += ft.cflBlocks()
+		mx.ScratchBlocks += ft.scratchBlocks()
+		for _, planned := range ft.pl.sbs {
+			to, ok := p.reloc.get(planned.Start)
 			if !ok {
-				return nil, fmt.Errorf("core: CFL block %#x in %s has no relocated address", job.sb.Start, ft.fn.Name)
+				return nil, fmt.Errorf("core: CFL block %#x in %s has no relocated address", planned.Start, ft.fn.Name)
 			}
-			sb, err := preserveMark(nb, job.sb)
+			sb, err := preserveMark(nb, planned)
 			if err != nil {
 				return nil, err
 			}
-			tr, ok := directOrLong(b, sb, to, job.scratch)
+			scratch := scratchSite{an: an, idx: ft.idx, block: planned.Block.Start}
+			tr, ok := directOrLong(b, sb, to, scratch)
 			if !ok {
-				deferred = append(deferred, hopJob{sb: sb, to: to, scratch: job.scratch, heat: p.profCount[ft.fn.Name]})
+				deferred = append(deferred, hopJob{sb: sb, to: to, scratch: scratch, heat: p.profCount[ft.fn.Name]})
 				continue
 			}
 			if err := installTrampoline(nb, tr, pool, sb, &mx); err != nil {

@@ -44,13 +44,28 @@ func preserveMark(nb *bin.Binary, sb superblock) (superblock, error) {
 	return superblock{Block: blk, Start: sb.Start + uint64(markLen), Space: sb.Space - markLen}, nil
 }
 
+// scratchSite is where a trampoline may claim a scratch register: the
+// start of a block of Graph.Funcs[idx]. Only the ppc and a64 long forms
+// need one (the x64 long form is a plain jmp), and reg computes the
+// function's liveness on first need, so a function whose trampolines
+// never ask keeps none.
+type scratchSite struct {
+	an    *Analysis
+	idx   int
+	block uint64
+}
+
+// reg returns the register liveness finds dead at the block start, or
+// arch.NoReg.
+func (s scratchSite) reg() arch.Reg { return s.an.scratchAt(s.idx, s.block) }
+
 // directOrLong tries the in-place trampoline forms: a single direct
 // branch, then the long sequence, within the superblock's space.
-func directOrLong(b *bin.Binary, sb superblock, to uint64, scratch arch.Reg) (arch.Trampoline, bool) {
+func directOrLong(b *bin.Binary, sb superblock, to uint64, scratch scratchSite) (arch.Trampoline, bool) {
 	a := b.Arch
 	if a == arch.X64 {
 		if sb.Space >= arch.LongTrampolineLen(a) {
-			if tr, ok := arch.NewLongTrampoline(a, sb.Start, to, scratch, 0); ok {
+			if tr, ok := arch.NewLongTrampoline(a, sb.Start, to, arch.NoReg, 0); ok {
 				return tr, true
 			}
 		}
@@ -61,7 +76,12 @@ func directOrLong(b *bin.Binary, sb superblock, to uint64, scratch arch.Reg) (ar
 			return tr, true
 		}
 	}
-	if tr, ok := arch.NewLongTrampoline(a, sb.Start, to, scratch, b.TOCValue); ok && sb.Space >= tr.Len {
+	// No long form is shorter than LongTrampolineLen: below it, skip
+	// the register lookup.
+	if sb.Space < arch.LongTrampolineLen(a) {
+		return arch.Trampoline{}, false
+	}
+	if tr, ok := arch.NewLongTrampoline(a, sb.Start, to, scratch.reg(), b.TOCValue); ok && sb.Space >= tr.Len {
 		return tr, true
 	}
 	return arch.Trampoline{}, false
@@ -70,10 +90,14 @@ func directOrLong(b *bin.Binary, sb superblock, to uint64, scratch arch.Reg) (ar
 // multiHop places a short trampoline in the block and a long one in
 // scratch space within the short form's range (Section 7's
 // multi-trampoline design).
-func multiHop(b *bin.Binary, sb superblock, to uint64, scratch arch.Reg, pool *scratchPool) (arch.Trampoline, arch.Trampoline, bool) {
+func multiHop(b *bin.Binary, sb superblock, to uint64, site scratchSite, pool *scratchPool) (arch.Trampoline, arch.Trampoline, bool) {
 	a := b.Arch
 	if sb.Space < arch.ShortTrampolineLen(a) {
 		return arch.Trampoline{}, arch.Trampoline{}, false
+	}
+	scratch := arch.NoReg
+	if a != arch.X64 {
+		scratch = site.reg()
 	}
 	hopLen := arch.LongTrampolineLen(a)
 	if a == arch.PPC && scratch == arch.NoReg {
@@ -125,37 +149,24 @@ func writeTrampoline(nb *bin.Binary, tr arch.Trampoline) error {
 // fillTextIllegal overwrites an instrumented function's code bytes with
 // illegal instructions, sparing embedded data ranges — the paper's
 // strong verification: any control flow escaping the trampolines faults
-// immediately. Maximal runs of code bytes are filled through
+// immediately. Each maximal run of code bytes — the function's extent
+// inside .text minus its sorted DataRanges — is filled through
 // arch.FillIllegal, the same primitive the emit stage uses for .instr
 // padding.
 func fillTextIllegal(a arch.Arch, text *bin.Section, f *cfg.Func) {
 	data := text.MutableData() // text may still be shared with the input binary
-	inData := func(addr uint64) bool {
-		for _, dr := range f.DataRanges {
-			if addr >= dr[0] && addr < dr[1] {
-				return true
-			}
-		}
-		return false
-	}
-	var run uint64
-	active := false
-	flush := func(end uint64) {
-		if active {
-			arch.FillIllegal(a, data[run-text.Addr:end-text.Addr])
-			active = false
+	lo, hi := max(f.Entry, text.Addr), min(f.End, text.End())
+	fill := func(start, end uint64) {
+		if start < end {
+			arch.FillIllegal(a, data[start-text.Addr:end-text.Addr])
 		}
 	}
-	for addr := f.Entry; addr < f.End; addr++ {
-		if !inData(addr) && text.Contains(addr) {
-			if !active {
-				run, active = addr, true
-			}
-			continue
-		}
-		flush(addr)
+	pos := lo
+	for _, dr := range f.DataRanges {
+		fill(pos, min(dr[0], hi))
+		pos = max(pos, dr[1])
 	}
-	flush(f.End)
+	fill(pos, hi)
 }
 
 // writeU64 stores a 64-bit value at a mapped address.

@@ -22,7 +22,7 @@ func buildFunc(t *testing.T, a arch.Arch, build func(*asm.FuncBuilder)) (*bin.Bi
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, ok := g.FuncByName("main")
+	fn, ok := funcByName(g, "main")
 	if !ok {
 		t.Fatal("main missing")
 	}
@@ -98,7 +98,7 @@ func TestLivenessConservativeAtUnresolvedJump(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := cfg.Build(img, nil)
-	fn, _ := g.FuncByName("main")
+	fn, _ := funcByName(g, "main")
 	lv := ComputeLiveness(arch.X64, fn)
 	// Everything must be live at the indirect-jump block: the unknown
 	// target may read any register. Only the locally clobbered r9 is
@@ -150,7 +150,7 @@ func sliceSetup(t *testing.T, a arch.Arch, opts asm.SwitchOpts) (*bin.Binary, *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, _ := g.FuncByName("main")
+	fn, _ := funcByName(g, "main")
 	return img, fn, truth.DispatchAddr, dbg
 }
 
@@ -358,4 +358,14 @@ func TestExprStringer(t *testing.T) {
 	if unknown(true).String() != "unknown(stack)" {
 		t.Error("stack unknown rendering")
 	}
+}
+
+// funcByName returns the named function of g.
+func funcByName(g *cfg.Graph, name string) (*cfg.Func, bool) {
+	for _, f := range g.Funcs {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return nil, false
 }

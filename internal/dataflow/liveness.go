@@ -5,6 +5,8 @@
 package dataflow
 
 import (
+	"sort"
+
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/cfg"
 )
@@ -31,38 +33,61 @@ func abiCallUses() arch.RegSet {
 // spill trampolines or traps exactly where binary analysis ran out of
 // precision.
 type Liveness struct {
-	liveIn  map[uint64]arch.RegSet
-	liveOut map[uint64]arch.RegSet
-	fn      *cfg.Func
-	arch    arch.Arch
+	// liveIn is indexed like fn.Blocks. known marks the blocks whose
+	// sets the fixpoint ever changed from empty; a block it never
+	// touched answers LiveIn as an unknown block does.
+	liveIn []arch.RegSet
+	known  []bool
+	fn     *cfg.Func
+	arch   arch.Arch
 }
 
-// ComputeLiveness analyses one function.
+// ComputeLiveness analyses one function. Each block's instructions are
+// summarised once as live-in = (live-out − kill) ∪ gen, and successors
+// are resolved to block indices once, so a fixpoint round costs one
+// set operation per block and edge.
 func ComputeLiveness(a arch.Arch, f *cfg.Func) *Liveness {
-	lv := &Liveness{
-		liveIn:  map[uint64]arch.RegSet{},
-		liveOut: map[uint64]arch.RegSet{},
-		fn:      f,
-		arch:    a,
+	n := len(f.Blocks)
+	lv := &Liveness{liveIn: make([]arch.RegSet, n), known: make([]bool, n), fn: f, arch: a}
+	liveOut := make([]arch.RegSet, n)
+	gen, kill, exit := make([]arch.RegSet, n), make([]arch.RegSet, n), make([]arch.RegSet, n)
+	succStart := make([]int32, n+1)
+	var succs []int32
+	for i, blk := range f.Blocks {
+		gen[i], kill[i] = lv.summary(blk)
+		exit[i] = lv.exitSet(blk)
+		for _, e := range blk.Succs {
+			// An edge to no block reads as an empty live-in set.
+			if j, ok := blockIndex(f, e.To); ok {
+				succs = append(succs, int32(j))
+			}
+		}
+		succStart[i+1] = int32(len(succs))
 	}
 	changed := true
 	for rounds := 0; changed && rounds < 64; rounds++ {
 		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			blk := f.Blocks[i]
-			out := lv.exitSet(blk)
-			for _, e := range blk.Succs {
-				out = out.Union(lv.liveIn[e.To])
+		for i := n - 1; i >= 0; i-- {
+			out := exit[i]
+			for _, j := range succs[succStart[i]:succStart[i+1]] {
+				out = out.Union(lv.liveIn[j])
 			}
-			in := lv.transfer(blk, out)
-			if in != lv.liveIn[blk.Start] || out != lv.liveOut[blk.Start] {
-				lv.liveIn[blk.Start] = in
-				lv.liveOut[blk.Start] = out
+			in := out.Minus(kill[i]).Union(gen[i])
+			if in != lv.liveIn[i] || out != liveOut[i] {
+				lv.liveIn[i], liveOut[i] = in, out
+				lv.known[i] = true
 				changed = true
 			}
 		}
 	}
 	return lv
+}
+
+// blockIndex returns the position in f.Blocks of the block starting at
+// addr.
+func blockIndex(f *cfg.Func, addr uint64) (int, bool) {
+	i := sort.Search(len(f.Blocks), func(i int) bool { return f.Blocks[i].Start >= addr })
+	return i, i < len(f.Blocks) && f.Blocks[i].Start == addr
 }
 
 // exitSet returns the registers live because of how the block leaves
@@ -90,28 +115,32 @@ func (lv *Liveness) exitSet(blk *cfg.Block) arch.RegSet {
 	return 0
 }
 
-// transfer applies the block's instructions backward.
-func (lv *Liveness) transfer(blk *cfg.Block, out arch.RegSet) arch.RegSet {
-	live := out
+// summary folds the block's instructions, last to first, into the gen
+// and kill sets of its transfer function: live-in = (out − kill) ∪ gen.
+// Applying one instruction, live' = (live − defs) ∪ uses, composes as
+// kill' = kill ∪ defs and gen' = (gen − defs) ∪ uses.
+func (lv *Liveness) summary(blk *cfg.Block) (gen, kill arch.RegSet) {
 	for i := len(blk.Instrs) - 1; i >= 0; i-- {
 		ins := blk.Instrs[i]
-		live = live.Minus(ins.Defs(lv.arch)).Union(ins.Uses(lv.arch))
+		defs, uses := ins.Defs(lv.arch), ins.Uses(lv.arch)
 		if ins.IsCall() {
-			live = live.Union(abiCallUses())
+			uses = uses.Union(abiCallUses())
 		}
+		kill = kill.Union(defs)
+		gen = gen.Minus(defs).Union(uses)
 	}
-	return live
+	return gen, kill
 }
 
 // LiveIn returns the registers live at the block's entry — the set a
 // trampoline installed at the block must preserve.
 func (lv *Liveness) LiveIn(blockStart uint64) arch.RegSet {
-	s, ok := lv.liveIn[blockStart]
-	if !ok {
+	i, ok := blockIndex(lv.fn, blockStart)
+	if !ok || !lv.known[i] {
 		// Unknown block: assume everything is live.
 		return arch.AllGP().Add(arch.LR).Add(arch.TOCReg).Add(arch.SP)
 	}
-	return s
+	return lv.liveIn[i]
 }
 
 // DeadAt returns a general-purpose scratch register dead at the block's

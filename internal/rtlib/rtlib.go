@@ -88,6 +88,3 @@ func (l *Library) PatchesGoRuntime() bool { return l.goPatch }
 
 // TrapCount returns the number of trap trampolines registered.
 func (l *Library) TrapCount() int { return l.traps.Len() }
-
-// RAMapCount returns the number of return-address mappings.
-func (l *Library) RAMapCount() int { return l.ramap.Len() }

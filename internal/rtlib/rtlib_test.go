@@ -40,7 +40,7 @@ func TestPreloadReadsMaps(t *testing.T) {
 	if !lib.WrapsUnwind() || lib.PatchesGoRuntime() {
 		t.Error("hook flags wrong")
 	}
-	if lib.TrapCount() != 1 || lib.RAMapCount() != 1 {
+	if lib.TrapCount() != 1 || lib.ramap.Len() != 1 {
 		t.Error("counts wrong")
 	}
 }

@@ -3,6 +3,8 @@ package batch
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/base64"
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
@@ -444,7 +446,7 @@ func TestBatchRecordCannotPoisonCaches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, id+jobSuffix), data, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, id+jobSuffix), sealed(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
@@ -487,6 +489,66 @@ func TestBatchRecordCannotPoisonCaches(t *testing.T) {
 					service.ReplyCachePath(&resp.Reply))
 			}
 		})
+	}
+}
+
+// sealed is a record as the record store persists it: the bytes, then
+// their sha256.
+func sealed(data []byte) []byte {
+	sum := sha256.Sum256(data)
+	return append(append([]byte(nil), data...), sum[:]...)
+}
+
+// TestBatchFlippedRecordNotServed: a finished job's record with one
+// bit flipped inside a done item's image still decodes — the flip
+// changes the case of one base64 letter — but it no longer matches its
+// digest trailer, so a restarted manager drops it instead of serving
+// the damaged image.
+func TestBatchFlippedRecordNotServed(t *testing.T) {
+	dir := t.TempDir()
+	raw := genBinary(t, 81)
+	want := directRewrite(t, raw)
+	srv1 := service.New(service.Config{Workers: 2})
+	mgr1, err := New(srv1, Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := mgr1.Submit(wire.BatchManifest{Items: []wire.BatchItem{{Binary: raw}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := mgr1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	srv1.Shutdown(ctx)
+
+	path := filepath.Join(dir, job.ID+jobSuffix)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const field = `"images":["`
+	at := bytes.Index(data, []byte(field))
+	if at < 0 {
+		t.Fatalf("record holds no image: %.200q", data)
+	}
+	at += len(field) + base64.StdEncoding.EncodedLen(len(want))/2
+	for c := data[at] | 0x20; c < 'a' || c > 'z'; c = data[at] | 0x20 {
+		at++
+	}
+	data[at] ^= 0x20
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, mgr2 := newTestManager(t, service.Config{}, Config{Dir: dir})
+	if job2, ok := mgr2.Get(job.ID); ok {
+		if image, err := job2.Output(0); err == nil && !bytes.Equal(image, want) {
+			t.Errorf("restarted manager served the flipped record's image")
+		}
 	}
 }
 

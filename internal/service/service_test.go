@@ -489,6 +489,52 @@ func TestTruncatedResultFileRecomputes(t *testing.T) {
 	}
 }
 
+// TestFlippedResultFileRecomputes: a persisted result of the right
+// length with one bit flipped inside its image still decodes, but its
+// digest trailer no longer matches, so the store drops it and the
+// repeat request recomputes instead of serving the damaged rewrite.
+func TestFlippedResultFileRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	raw := testBinaryRaw(t)
+	opts := core.Options{Mode: core.ModeJT, Request: blockEmpty()}
+	submit := func(cfg Config) *Response {
+		t.Helper()
+		s := New(cfg)
+		defer s.Shutdown(context.Background())
+		resp, err := s.Submit(context.Background(), Request{Raw: raw, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	first := submit(Config{Workers: 1, ResultEntries: 4, Dir: dir})
+	key, _, err := requestKeys(store.Hash(raw), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, key+".res")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const back = 200
+	if len(first.Image) <= back {
+		t.Fatalf("image of %d bytes is too short to flip a bit %d bytes from the file's end", len(first.Image), back)
+	}
+	data[len(data)-back] ^= 0x04
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp := submit(Config{Workers: 1, ResultEntries: 4, Dir: dir})
+	fresh := submit(Config{Workers: 1})
+	if resp.ResultHit {
+		t.Errorf("served the flipped file as a result hit (%d-byte image)", len(resp.Image))
+	}
+	if !bytes.Equal(resp.Image, fresh.Image) {
+		t.Errorf("image after the flipped file differs from a fresh server's (%d and %d bytes)", len(resp.Image), len(fresh.Image))
+	}
+}
+
 // TestUndecodableBodyIs422: the binary is decoded only on an analysis
 // miss, inside the worker, yet a body that does not decode still gets
 // 422 with the bad-binary message, and the failure is not cached.

@@ -9,10 +9,13 @@
 // and share its result, the idiom internal/workload's generation cache
 // established. Optional on-disk persistence (Config.Dir plus a codec)
 // spills successfully built artifacts to files named by key, so a
-// restarted process warms from disk instead of rebuilding.
+// restarted process warms from disk instead of rebuilding. Each file is
+// the encoded artifact followed by its sha256, checked before Decode: a
+// damaged file is rebuilt, never decoded.
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -78,6 +81,10 @@ type Config[K comparable, V any] struct {
 // corrupt-artifact path: deleted, and the artifact rebuilt, instead of
 // being slurped into memory whole before Decode can object.
 const DefaultMaxArtifactBytes = 1 << 30
+
+// digestLen is the length of the trailer every persisted file ends
+// with: the sha256 of the encoded artifact before it.
+const digestLen = sha256.Size
 
 // entry is one keyed slot. ready closes when the value (or error) is
 // final; val/err must not be read before that.
@@ -241,12 +248,14 @@ func (s *Store[K, V]) evictLocked() {
 }
 
 // loadDisk attempts to decode a persisted artifact. A file that exists
-// but does not decode is corrupt — a torn write, a disk error, or a
-// format change — and is deleted so the artifact rebuilds from scratch
-// and re-persists cleanly, instead of failing this and every future
-// request for the key. Size is validated before the read: an artifact
-// over DefaultMaxArtifactBytes is treated exactly like one that fails
-// Decode, without first allocating its full length.
+// but does not hold an intact artifact is corrupt — a torn write, a
+// disk error, a flipped bit, or a format change — and is deleted so the
+// artifact rebuilds from scratch and re-persists cleanly, instead of
+// failing this and every future request for the key. The digest
+// trailer is checked before Decode, so a damaged file that still
+// decodes is never served. Size is validated before the read: an
+// artifact over DefaultMaxArtifactBytes is treated exactly like one
+// that fails Decode, without first allocating its full length.
 func (s *Store[K, V]) loadDisk(key K) (V, error) {
 	var zero V
 	if s.cfg.Dir == "" {
@@ -257,32 +266,42 @@ func (s *Store[K, V]) loadDisk(key K) (V, error) {
 	if err != nil {
 		return zero, err
 	}
-	if fi.Size() > s.maxArtifactBytes {
+	corrupt := func(why error) (V, error) {
 		os.Remove(path)
-		return zero, fmt.Errorf("store: corrupt artifact %v (deleted for rebuild): %d bytes exceeds cap %d", key, fi.Size(), s.maxArtifactBytes)
+		return zero, fmt.Errorf("store: corrupt artifact %v (deleted for rebuild): %w", key, why)
+	}
+	limit := s.maxArtifactBytes + digestLen
+	if fi.Size() > limit {
+		return corrupt(fmt.Errorf("%d bytes exceeds cap %d", fi.Size()-digestLen, s.maxArtifactBytes))
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return zero, err
 	}
-	if int64(len(data)) > s.maxArtifactBytes {
+	if int64(len(data)) > limit {
 		// The file grew between Stat and read — still over the cap.
-		os.Remove(path)
-		return zero, fmt.Errorf("store: corrupt artifact %v (deleted for rebuild): %d bytes exceeds cap %d", key, len(data), s.maxArtifactBytes)
+		return corrupt(fmt.Errorf("%d bytes exceeds cap %d", len(data)-digestLen, s.maxArtifactBytes))
 	}
-	v, err := s.cfg.Decode(data)
+	if len(data) < digestLen {
+		return corrupt(fmt.Errorf("%d bytes is shorter than the digest trailer", len(data)))
+	}
+	body, sum := data[:len(data)-digestLen], data[len(data)-digestLen:]
+	if want := sha256.Sum256(body); !bytes.Equal(sum, want[:]) {
+		return corrupt(fmt.Errorf("digest mismatch"))
+	}
+	v, err := s.cfg.Decode(body)
 	if err != nil {
-		os.Remove(path)
-		return zero, fmt.Errorf("store: corrupt artifact %v (deleted for rebuild): %w", key, err)
+		return corrupt(err)
 	}
 	return v, nil
 }
 
-// saveDisk persists an artifact. The memory copy stays authoritative —
-// callers must not fail the request on error — but the error is
-// reported so failed persists count in Stats instead of vanishing: a
-// half-written .tmp left by a failed rename used to be the only trace
-// of a dying disk.
+// saveDisk persists an artifact: the encoded bytes, then their sha256
+// (loadDisk checks it). The memory copy stays authoritative — callers
+// must not fail the request on error — but the error is reported so
+// failed persists count in Stats instead of vanishing: a half-written
+// .tmp left by a failed rename used to be the only trace of a dying
+// disk.
 func (s *Store[K, V]) saveDisk(key K, v V) error {
 	if s.cfg.Dir == "" {
 		return nil
@@ -296,7 +315,9 @@ func (s *Store[K, V]) saveDisk(key K, v V) error {
 	}
 	path := filepath.Join(s.cfg.Dir, s.cfg.KeyPath(key))
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	sum := sha256.Sum256(data)
+	if err := writeFile(tmp, data, sum[:]); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("store: persist %v: %w", key, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -304,6 +325,22 @@ func (s *Store[K, V]) saveDisk(key K, v V) error {
 		return fmt.Errorf("store: persist %v: %w", key, err)
 	}
 	return nil
+}
+
+// writeFile creates (or truncates) name and writes the parts to it in
+// order, without joining them first.
+func writeFile(name string, parts ...[]byte) error {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if _, err := f.Write(p); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	return f.Close()
 }
 
 // Len returns the number of in-memory entries (including in-flight).

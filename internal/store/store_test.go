@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -120,7 +122,7 @@ func TestOversizedArtifactRebuilds(t *testing.T) {
 	cfg := byteConfig(0, dir)
 	// Plant an oversized file where the artifact would persist, as a
 	// torn multi-write or a hostile tenant of the directory would.
-	if err := os.WriteFile(filepath.Join(dir, "k"), make([]byte, 65), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "k"), sealed(make([]byte, 65)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := New(cfg)
@@ -132,12 +134,12 @@ func TestOversizedArtifactRebuilds(t *testing.T) {
 	// The corrupt-artifact path re-persists the rebuilt value; the file
 	// on disk must now be the sane one, not the oversized original.
 	data, err := os.ReadFile(filepath.Join(dir, "k"))
-	if err != nil || string(data) != "rebuilt" {
+	if err != nil || !bytes.Equal(data, sealed([]byte("rebuilt"))) {
 		t.Fatalf("oversized file not replaced: data=%q err=%v", data, err)
 	}
 
 	// At exactly the cap, the artifact loads normally.
-	at := make([]byte, 64)
+	at := sealed(make([]byte, 64))
 	if err := os.WriteFile(filepath.Join(dir, "cap"), at, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +174,60 @@ func TestTruncatedArtifactRebuilds(t *testing.T) {
 	v, hit, err := s.GetOrCreate("k", func() ([]byte, error) { return []byte("rebuilt"), nil })
 	if err != nil || hit || string(v) != "rebuilt" {
 		t.Fatalf("truncated artifact not rebuilt: v=%q hit=%v err=%v", v, hit, err)
+	}
+}
+
+// sealed is payload as saveDisk persists it: the bytes, then their
+// sha256.
+func sealed(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return append(append([]byte(nil), payload...), sum[:]...)
+}
+
+// TestDiskDigestMismatchRebuilds: a persisted file whose bytes no
+// longer match their digest trailer — a flipped payload bit, a flipped
+// trailer bit, or a file shorter than the trailer — is deleted and
+// rebuilt, although the identity codec would decode any of them.
+func TestDiskDigestMismatchRebuilds(t *testing.T) {
+	payload := []byte("persisted payload")
+	flip := func(at int) []byte {
+		d := sealed(payload)
+		d[at] ^= 0x10
+		return d
+	}
+	for name, data := range map[string][]byte{
+		"payload bit": flip(3),
+		"trailer bit": flip(len(payload) + 5),
+		"short":       []byte("tiny"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "k")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := New(byteConfig(0, dir))
+			v, hit, err := s.GetOrCreate("k", func() ([]byte, error) { return []byte("rebuilt"), nil })
+			if err != nil || hit || string(v) != "rebuilt" {
+				t.Fatalf("damaged file served: v=%q hit=%v err=%v", v, hit, err)
+			}
+			if st := s.Stats(); st.DiskHits != 0 || st.Misses != 1 {
+				t.Fatalf("stats = %s, want one miss and no disk hit", st)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil || !bytes.Equal(got, sealed([]byte("rebuilt"))) {
+				t.Fatalf("damaged file not replaced by the rebuilt artifact: %q, %v", got, err)
+			}
+		})
+	}
+	// The intact file loads without a rebuild.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "k"), sealed(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v, hit, err := New(byteConfig(0, dir)).GetOrCreate("k", func() ([]byte, error) { return nil, errors.New("must not rebuild") })
+	if err != nil || !hit || !bytes.Equal(v, payload) {
+		t.Fatalf("intact file: v=%q hit=%v err=%v", v, hit, err)
 	}
 }
 
