@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -95,6 +96,10 @@ var acceptanceTests = []struct {
 		"TestReadFrameRejects",
 		"FuzzReadFrame",
 	}},
+	{"library-surface", ".", []string{
+		"TestNoGob",
+		"TestNoTestOnlyExports",
+	}},
 	{"make-targets", ".", []string{
 		"TestAllocBudget",
 		"TestResultHitAllocBytes",
@@ -155,62 +160,208 @@ func TestServiceStackImports(t *testing.T) {
 		"icfgpatch/internal/workload":    true,
 		"icfgpatch/internal/experiments": true,
 	}
-	fset := token.NewFileSet()
-	for _, root := range []string{"internal/service", "internal/cluster", "internal/store", "cmd/icfg-serve", "cmd/icfg-gateway"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
+	roots := []string{"internal/service/", "internal/cluster/", "internal/store/", "cmd/icfg-serve/", "cmd/icfg-gateway/"}
+	for _, sf := range nonTestFiles(t) {
+		inStack := false
+		for _, root := range roots {
+			inStack = inStack || strings.HasPrefix(sf.path, root)
+		}
+		for _, imp := range sf.f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); inStack && forbidden[p] {
+				t.Errorf("%s imports %s", sf.path, p)
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-			if err != nil {
-				return err
-			}
-			for _, imp := range f.Imports {
-				if p, _ := strconv.Unquote(imp.Path.Value); forbidden[p] {
-					t.Errorf("%s imports %s", path, p)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }
 
-// TestNoGob keeps gob decoders of outside bytes from coming back: gob
-// trusts its input's shape and sizes, so every decoder of bytes from
-// another process or from disk is a bounded codec instead — a
-// length-prefixed binary format, or JSON over the wire types for the
-// batch job records. No non-test Go file may import encoding/gob.
+// TestNoGob is the import guard of every non-test Go file in the
+// module and in icfgbench/. No file may import encoding/gob: gob trusts
+// its input's shape and sizes, so every decoder of bytes from another
+// process or from disk is a bounded codec instead — a length-prefixed
+// binary format, or JSON over the wire types for the batch job records.
+// And no file outside a test-support package (one whose name ends in
+// "test") may import testing or net/http/httptest: a test harness in a
+// library file links both into every binary that imports the library,
+// the daemons included.
 func TestNoGob(t *testing.T) {
+	for _, sf := range nonTestFiles(t) {
+		testSupport := strings.HasSuffix(sf.f.Name.Name, "test")
+		for _, imp := range sf.f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			switch {
+			case p == "encoding/gob":
+				t.Errorf("%s imports encoding/gob", sf.path)
+			case (p == "testing" || p == "net/http/httptest") && !testSupport:
+				t.Errorf("%s imports %s outside a test-support package", sf.path, p)
+			}
+		}
+	}
+}
+
+// testOnlyExports lists the exported library functions and methods that
+// only tests call and that stay on purpose, each with its reason. Keys
+// are the package path under internal/, then the function, or the
+// receiver and method.
+var testOnlyExports = map[string]string{
+	"core.AuditPlacement":           "placement oracle of the integrity tests, until the static validator replaces it (ROADMAP item 1)",
+	"cfg.(*Func).Check":             "graph oracle: the CFG pin, dump and fuzz tests check every graph they build with it",
+	"workload.BoundaryTable":        "regression workload of the jump-table bound tests in core and workload",
+	"obs.(*Span).Dur":               "span accessor the obs and service tests read stage durations through",
+	"obs.(*Span).Attr":              "span accessor the obs and service tests read span attributes through",
+	"service/sched.(*Pool).Drain":   "the signal the sched and service tests sequence against the start of a drain",
+	"asm.(*Builder).RodataBytes":    "fixture builder: raw read-only data for tests in asm, analysis and core",
+	"asm.(*Builder).GlobalInit":     "fixture builder: an initialised data global for the asm tests",
+	"asm.(*Builder).KeepLinkRelocs": "fixture builder: link-time relocations for the asm and BOLT baseline tests",
+}
+
+// implicitMethods are called through interfaces of the standard library
+// (fmt, errors) rather than by name.
+var implicitMethods = map[string]bool{"String": true, "Error": true}
+
+// TestNoTestOnlyExports keeps library code that only tests reach out of
+// the library. An exported package-level function under internal/ needs
+// a pkg.Name reference from a non-test file of the module or of
+// icfgbench/, or a reference from a non-test file of its own package. An
+// exported method needs a selector of its name in any non-test file, or
+// a standard interface that calls it. The exceptions are
+// testOnlyExports; an entry that no longer names a test-only export
+// fails too, so the list cannot go stale.
+func TestNoTestOnlyExports(t *testing.T) {
+	files := nonTestFiles(t)
+	used := map[string]bool{}      // import path + "." + name, referenced outside its own declaration
+	selectors := map[string]bool{} // every selector name in non-test code
+	for _, sf := range files {
+		imports := map[string]string{} // local name -> import path
+		for _, imp := range sf.f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := path.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		for _, d := range sf.f.Decls {
+			// Neither a function's declared name nor a recursive call
+			// to it is a use.
+			var decl *ast.Ident
+			self := ""
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				decl = fn.Name
+				if fn.Recv == nil {
+					self = fn.Name.Name
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					selectors[n.Sel.Name] = true
+					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						used[imports[x.Name]+"."+n.Sel.Name] = true
+					}
+				case *ast.Ident:
+					if n != decl && n.Name != self {
+						used[sf.pkg+"."+n.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	found := map[string]bool{}
+	for _, sf := range files {
+		rel, ok := strings.CutPrefix(sf.pkg, "icfgpatch/internal/")
+		if !ok {
+			continue
+		}
+		for _, d := range sf.f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			var key string
+			switch {
+			case fn.Recv == nil && !used[sf.pkg+"."+fn.Name.Name]:
+				key = rel + "." + fn.Name.Name
+			case fn.Recv != nil && !selectors[fn.Name.Name] && !implicitMethods[fn.Name.Name]:
+				key = rel + "." + receiverName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+			default:
+				continue
+			}
+			found[key] = true
+			if _, ok := testOnlyExports[key]; !ok {
+				t.Errorf("%s: %s is exported but only tests reach it: delete it, move it into a test file, or list it in testOnlyExports with a reason", sf.path, key)
+			}
+		}
+	}
+	for key := range testOnlyExports {
+		if !found[key] {
+			t.Errorf("testOnlyExports lists %s, which is no longer an exported function only tests reach", key)
+		}
+	}
+}
+
+// receiverName renders a method receiver type as T or (*T), without type
+// parameters.
+func receiverName(e ast.Expr) string {
+	star := false
+	if s, ok := e.(*ast.StarExpr); ok {
+		star, e = true, s.X
+	}
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		e = x.X
+	case *ast.IndexListExpr:
+		e = x.X
+	}
+	name := e.(*ast.Ident).Name
+	if star {
+		return "(*" + name + ")"
+	}
+	return name
+}
+
+// sourceFile is one parsed non-test Go file.
+type sourceFile struct {
+	path string    // slash-separated, relative to the module root
+	pkg  string    // import path of its package
+	f    *ast.File // parsed in full
+}
+
+// nonTestFiles parses every non-test Go file under the module root, the
+// nested icfgbench module included (its module path, icfgpatch/icfgbench,
+// is its directory's). Hidden directories hold VCS and build state, not
+// sources, and testdata holds fixtures; both are skipped.
+func nonTestFiles(t *testing.T) []sourceFile {
+	t.Helper()
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	var out []sourceFile
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			// Hidden directories hold VCS and build state, not sources.
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" {
-				t.Errorf("%s imports encoding/gob", path)
-			}
+		p = filepath.ToSlash(p)
+		pkg := "icfgpatch"
+		if dir := path.Dir(p); dir != "." {
+			pkg += "/" + dir
 		}
+		out = append(out, sourceFile{path: p, pkg: pkg, f: f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return out
 }

@@ -6,6 +6,7 @@
 package icfgpatch_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -184,11 +185,11 @@ func BenchmarkTable3Rewrite(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3Sweep compares the serial Table 3 runner against the
-// worker-pool pipeline over the full (benchmark, approach) grid of one
-// architecture. On a multi-core machine the parallel sub-benchmark's
-// wall clock drops with the worker count; the outputs are asserted
-// byte-identical either way.
+// BenchmarkTable3Sweep runs the Table 3 runner with one worker (serial)
+// and with GOMAXPROCS workers (parallel) over the full (benchmark,
+// approach) grid of one architecture. On a multi-core machine the
+// parallel sub-benchmark's wall clock drops with the worker count; the
+// outputs are asserted byte-identical either way.
 func BenchmarkTable3Sweep(b *testing.B) {
 	// Warm the workload cache so both sub-benchmarks measure the sweep,
 	// not suite generation.
@@ -198,7 +199,7 @@ func BenchmarkTable3Sweep(b *testing.B) {
 	var serialOut, parallelOut string
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := experiments.Table3ForArch(arch.A64)
+			res, err := experiments.Table3ForArch(arch.A64, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -206,10 +207,10 @@ func BenchmarkTable3Sweep(b *testing.B) {
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		jobs := experiments.DefaultJobs()
+		jobs := runtime.GOMAXPROCS(0)
 		b.ReportMetric(float64(jobs), "jobs")
 		for i := 0; i < b.N; i++ {
-			res, err := experiments.Table3ForArchParallel(arch.A64, jobs)
+			res, err := experiments.Table3ForArch(arch.A64, jobs)
 			if err != nil {
 				b.Fatal(err)
 			}

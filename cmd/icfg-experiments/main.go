@@ -9,8 +9,11 @@
 //
 // Usage:
 //
-//	icfg-experiments [-run all|table1|table2|table3|figure1|figure2|firefox|docker|bolt|diogenes|incremental|profile|landingpads]
+//	icfg-experiments [-run all|table1|table2|table3|figure1|figure2|firefox|docker|bolt|diogenes|ablation|trampolines|incremental|profile|landingpads]
 //	                 [-arch x64|ppc|a64|all] [-jobs N] [-metrics] [-trace]
+//
+// -arch selects the architectures of table3, incremental, profile,
+// landingpads and trampolines; ablation always runs on ppc.
 package main
 
 import (
@@ -35,8 +38,8 @@ var knownRuns = []string{
 
 func main() {
 	runSel := flag.String("run", "all", "experiment to run: "+strings.Join(knownRuns, ", "))
-	archSel := flag.String("arch", "all", "architecture for table3/incremental: x64, ppc, a64, all")
-	jobs := flag.Int("jobs", 0, "worker count for the table3 sweep (0 = one per CPU, 1 = serial)")
+	archSel := flag.String("arch", "all", "architecture for table3, incremental, profile, landingpads and trampolines (ablation is fixed to ppc): x64, ppc, a64, all")
+	jobs := flag.Int("jobs", 0, "worker count for the table3 sweep (0 = GOMAXPROCS, 1 = serial)")
 	metrics := flag.Bool("metrics", false, "print aggregated per-pass rewrite metrics after table3 and workload cache stats at exit")
 	trace := flag.Bool("trace", false, "print each rewrite's span tree (table3 and ablation cells)")
 	flag.Parse()
@@ -106,7 +109,7 @@ func main() {
 	}
 	if want("table3") {
 		for _, a := range arches {
-			res, err := experiments.Table3ForArchParallel(a, *jobs)
+			res, err := experiments.Table3ForArch(a, *jobs)
 			if err != nil {
 				fail(err)
 			}
@@ -186,7 +189,7 @@ func main() {
 		}
 	}
 	if want("trampolines") {
-		for _, a := range arch.All() {
+		for _, a := range arches {
 			res, err := experiments.Trampolines(a)
 			if err != nil {
 				fail(err)

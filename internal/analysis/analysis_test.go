@@ -43,7 +43,7 @@ func switchBinary(t *testing.T, a arch.Arch, pie bool, nCases int, opts asm.Swit
 
 func analyze(t *testing.T, img *bin.Binary) *cfg.Graph {
 	t.Helper()
-	g, err := cfg.Build(img, newJumpTables(img))
+	g, err := buildGraph(img, newJumpTables(img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestFuncPointersFindsSites(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := analyze(t, img)
-			sites, err := FuncPointers(img, g)
+			sites, err := Untrusted().FuncPointers(img, g)
 			if err != nil {
 				t.Fatalf("%s pie=%v: %v", a, pie, err)
 			}
@@ -330,7 +330,7 @@ func TestFuncPointersEntryPlusNopBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := analyze(t, img)
-		sites, err := FuncPointers(img, g)
+		sites, err := Untrusted().FuncPointers(img, g)
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)
 		}
@@ -353,7 +353,7 @@ func TestFuncPointersMidInstructionIsImprecise(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := analyze(t, img)
-		if _, err := FuncPointers(img, g); !errors.Is(err, ErrImprecise) {
+		if _, err := Untrusted().FuncPointers(img, g); !errors.Is(err, ErrImprecise) {
 			t.Errorf("%s: err = %v, want ErrImprecise", a, err)
 		}
 	}

@@ -74,7 +74,7 @@ func TestA64CompressedTablesResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := cfg.Build(img, newJumpTables(img))
+		g, err := buildGraph(img, newJumpTables(img))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestInterleavedRodataBoundsExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := cfg.Build(img, newJumpTables(img))
+	g, err := buildGraph(img, newJumpTables(img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestResolverRejectsNonJumpInstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := cfg.Build(img, nil)
+	g, err := buildGraph(img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

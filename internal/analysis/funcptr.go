@@ -50,22 +50,17 @@ type PtrSite struct {
 }
 
 // FuncPointers identifies every function pointer definition in the
-// binary with no marker evidence engaged — the conservative path, which
-// fails with ErrImprecise when a candidate cannot be validated: a
-// code-address-like value that does not land on an instruction boundary
-// of its function means the binary manufactures code pointers the
-// analysis cannot model (Go function tables).
-func FuncPointers(b *bin.Binary, g *cfg.Graph) ([]PtrSite, error) {
-	return Untrusted().FuncPointers(b, g)
-}
-
-// FuncPointers runs the ranked pointer sources (reloc, data-cell,
+// binary by running the ranked pointer sources (reloc, data-cell,
 // code-imm) under this evidence. Each source that completes records its
-// kept sites in ev.Counts. With trusted landing pads, candidates
-// the conservative analysis would refuse are skipped when no marker
-// covers them — provably not indirect targets — converting whole-binary
-// refusal into sound acceptance; without trust, behaviour and errors are
-// byte-identical to the historical conservative analysis.
+// kept sites in ev.Counts. Without trusted landing pads (Untrusted) it
+// is the conservative analysis, which fails with ErrImprecise when a
+// candidate cannot be validated: a code-address-like value that does not
+// land on an instruction boundary of its function means the binary
+// manufactures code pointers the analysis cannot model (Go function
+// tables). With trusted landing pads, candidates the conservative
+// analysis would refuse are skipped when no marker covers them —
+// provably not indirect targets — converting whole-binary refusal into
+// sound acceptance.
 func (ev *Evidence) FuncPointers(b *bin.Binary, g *cfg.Graph) ([]PtrSite, error) {
 	if b.Text() == nil {
 		return nil, fmt.Errorf("analysis: no text section")

@@ -23,10 +23,10 @@ import (
 // capped: trimming them would silently drop real table entries.
 const MaxTableEntries = 512
 
-// JumpTables is the jump-table resolver plugged into cfg.Build. It keeps
-// program-wide boundary hints (known data-access addresses and table
-// bases) used to bound tables whose size check could not be recovered,
-// per Assumption 2 of the paper.
+// JumpTables is the jump-table resolver plugged into cfg.BuildFunc. It
+// keeps program-wide boundary hints (known data-access addresses and
+// table bases) used to bound tables whose size check could not be
+// recovered, per Assumption 2 of the paper.
 type JumpTables struct {
 	bin *bin.Binary
 	// Strict disables Assumption-2 bound extension: tables without a

@@ -51,7 +51,7 @@ func sweepCorpus(t *testing.T) map[string]*bin.Binary {
 		t.Fatal(err)
 	}
 	out["libxul-x64"] = xul.Binary
-	xulCFI, err := workload.LibxulCFICached(arch.X64)
+	xulCFI, err := workload.LibxulCFI(arch.X64)
 	if err != nil {
 		t.Fatal(err)
 	}

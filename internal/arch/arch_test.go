@@ -79,8 +79,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: encode %q: %v", a, ins, err)
 			}
-			if len(b) < enc.MinLen() || len(b) > enc.MaxLen() {
-				t.Fatalf("%s: %q encoded to %d bytes, outside [%d,%d]", a, ins, len(b), enc.MinLen(), enc.MaxLen())
+			// Fixed-width encodings are exactly MaxLen bytes long.
+			minLen := 1
+			if a.FixedWidth() {
+				minLen = enc.MaxLen()
+			}
+			if len(b) < minLen || len(b) > enc.MaxLen() {
+				t.Fatalf("%s: %q encoded to %d bytes, outside [%d,%d]", a, ins, len(b), minLen, enc.MaxLen())
 			}
 			got, err := enc.Decode(b, 0)
 			if err != nil {

@@ -66,9 +66,6 @@ func (e fixedEncoding) condBits() uint {
 // Arch implements Encoding.
 func (e fixedEncoding) Arch() Arch { return e.arch }
 
-// MinLen implements Encoding.
-func (fixedEncoding) MinLen() int { return 4 }
-
 // MaxLen implements Encoding.
 func (fixedEncoding) MaxLen() int { return 4 }
 

@@ -48,9 +48,6 @@ const (
 // Arch implements Encoding.
 func (x64Encoding) Arch() Arch { return X64 }
 
-// MinLen implements Encoding.
-func (x64Encoding) MinLen() int { return 1 }
-
 // MaxLen implements Encoding.
 func (x64Encoding) MaxLen() int { return 10 }
 

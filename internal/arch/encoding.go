@@ -22,8 +22,7 @@ type Encoding interface {
 	// minimal length rather than an error; an error is returned only when
 	// b is too short to contain any instruction.
 	Decode(b []byte, addr uint64) (Instr, error)
-	// MinLen and MaxLen bound encoded instruction lengths.
-	MinLen() int
+	// MaxLen bounds encoded instruction lengths.
 	MaxLen() int
 }
 

@@ -1,9 +1,7 @@
-// Package baseline implements the binary rewriting approaches the paper
-// compares against (Table 1), as ablations or wrappers of the same
-// engine that implements incremental CFG patching:
+// Package baseline implements three of the binary rewriting approaches
+// the paper compares against (Table 1), as ablations or wrappers of the
+// same engine that implements incremental CFG patching:
 //
-//   - InstrPatch: E9Patch-style instruction patching — no control flow
-//     rewriting, no relocations, per-instruction trampolines to stubs.
 //   - SRBI: structured binary editing — direct control flow only,
 //     trampolines at every basic block, call emulation for stack
 //     unwinding (with Dyninst-10.2's limitations).
@@ -12,6 +10,9 @@
 //     regenerated text, near-zero overhead, but no exceptions/Go/Rust.
 //   - BOLT-like: a binary optimizer that requires link-time relocations
 //     for function reordering.
+//
+// E9Patch-style instruction patching is Table 1's fourth comparison; it
+// appears there as a qualitative row only, since no experiment runs it.
 package baseline
 
 import "icfgpatch/internal/bin"

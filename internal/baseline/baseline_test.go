@@ -338,43 +338,6 @@ func TestIRLowerAllOrNothing(t *testing.T) {
 	}
 }
 
-func TestInstrPatchCorrectButSlow(t *testing.T) {
-	img, dbg := testProgram(t, arch.X64, false, false)
-	want := mustRun(t, img)
-	// Patch every instruction of main (the E9Patch usage model: user
-	// supplies addresses, no analysis).
-	var points []uint64
-	text := img.Text()
-	start, end := dbg.FuncStart["main"], dbg.FuncEnd["main"]
-	for _, ins := range arch.DecodeAll(arch.X64, text.Data[start-text.Addr:end-text.Addr], start) {
-		if ins.Kind != arch.Nop && ins.Kind != arch.Illegal {
-			points = append(points, ins.Addr)
-		}
-	}
-	res, err := InstrPatch(img, points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := mustRun(t, res.Binary)
-	if string(got.Output) != string(want.Output) {
-		t.Fatalf("output = %q, want %q", got.Output, want.Output)
-	}
-	overhead := float64(got.Cycles)/float64(want.Cycles) - 1
-	if overhead < 0.5 {
-		t.Errorf("instruction patching overhead = %.0f%%, expected prohibitive (>50%%)", overhead*100)
-	}
-	if res.Patched != len(points) {
-		t.Errorf("patched %d, want %d", res.Patched, len(points))
-	}
-}
-
-func TestInstrPatchRejectsFixedWidth(t *testing.T) {
-	img, _ := testProgram(t, arch.PPC, false, false)
-	if _, err := InstrPatch(img, nil); err == nil {
-		t.Error("e9patch accepted a fixed-width ISA")
-	}
-}
-
 func TestBOLTFunctionReorderNeedsLinkRelocs(t *testing.T) {
 	// Without -Wl,-q: refused, even for PIE.
 	for _, pie := range []bool{false, true} {
@@ -488,42 +451,5 @@ func TestTable1Shape(t *testing.T) {
 	}
 	if rows[len(rows)-1].Approach != "Our work" || rows[len(rows)-1].Unwinding != "Dynamic translation" {
 		t.Error("our-work row wrong")
-	}
-}
-
-func TestInstrPatchTactics(t *testing.T) {
-	// Short instructions force the 2-byte-branch-to-hop tactic or, with
-	// no nearby padding, a trap — E9Patch's trap-avoidance story.
-	img, dbg := testProgram(t, arch.X64, false, false)
-	want := mustRun(t, img)
-	text := img.Text()
-	start, end := dbg.FuncStart["inc"], dbg.FuncEnd["inc"]
-	var points []uint64
-	for _, ins := range arch.DecodeAll(arch.X64, text.Data[start-text.Addr:end-text.Addr], start) {
-		points = append(points, ins.Addr) // includes the 1-byte ret
-	}
-	res, err := InstrPatch(img, points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Short+res.Traps == 0 {
-		t.Errorf("no short/trap tactics used despite sub-5-byte instructions (short=%d traps=%d)", res.Short, res.Traps)
-	}
-	got, err := runWith(t, res.Binary)
-	if err != nil {
-		t.Fatalf("patched run: %v", err)
-	}
-	if string(got.Output) != string(want.Output) {
-		t.Errorf("output = %q, want %q", got.Output, want.Output)
-	}
-	if res.Traps > 0 && got.Traps == 0 {
-		t.Log("trap trampolines installed but not executed (cold)")
-	}
-}
-
-func TestInstrPatchRejectsBadPoints(t *testing.T) {
-	img, _ := testProgram(t, arch.X64, false, false)
-	if _, err := InstrPatch(img, []uint64{0xdead0000}); err == nil {
-		t.Error("point outside text accepted")
 	}
 }

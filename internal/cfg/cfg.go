@@ -246,29 +246,6 @@ type Resolver interface {
 	ResolveJump(b *bin.Binary, f *Func, jumpAddr uint64) (*ResolvedTable, error)
 }
 
-// Build constructs the CFG of every function symbol in the binary. A nil
-// resolver leaves all indirect jumps unresolved (they are then subject
-// to the tail-call heuristic). Build itself only fails on malformed
-// inputs; per-function analysis failures land in Func.Err.
-func Build(b *bin.Binary, resolver Resolver) (*Graph, error) {
-	text := b.Text()
-	if text == nil {
-		return nil, fmt.Errorf("cfg: binary has no text section")
-	}
-	pads, err := UnwindTable(b)
-	if err != nil {
-		return nil, err
-	}
-	var funcs []*Func
-	for _, sym := range b.FuncSymbols() {
-		if sym.Size == 0 {
-			continue
-		}
-		funcs = append(funcs, BuildFunc(b, text, sym, pads, resolver))
-	}
-	return Assemble(b, funcs), nil
-}
-
 // UnwindTable decodes the binary's unwind table, or returns nil when the
 // binary carries none. Decoding once and passing the table to every
 // BuildFunc call is what lets callers build functions individually.

@@ -47,7 +47,7 @@ func simpleProgram(a arch.Arch) *asm.Builder {
 func TestBuildBasicStructure(t *testing.T) {
 	for _, a := range arch.All() {
 		img, dbg := link(t, simpleProgram(a))
-		g, err := Build(img, nil)
+		g, err := BuildGraph(img, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestBuildBasicStructure(t *testing.T) {
 
 func TestEdgesAndPreds(t *testing.T) {
 	img, _ := link(t, simpleProgram(arch.X64))
-	g, err := Build(img, nil)
+	g, err := BuildGraph(img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestEdgesAndPreds(t *testing.T) {
 
 func TestCallDoesNotEndTraversal(t *testing.T) {
 	img, _ := link(t, simpleProgram(arch.A64))
-	g, _ := Build(img, nil)
+	g, _ := BuildGraph(img, nil)
 	f, _ := funcByName(g, "main")
 	// The block after the call must exist.
 	var callBlock *Block
@@ -155,7 +155,7 @@ func TestUnresolvedIndirectJumpWithNopGapsIsTailCall(t *testing.T) {
 		f.TailJumpReg(arch.R9)
 		b.SetEntry("main")
 		img, _ := link(t, b)
-		g, err := Build(img, nil)
+		g, err := BuildGraph(img, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestUnresolvedJumpWithRealCodeGapsFailsFunction(t *testing.T) {
 		f.Halt()
 		b.SetEntry("main")
 		img, _ := link(t, b)
-		g, err := Build(img, nil)
+		g, err := BuildGraph(img, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestResolverTargetsBecomeEdgesAndBlocks(t *testing.T) {
 
 	truth := dbg.Tables[0]
 	res := &fakeResolver{targets: map[uint64][]uint64{truth.DispatchAddr: truth.Targets}}
-	g, err := Build(img, res)
+	g, err := BuildGraph(img, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestCatchPadsAreEntryPoints(t *testing.T) {
 	f.Halt()
 	b.SetEntry("main")
 	img, _ := link(t, b)
-	g, _ := Build(img, nil)
+	g, _ := BuildGraph(img, nil)
 	fn, _ := funcByName(g, "main")
 	if len(fn.CatchPads) != 1 {
 		t.Fatalf("catch pads = %v", fn.CatchPads)
@@ -293,7 +293,7 @@ func TestCatchPadsAreEntryPoints(t *testing.T) {
 
 func TestGraphQueries(t *testing.T) {
 	img, dbg := link(t, simpleProgram(arch.PPC))
-	g, _ := Build(img, nil)
+	g, _ := BuildGraph(img, nil)
 	if f, ok := g.FuncContaining(dbg.FuncStart["main"] + 4); !ok || f.Name != "main" {
 		t.Error("FuncContaining failed")
 	}
@@ -308,7 +308,7 @@ func TestGraphQueries(t *testing.T) {
 func TestNopPaddingNotInAnyBlock(t *testing.T) {
 	// Inter-function padding must not be attributed to either function.
 	img, dbg := link(t, simpleProgram(arch.X64))
-	g, _ := Build(img, nil)
+	g, _ := BuildGraph(img, nil)
 	for _, f := range g.Funcs {
 		for _, blk := range f.Blocks {
 			if blk.End > dbg.FuncEnd[f.Name] {
@@ -322,7 +322,7 @@ func TestInterFunctionPaddingIsNotAGap(t *testing.T) {
 	// Alignment padding sits between functions, outside every function
 	// range: functions must report no gaps for it.
 	img, _ := link(t, simpleProgram(arch.A64))
-	g, _ := Build(img, nil)
+	g, _ := BuildGraph(img, nil)
 	for _, f := range g.Funcs {
 		if len(f.Gaps) != 0 {
 			t.Errorf("%s has gaps %v", f.Name, f.Gaps)
@@ -355,7 +355,7 @@ func TestPPCInTextTableIsDataRangeNotGap(t *testing.T) {
 	res := &fakeResolver{targets: map[uint64][]uint64{truth.DispatchAddr: truth.Targets}}
 	// Resolve with in-text table marking so the data range is recorded.
 	res2 := markedResolver{fakeResolver: res, addr: truth.Addr, entry: truth.EntrySize, n: truth.N}
-	g, err := Build(img, res2)
+	g, err := BuildGraph(img, res2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 //
 // Function extents run from each entry to the next discovered entry,
 // with trailing nop padding trimmed. The result is a synthesised symbol
-// table (names fn_<addr>) that Build accepts like a real one.
+// table (names fn_<addr>) that BuildFunc accepts like a real one.
 func DiscoverFunctions(b *bin.Binary) ([]bin.Symbol, error) {
 	text := b.Text()
 	if text == nil {

@@ -80,7 +80,7 @@ func TestDiscoverFunctionsRecoversEntries(t *testing.T) {
 
 func TestBuildStrippedProducesUsableCFG(t *testing.T) {
 	img, dbg := strippedFixture(t, arch.X64, false)
-	g, err := BuildStripped(img, nil)
+	g, err := BuildGraph(img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBuildStrippedProducesUsableCFG(t *testing.T) {
 	}
 	// The original binary must not have been mutated.
 	if len(img.Symbols) != 0 {
-		t.Error("BuildStripped added symbols to the input")
+		t.Error("BuildGraph added symbols to the input")
 	}
 }
 

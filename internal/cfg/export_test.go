@@ -1,6 +1,8 @@
 package cfg
 
 import (
+	"errors"
+
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/bin"
 )
@@ -11,13 +13,22 @@ var (
 	MarkBoundedX64 = markBoundedX64
 )
 
-// BuildStripped builds a stripped binary's graph the way core.Analyze
-// does: function entries are discovered first, then each function is
-// built on its own and the graph assembled.
-func BuildStripped(b *bin.Binary, resolver Resolver) (*Graph, error) {
-	syms, err := DiscoverFunctions(b)
-	if err != nil {
-		return nil, err
+// BuildGraph builds b's graph the way core.Analyze does without a unit
+// store: the function table (the symbols, or the discovered entries of a
+// stripped binary), one BuildFunc per function, then Assemble. A nil
+// resolver leaves every indirect jump unresolved.
+func BuildGraph(b *bin.Binary, resolver Resolver) (*Graph, error) {
+	text := b.Text()
+	if text == nil {
+		return nil, errors.New("cfg: binary has no text section")
+	}
+	syms := b.FuncSymbols()
+	if len(syms) == 0 {
+		ds, err := DiscoverFunctions(b)
+		if err != nil {
+			return nil, err
+		}
+		syms = ds
 	}
 	pads, err := UnwindTable(b)
 	if err != nil {
@@ -26,7 +37,7 @@ func BuildStripped(b *bin.Binary, resolver Resolver) (*Graph, error) {
 	funcs := make([]*Func, 0, len(syms))
 	for _, sym := range syms {
 		if sym.Size > 0 {
-			funcs = append(funcs, BuildFunc(b, b.Text(), sym, pads, resolver))
+			funcs = append(funcs, BuildFunc(b, text, sym, pads, resolver))
 		}
 	}
 	return Assemble(b, funcs), nil

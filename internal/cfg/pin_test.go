@@ -39,7 +39,7 @@ func withTables(bin func() (*bin.Binary, error), evidence bool) func() (*cfg.Gra
 		if evidence && ev.Trusted {
 			res.UseMarks(ev.Marks)
 		}
-		return cfg.Build(b, res)
+		return cfg.BuildGraph(b, res)
 	}
 }
 
@@ -102,7 +102,7 @@ func cfgPins() []cfgPin {
 					return nil, err
 				}
 				res, _, _ := analysis.SweepFuncs(stripped, analysis.SweepInput{Funcs: ds})
-				return cfg.BuildStripped(stripped, res)
+				return cfg.BuildGraph(stripped, res)
 			},
 			mustShow: []string{"func fn_", "nop-only=false"},
 			digest:   "dd4723fa7b57ed609741b38bb097808a892c5e2d80eb16f6abf93f7b3de502e0",
@@ -137,7 +137,7 @@ func cfgPins() []cfgPin {
 		},
 		{
 			name:     "interleaved-x64",
-			build:    func() (*cfg.Graph, error) { return cfg.Build(cfg.InterleavedX64Binary(), nil) },
+			build:    func() (*cfg.Graph, error) { return cfg.BuildGraph(cfg.InterleavedX64Binary(), nil) },
 			mustShow: []string{"block [0x10007,0x10011)", "block [0x1000a,0x10011)"},
 			digest:   "c29215aac0adb6927b4f11b8d1803f12fcad9e3d7d63ef4e83e709d19da2107f",
 		},

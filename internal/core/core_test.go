@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"icfgpatch/internal/analysis"
 	"icfgpatch/internal/arch"
 	"icfgpatch/internal/asm"
 	"icfgpatch/internal/bin"
@@ -809,10 +808,13 @@ func TestPlacementIntegrityAudit(t *testing.T) {
 	})
 }
 
-// buildGraph is a test helper exposing the rewriter's CFG construction.
+// buildGraph is the graph the rewriter builds for a jt-mode rewrite.
 func buildGraph(img *bin.Binary) (*cfg.Graph, error) {
-	jt, _, _ := analysis.SweepFuncs(img, analysis.SweepInput{Funcs: img.FuncSymbols()})
-	return cfg.Build(img, jt)
+	an, err := Analyze(img, AnalysisConfig{Mode: ModeJT})
+	if err != nil {
+		return nil, err
+	}
+	return an.Graph, nil
 }
 
 func TestCheckIntegrityDetectsMissingTrampoline(t *testing.T) {

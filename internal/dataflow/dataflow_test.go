@@ -18,7 +18,7 @@ func buildFunc(t *testing.T, a arch.Arch, build func(*asm.FuncBuilder)) (*bin.Bi
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := cfg.Build(img, nil)
+	g, err := buildGraph(img, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestLivenessConservativeAtUnresolvedJump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _ := cfg.Build(img, nil)
+	g, _ := buildGraph(img, nil)
 	fn, _ := funcByName(g, "main")
 	lv := ComputeLiveness(arch.X64, fn)
 	// Everything must be live at the indirect-jump block: the unknown
@@ -146,7 +146,7 @@ func sliceSetup(t *testing.T, a arch.Arch, opts asm.SwitchOpts) (*bin.Binary, *c
 	// Resolve with ground truth so case blocks exist, mirroring the
 	// iterative construction.
 	truth := dbg.Tables[0]
-	g, err := cfg.Build(img, truthResolver{truth})
+	g, err := buildGraph(img, truthResolver{truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,4 +368,20 @@ func funcByName(g *cfg.Graph, name string) (*cfg.Func, bool) {
 		}
 	}
 	return nil, false
+}
+
+// buildGraph builds b's graph the way core.Analyze does without a unit
+// store: one cfg.BuildFunc per function symbol, then cfg.Assemble.
+func buildGraph(b *bin.Binary, resolver cfg.Resolver) (*cfg.Graph, error) {
+	pads, err := cfg.UnwindTable(b)
+	if err != nil {
+		return nil, err
+	}
+	var funcs []*cfg.Func
+	for _, sym := range b.FuncSymbols() {
+		if sym.Size > 0 {
+			funcs = append(funcs, cfg.BuildFunc(b, b.Text(), sym, pads, resolver))
+		}
+	}
+	return cfg.Assemble(b, funcs), nil
 }

@@ -228,8 +228,13 @@ func TestFetchWindowRespectsExecRanges(t *testing.T) {
 	if m.FetchWindow(0x2000, 4) != nil {
 		t.Error("fetched from non-executable range")
 	}
-	if !m.Executable(0x1003) || m.Executable(0x1004) || m.Executable(0x2000) {
-		t.Error("Executable ranges wrong")
+	// The exec-range edges: the last byte of the range is fetchable, one
+	// past it and a data range are not.
+	if w := m.FetchWindow(0x1003, 1); len(w) != 1 || w[0] != 4 {
+		t.Errorf("window at last exec byte = %v", w)
+	}
+	if m.FetchWindow(0x1004, 1) != nil || m.FetchWindow(0x2000, 1) != nil {
+		t.Error("exec ranges wrong")
 	}
 }
 

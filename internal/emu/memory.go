@@ -45,16 +45,6 @@ func (m *Memory) page(addr uint64) *[pageSize]byte {
 	return p
 }
 
-// Executable reports whether addr lies in an executable mapped range.
-func (m *Memory) Executable(addr uint64) bool {
-	for _, r := range m.ranges {
-		if r.exec && addr >= r.start && addr < r.end {
-			return true
-		}
-	}
-	return false
-}
-
 // FetchWindow returns up to max bytes of executable memory at addr for
 // the decoder (fewer near the end of the range; zero if addr is not
 // executable).

@@ -16,7 +16,7 @@ import (
 // exception benchmarks.
 func TestTable3X64Shape(t *testing.T) {
 	t.Parallel()
-	res, err := Table3ForArch(arch.X64)
+	res, err := Table3ForArch(arch.X64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTable3X64Shape(t *testing.T) {
 // tables) that still beats SRBI's.
 func TestTable3PPCShape(t *testing.T) {
 	t.Parallel()
-	res, err := Table3ForArch(arch.PPC)
+	res, err := Table3ForArch(arch.PPC, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"icfgpatch/internal/arch"
 )
 
 // The parallel evaluation pipeline: the paper's Table 3 sweeps 19
@@ -14,22 +11,8 @@ import (
 // mutates its input binary and the emulator owns its own memory — so the
 // cells run concurrently on a bounded worker pool. Determinism is
 // non-negotiable: workers write results into pre-sized index slots
-// (never append), so the aggregated tables are byte-identical to the
-// serial runner's regardless of scheduling.
-
-// DefaultJobs is the worker count used when a caller passes jobs <= 0:
-// one worker per CPU.
-func DefaultJobs() int { return runtime.NumCPU() }
-
-// Table3ForArchParallel runs the Table 3 sweep for one architecture on
-// up to jobs concurrent workers (jobs <= 0 selects DefaultJobs). The
-// output is byte-identical to Table3ForArch's.
-func Table3ForArchParallel(a arch.Arch, jobs int) (*Table3Result, error) {
-	if jobs <= 0 {
-		jobs = DefaultJobs()
-	}
-	return table3Sweep(a, jobs)
-}
+// (never append), so the aggregated tables are byte-identical for every
+// worker count, one (the serial run) included.
 
 // runIndexed executes fn(i) for every i in [0, n) on up to jobs
 // concurrent workers. jobs <= 1 runs inline — the serial baseline is the

@@ -9,15 +9,15 @@ import (
 )
 
 // TestTable3ParallelMatchesSerial is the determinism gate for the
-// parallel pipeline: the table rendered from a multi-worker sweep must
-// be byte-identical to the serial runner's.
+// parallel pipeline: the table rendered from a four-worker sweep must be
+// byte-identical to the one-worker (serial) run of the same runner.
 func TestTable3ParallelMatchesSerial(t *testing.T) {
 	t.Parallel()
-	serial, err := Table3ForArch(arch.A64)
+	serial, err := Table3ForArch(arch.A64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Table3ForArchParallel(arch.A64, 4)
+	parallel, err := Table3ForArch(arch.A64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

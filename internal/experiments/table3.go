@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"icfgpatch/internal/arch"
@@ -108,19 +109,18 @@ func table3Specs(a arch.Arch) []table3Spec {
 	return specs
 }
 
-// Table3ForArch runs the SPEC-like suite through every approach serially
-// and aggregates the paper's Table 3 columns.
-func Table3ForArch(a arch.Arch) (*Table3Result, error) {
-	return table3Sweep(a, 1)
-}
-
-// table3Sweep executes the (approach, benchmark) cells on up to jobs
-// workers. Every cell is independent: the suite binaries are shared
-// read-only (the rewriter clones before mutating, the emulator copies
-// section data into its own pages) and each result is written to its own
-// index, so the output is byte-identical regardless of job count or
-// scheduling order.
-func table3Sweep(a arch.Arch, jobs int) (*Table3Result, error) {
+// Table3ForArch runs the SPEC-like suite through every approach and
+// aggregates the paper's Table 3 columns. The (approach, benchmark)
+// cells run on up to jobs workers; jobs <= 0 means GOMAXPROCS and 1 is
+// the serial run. Every cell is independent: the suite binaries are
+// shared read-only (the rewriter clones before mutating, the emulator
+// copies section data into its own pages) and each result is written to
+// its own index, so the output is byte-identical regardless of job count
+// or scheduling order.
+func Table3ForArch(a arch.Arch, jobs int) (*Table3Result, error) {
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
 	suite, err := workload.SPECSuiteCached(a, false)
 	if err != nil {
 		return nil, err

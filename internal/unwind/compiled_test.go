@@ -21,8 +21,8 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		{arch.PPC, 0x1200, 0x8000, 0xdead},
 	}
 	for _, tc := range cases {
-		want, err1 := Step(tc.a, tab, mem, Identity, tc.pc, tc.sp, tc.lr)
-		got, err2 := c.Step(tc.a, mem, Identity, tc.pc, tc.sp, tc.lr)
+		want, err1 := Step(tc.a, tab, mem, identity, tc.pc, tc.sp, tc.lr)
+		got, err2 := c.Step(tc.a, mem, identity, tc.pc, tc.sp, tc.lr)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%s pc=%#x: error mismatch %v vs %v", tc.a, tc.pc, err1, err2)
 		}
@@ -49,8 +49,8 @@ func TestCompiledWalkMatchesInterpreted(t *testing.T) {
 	tab := testTable()
 	c := Compile(tab)
 	mem := fakeMem{0x8000 + 32: 0x11C0}
-	want, err1 := Walk(arch.X64, tab, mem, Identity, 0x1020, 0x8000, 0, 16)
-	got, err2 := c.Walk(arch.X64, mem, Identity, 0x1020, 0x8000, 0, 16)
+	want, err1 := Walk(arch.X64, tab, mem, identity, 0x1020, 0x8000, 0, 16)
+	got, err2 := c.Walk(arch.X64, mem, identity, 0x1020, 0x8000, 0, 16)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs: %v %v", err1, err2)
 	}

@@ -104,9 +104,6 @@ func (t *Table) FDEs() []FDE { return t.fdes }
 // unchanged — that is how unwinding traverses uninstrumented libraries.
 type Translator func(pc uint64) uint64
 
-// Identity is the no-op translator.
-func Identity(pc uint64) uint64 { return pc }
-
 // Memory is the slice of machine state the stepper reads.
 type Memory interface {
 	ReadU64(addr uint64) (uint64, error)

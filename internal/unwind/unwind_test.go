@@ -9,6 +9,9 @@ import (
 )
 
 // fakeMem is a sparse word-addressed memory for stepper tests.
+// identity is the no-op translator, the one an unmodified binary needs.
+func identity(pc uint64) uint64 { return pc }
+
 type fakeMem map[uint64]uint64
 
 func (m fakeMem) ReadU64(addr uint64) (uint64, error) {
@@ -60,7 +63,7 @@ func TestStepX64(t *testing.T) {
 	tab := testTable()
 	// Frame at pc=0x1020 with FrameSize 32: RA at sp+32.
 	mem := fakeMem{0x8000 + 32: 0x1190}
-	fr, err := Step(arch.X64, tab, mem, Identity, 0x1020, 0x8000, 0)
+	fr, err := Step(arch.X64, tab, mem, identity, 0x1020, 0x8000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +74,7 @@ func TestStepX64(t *testing.T) {
 
 func TestStepFixedLeafUsesLR(t *testing.T) {
 	tab := testTable()
-	fr, err := Step(arch.A64, tab, fakeMem{}, Identity, 0x1110, 0x8000, 0x1234)
+	fr, err := Step(arch.A64, tab, fakeMem{}, identity, 0x1110, 0x8000, 0x1234)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestStepFixedLeafUsesLR(t *testing.T) {
 func TestStepFixedNonLeafReadsSavedLR(t *testing.T) {
 	tab := testTable()
 	mem := fakeMem{0x8000 + 64 - 8: 0x1050}
-	fr, err := Step(arch.PPC, tab, mem, Identity, 0x1200, 0x8000, 0xdead)
+	fr, err := Step(arch.PPC, tab, mem, identity, 0x1200, 0x8000, 0xdead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestStepFixedNonLeafReadsSavedLR(t *testing.T) {
 func TestStepUnknownPCFails(t *testing.T) {
 	// A relocated-code PC finds no FDE: the exact failure mode of
 	// rewritten binaries without RA translation.
-	if _, err := Step(arch.X64, testTable(), fakeMem{}, Identity, 0x90000000, 0x8000, 0); err == nil {
+	if _, err := Step(arch.X64, testTable(), fakeMem{}, identity, 0x90000000, 0x8000, 0); err == nil {
 		t.Error("Step succeeded for a PC with no unwind info")
 	}
 }
@@ -126,7 +129,7 @@ func TestWalk(t *testing.T) {
 	mem := fakeMem{
 		0x8000 + 32: 0x11C0, // mid's pushed RA -> outer (x64 layout)
 	}
-	frames, err := Walk(arch.X64, tab, mem, Identity, 0x1020, 0x8000, 0, 16)
+	frames, err := Walk(arch.X64, tab, mem, identity, 0x1020, 0x8000, 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +141,7 @@ func TestWalk(t *testing.T) {
 func TestWalkStopsAtForeignPC(t *testing.T) {
 	tab := testTable()
 	mem := fakeMem{0x8000 + 32: 0x7777777} // caller outside any FDE
-	frames, err := Walk(arch.X64, tab, mem, Identity, 0x1020, 0x8000, 0, 16)
+	frames, err := Walk(arch.X64, tab, mem, identity, 0x1020, 0x8000, 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +160,7 @@ func TestWalkRunawayLimit(t *testing.T) {
 		loop[sp] = 0x1010
 	}
 	_ = mem
-	if _, err := Walk(arch.X64, tab, loop, Identity, 0x1010, 0x8000, 0, 8); err == nil {
+	if _, err := Walk(arch.X64, tab, loop, identity, 0x1010, 0x8000, 0, 8); err == nil {
 		t.Error("runaway unwind not detected")
 	}
 }

@@ -16,15 +16,11 @@ import (
 // that sharing is safe because the rewriter clones before mutating and
 // the emulator copies section data into its own pages.
 
-// cacheKey identifies one memoised generation request. The CFI axis is
-// part of the identity: a landing-pad build is a different binary of the
-// same program, and mixing the two would hand one experiment cell the
-// other's bytes.
+// cacheKey identifies one memoised generation request.
 type cacheKey struct {
 	kind string
 	a    arch.Arch
 	pie  bool
-	cfi  bool
 }
 
 // cacheEntry single-flights one generation: the first caller runs gen,
@@ -92,22 +88,9 @@ func LibxulCached(a arch.Arch) (*Program, error) {
 	return cachedOne(cacheKey{kind: "libxul", a: a, pie: true}, func() (*Program, error) { return Libxul(a) })
 }
 
-// LibxulCFICached returns the memoised landing-pad (CFI) build of the
-// libxul.so-like workload.
-func LibxulCFICached(a arch.Arch) (*Program, error) {
-	return cachedOne(cacheKey{kind: "libxul", a: a, pie: true, cfi: true}, func() (*Program, error) { return LibxulCFI(a) })
-}
-
 // DockerCached returns the memoised Docker-like Go binary.
 func DockerCached(a arch.Arch) (*Program, error) {
 	return cachedOne(cacheKey{kind: "docker", a: a, pie: true}, func() (*Program, error) { return Docker(a) })
-}
-
-// DockerCFICached returns the memoised landing-pad (CFI) build of the
-// Docker-like Go binary — the workload conservative func-ptr analysis
-// refuses and landing-pad evidence rewrites soundly.
-func DockerCFICached(a arch.Arch) (*Program, error) {
-	return cachedOne(cacheKey{kind: "docker", a: a, pie: true, cfi: true}, func() (*Program, error) { return DockerCFI(a) })
 }
 
 // LibcudaCached returns the memoised libcuda.so-like driver library.
